@@ -121,12 +121,13 @@ def orbit(d: int, t: CirclePoint) -> tuple[int, list[CirclePoint]]:
     seen: dict[CirclePoint, int] = {}
     seq: list[CirclePoint] = []
     x = angle(t)
-    while x not in seen:
-        seen[x] = len(seq)
+    while True:
+        # one hash per step: the angle hashes through Fraction, which is costly
+        start = seen.setdefault(x, len(seq))
+        if start < len(seq):
+            return start, seq[start:]
         seq.append(x)
         x = sigma(d, x)
-    start = seen[x]
-    return start, seq[start:]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .circle import CirclePoint, angle, ccw_span, check_degree, in_arc, preimages, sigma
 
@@ -25,6 +25,7 @@ __all__ = [
     "Violation",
     "check_invariance",
     "faces",
+    "fibre_matchings",
     "grand_orbit_truncated",
     "is_critical",
     "leaf_image",
@@ -165,12 +166,41 @@ class SiblingCollection:
         return tuple(sorted(self.leaves))
 
 
+@cache
+def fibre_matchings(d: int) -> tuple[tuple[int, ...], ...]:
+    """The Catalan(d) non-crossing perfect matchings between two preimage fibres.
+
+    For a chord a < b the fibres (a+i)/d and (b+j)/d alternate around the
+    circle, a_0 < b_0 < a_1 < ... < b_{d-1}, so the non-crossing matchings do
+    not depend on the chord: they are the non-crossing pairings of 2d points
+    in convex position.  Each tuple m joins a-preimage i to b-preimage m[i].
+    """
+    check_degree(d)
+
+    def pairings(points: tuple[int, ...]):
+        if not points:
+            yield ()
+            return
+        # an even number of points lies between the two ends of any chord
+        for k in range(1, len(points), 2):
+            for inner in pairings(points[1:k]):
+                for outer in pairings(points[k + 1 :]):
+                    yield ((points[0], points[k]), *inner, *outer)
+
+    # position 2i holds a-preimage i and position 2j+1 holds b-preimage j
+    out = []
+    for pairing in pairings(tuple(range(2 * d))):
+        m = dict((p // 2, q // 2) if p % 2 == 0 else (q // 2, p // 2) for p, q in pairing)
+        out.append(tuple(m[i] for i in range(d)))
+    return tuple(sorted(out))
+
+
 def sibling_collections(d: int, l: Leaf) -> list[SiblingCollection]:
     """All full collections of d disjoint preimage leaves of image(l) containing l.
 
     Each member connects one preimage of each image endpoint; the two fibers
     are disjoint point sets, so distinct members can never share endpoints and
-    only the non-crossing condition needs checking.
+    the collections are exactly the non-crossing fibre matchings.
     """
     img = leaf_image(d, l)
     if not isinstance(img, Leaf):
@@ -178,27 +208,10 @@ def sibling_collections(d: int, l: Leaf) -> list[SiblingCollection]:
     xs = preimages(d, img.a)
     ys = preimages(d, img.b)
     found: list[SiblingCollection] = []
-    used = [False] * d
-    chosen: list[Leaf] = []
-
-    def extend(i: int) -> None:
-        if i == d:
-            if l in chosen:
-                found.append(SiblingCollection(d, frozenset(chosen)))
-            return
-        for j in range(d):
-            if used[j]:
-                continue
-            m = Leaf(xs[i], ys[j])
-            if any(leaves_cross(m, c) for c in chosen):
-                continue
-            used[j] = True
-            chosen.append(m)
-            extend(i + 1)
-            chosen.pop()
-            used[j] = False
-
-    extend(0)
+    for m in fibre_matchings(d):
+        chosen = frozenset(Leaf(xs[i], ys[j]) for i, j in enumerate(m))
+        if l in chosen:
+            found.append(SiblingCollection(d, chosen))
     found.sort(key=lambda c: c.sorted_leaves)
     return found
 
@@ -254,29 +267,8 @@ def validate_prelamination(L: Lamination) -> tuple[Violation, ...]:
 def _sibling_matching_exists(d: int, img: Leaf, available: frozenset[Leaf]) -> bool:
     xs = preimages(d, img.a)
     ys = preimages(d, img.b)
-    used = [False] * d
-    chosen: list[Leaf] = []
-
-    def extend(i: int) -> bool:
-        if i == d:
-            return True
-        for j in range(d):
-            if used[j]:
-                continue
-            m = Leaf(xs[i], ys[j])
-            if m not in available:
-                continue
-            if any(leaves_cross(m, c) for c in chosen):
-                continue
-            used[j] = True
-            chosen.append(m)
-            if extend(i + 1):
-                return True
-            chosen.pop()
-            used[j] = False
-        return False
-
-    return extend(0)
+    present = [[Leaf(x, y) in available for y in ys] for x in xs]
+    return any(all(present[i][j] for i, j in enumerate(m)) for m in fibre_matchings(d))
 
 
 def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation, ...]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .leaves import (
     Leaf,
     Polygon,
     faces,
+    fibre_matchings,
     is_critical,
     leaf_image,
     leaves_cross,
@@ -37,6 +39,33 @@ from .leaves import (
 
 class InsufficientDepthError(ValueError):
     """The available stages are too shallow to certify the requested structure."""
+
+
+def _components(
+    leaves: Collection[Leaf],
+) -> list[tuple[tuple[CirclePoint, ...], tuple[Leaf, ...]]]:
+    """Endpoint-connected groups of leaves as (sorted vertices, sorted leaves), sorted."""
+    parent: dict[CirclePoint, CirclePoint] = {}
+
+    def find(x: CirclePoint) -> CirclePoint:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for l in leaves:
+        parent.setdefault(l.a, l.a)
+        parent.setdefault(l.b, l.b)
+    for l in leaves:
+        ra, rb = find(l.a), find(l.b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[CirclePoint, tuple[set[CirclePoint], list[Leaf]]] = {}
+    for l in leaves:
+        pts, lvs = groups.setdefault(find(l.a), (set(), []))
+        pts.update(l.endpoints)
+        lvs.append(l)
+    return sorted((tuple(sorted(pts)), tuple(sorted(lvs))) for pts, lvs in groups.values())
 
 
 @dataclass(frozen=True)
@@ -74,25 +103,7 @@ class CriticalPortrait:
     @cached_property
     def vertex_groups(self) -> tuple[tuple[CirclePoint, ...], ...]:
         """Endpoint-connected chord groups as sorted vertex tuples."""
-        parent: dict[CirclePoint, CirclePoint] = {}
-
-        def find(x: CirclePoint) -> CirclePoint:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.chords:
-            parent.setdefault(c.a, c.a)
-            parent.setdefault(c.b, c.b)
-        for c in self.chords:
-            ra, rb = find(c.a), find(c.b)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[CirclePoint, list[CirclePoint]] = {}
-        for v in parent:
-            groups.setdefault(find(v), []).append(v)
-        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+        return tuple(pts for pts, _ in _components(self.chords))
 
     @cached_property
     def criticality(self) -> int:
@@ -210,13 +221,6 @@ def _scaled(t: CirclePoint, denom: int) -> int:
     return v.numerator * q
 
 
-def _int_pairs_cross(x1: int, y1: int, x2: int, y2: int) -> bool:
-    # endpoints normalized x < y; a shared endpoint never counts as crossing
-    if x2 in (x1, y1) or y2 in (x1, y1):
-        return False
-    return (x1 < x2 < y1) != (x1 < y2 < y1)
-
-
 def _best_matching(
     d: int,
     l: Leaf,
@@ -230,7 +234,9 @@ def _best_matching(
 
     Candidate chord (i, j) joins the i-th preimage of l.a to the j-th of l.b.
     Validity against everything already placed is vectorized; the policy then
-    ranks the valid perfect matchings of the two preimage fibers.
+    ranks the Catalan(d) non-crossing matchings of the two preimage fibers
+    whose chords are all valid.  The rank ends in the sorted chord pairs, so
+    the winner does not depend on enumeration order.
     """
     fib_a = [_scaled(t, denom) for t in preimages(d, l.a)]
     fib_b = [_scaled(t, denom) for t in preimages(d, l.b)]
@@ -250,30 +256,15 @@ def _best_matching(
             share = (acc_a == x) | (acc_a == y) | (acc_b == x) | (acc_b == y)
             ok[i][j] = not bool(((inside_a != inside_b) & ~share).any())
             reused[i][j] = (x, y) in acc_pairs
-    cells = [(i, j) for i in range(d) for j in range(d)]
-    cross = {}
-    for (i, j), (k, m) in itertools.combinations(cells, 2):
-        cross[(i, j, k, m)] = _int_pairs_cross(lo[i][j], hi[i][j], lo[k][m], hi[k][m])
 
     best_key = None
     best: tuple[tuple[int, int], ...] | None = None
-    for perm in itertools.permutations(range(d)):
-        if not all(ok[i][perm[i]] for i in range(d)):
+    for m in fibre_matchings(d):
+        if not all(ok[i][m[i]] for i in range(d)):
             continue
-        clash = False
-        for i in range(d):
-            for k in range(i + 1, d):
-                key = (i, perm[i], k, perm[k]) if (i, perm[i]) < (k, perm[k]) else (k, perm[k], i, perm[i])
-                if cross[key]:
-                    clash = True
-                    break
-            if clash:
-                break
-        if clash:
-            continue
-        maxlen = max(short[i][perm[i]] for i in range(d))
-        reuse = sum(1 for i in range(d) if reused[i][perm[i]])
-        pairs = tuple(sorted((lo[i][perm[i]], hi[i][perm[i]]) for i in range(d)))
+        maxlen = max(short[i][m[i]] for i in range(d))
+        reuse = sum(1 for i in range(d) if reused[i][m[i]])
+        pairs = tuple(sorted((lo[i][m[i]], hi[i][m[i]]) for i in range(d)))
         if policy == "shortest":
             rank = (maxlen, -reuse, pairs)
         else:
@@ -413,19 +404,23 @@ def _iterates_onto(d: int, l: Leaf, targets: set[Leaf], cap: int) -> bool:
     return False
 
 
-def _gap_candidates(lam: Lamination, S: FixedSector, chords: list[Leaf]) -> list[Face]:
-    out = []
-    for f in faces(lam):
+def _invariant_faces(L: Lamination, S: FixedSector) -> Iterator[Face]:
+    """Faces of L with every vertex inside S and mapped into the face's vertices."""
+    for f in faces(L):
         verts = f.vertices
         vset = set(verts)
-        if not all(S.contains_point(v) for v in verts):
-            continue
-        if not all(sigma(lam.degree, v) in vset for v in verts):
-            continue
-        if not all(f.on_closure(c.a) and f.on_closure(c.b) for c in chords):
-            continue
-        out.append(f)
-    return out
+        if all(S.contains_point(v) for v in verts) and all(
+            sigma(L.degree, v) in vset for v in verts
+        ):
+            yield f
+
+
+def _gap_candidates(lam: Lamination, S: FixedSector, chords: list[Leaf]) -> list[Face]:
+    return [
+        f
+        for f in _invariant_faces(lam, S)
+        if all(f.on_closure(c.a) and f.on_closure(c.b) for c in chords)
+    ]
 
 
 def _walk_back_gap(state: PullbackState, S: FixedSector) -> tuple[Face, int] | None:
@@ -551,6 +546,24 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
     )
 
 
+def _leaves_recur(d: int, leaves: Iterable[Leaf], cap: int) -> bool:
+    """Whether each leaf revisits an earlier image within cap steps, never collapsing."""
+    for b in leaves:
+        seen = {b}
+        cur = b
+        for _ in range(cap):
+            img = leaf_image(d, cur)
+            if isinstance(img, CirclePoint):
+                return False
+            if img in seen:
+                break
+            seen.add(img)
+            cur = img
+        else:
+            return False
+    return True
+
+
 def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool:
     """Whether every portrait chord sits inside a face with recurring boundary.
 
@@ -574,23 +587,8 @@ def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool
             and f.on_closure(chord.b)
             and not any(leaves_cross(b, chord) for b in f.leaves)
         ]
-        if len(carriers) != 1:
+        if len(carriers) != 1 or not _leaves_recur(L.degree, carriers[0].leaves, cap):
             return False
-        for b in carriers[0].leaves:
-            seen = {b}
-            cur = b
-            recurred = False
-            for _ in range(cap):
-                img = leaf_image(L.degree, cur)
-                if isinstance(img, CirclePoint):
-                    return False
-                cur = img
-                if cur in seen:
-                    recurred = True
-                    break
-                seen.add(cur)
-            if not recurred:
-                return False
     return True
 
 
@@ -620,31 +618,10 @@ class SectorClassification:
 
 
 def _boundary_objects(S: FixedSector) -> list[tuple[tuple[CirclePoint, ...], tuple[Leaf, ...]]]:
-    parent: dict[CirclePoint, CirclePoint] = {}
-
-    def find(x: CirclePoint) -> CirclePoint:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for l in S.boundary_leaves:
-        parent.setdefault(l.a, l.a)
-        parent.setdefault(l.b, l.b)
-    for l in S.boundary_leaves:
-        ra, rb = find(l.a), find(l.b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[CirclePoint, tuple[set[CirclePoint], list[Leaf]]] = {}
-    for l in S.boundary_leaves:
-        pts, lvs = groups.setdefault(find(l.a), (set(), []))
-        pts.update(l.endpoints)
-        lvs.append(l)
-    objects = [
-        (tuple(sorted(pts)), tuple(sorted(lvs))) for pts, lvs in groups.values()
-    ]
+    objects = _components(S.boundary_leaves)
+    covered = {p for pts, _ in objects for p in pts}
     for p in S.sector_fixed_points:
-        if p not in parent:
+        if p not in covered:
             objects.append(((p,), ()))
     objects.sort()
     return objects
@@ -692,17 +669,11 @@ def _rotational_polygon_witness(L: Lamination, S: FixedSector) -> tuple[Face, Fr
     from .rotation import NotRotational, rotation_number
 
     cands: list[tuple[Face, Fraction]] = []
-    for f in faces(L):
+    for f in _invariant_faces(L, S):
         if not f.is_polygon():
             continue
-        verts = f.vertices
-        vset = set(verts)
-        if not all(S.contains_point(v) for v in verts):
-            continue
-        if not all(sigma(L.degree, v) in vset for v in verts):
-            continue
         try:
-            rho = rotation_number(L.degree, verts)
+            rho = rotation_number(L.degree, f.vertices)
         except NotRotational:
             continue
         if rho == 0:
@@ -719,19 +690,12 @@ def _gap_witness(
     L: Lamination, S: FixedSector, objects: tuple[FixedObject, ...]
 ) -> Face:
     required = [o for o in objects if not o.subtended]
-    cands: list[Face] = []
-    for f in faces(L):
-        if f.is_polygon():
-            continue
-        verts = f.vertices
-        vset = set(verts)
-        if not all(S.contains_point(v) for v in verts):
-            continue
-        if not all(sigma(L.degree, v) in vset for v in verts):
-            continue
-        if not all(f.on_closure(p) for o in required for p in o.points):
-            continue
-        cands.append(f)
+    cands = [
+        f
+        for f in _invariant_faces(L, S)
+        if not f.is_polygon()
+        and all(f.on_closure(p) for o in required for p in o.points)
+    ]
     subtended = [o for o in objects if o.subtended]
     if len(cands) > 1 and subtended:
         # A face pinched off behind a leaf joining two distinct required
@@ -780,30 +744,11 @@ class FlowerLike:
 def _recurring_face(d: int, f: Face, cap: int) -> bool:
     vset = set(f.vertices)
     image = vset
-    settled = False
     for _ in range(cap):
         image = {sigma(d, v) for v in image}
         if image <= vset:
-            settled = True
-            break
-    if not settled:
-        return False
-    for b in f.leaves:
-        seen = {b}
-        cur = b
-        recurred = False
-        for _ in range(cap):
-            img = leaf_image(d, cur)
-            if isinstance(img, CirclePoint):
-                return False
-            cur = img
-            if cur in seen:
-                recurred = True
-                break
-            seen.add(cur)
-        if not recurred:
-            return False
-    return True
+            return _leaves_recur(d, f.leaves, cap)
+    return False
 
 
 def flower_like(L: Lamination, G: Polygon | Face | Leaf) -> FlowerLike:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .circle import CirclePoint, angle, check_degree, fixed_points, in_arc, sigma
+from .circle import CirclePoint, angle, check_degree, fixed_points, in_arc, orbit, sigma
 from .leaves import Face, Leaf, Polygon, faces, leaf_image, leaves_cross
 from .pullback import CriticalPortrait, PullbackState, critical_sectors
 
@@ -120,13 +120,8 @@ def enumerate_rotational_orbits(
         x = angle(Fraction(k, denom))
         if x in seen:
             continue
-        cycle = [x]
-        seen.add(x)
-        y = sigma(d, x)
-        while y != x:
-            cycle.append(y)
-            seen.add(y)
-            y = sigma(d, y)
+        cycle = orbit(d, x)[1]
+        seen.update(cycle)
         if len(cycle) != q:
             continue
         try:
@@ -284,12 +279,7 @@ def find_coroots(state: PullbackState, polygon: RotationalOrbit) -> CoRootSet:
         x = angle(Fraction(k, denom))
         if not gap.on_closure(x) or x in mm.major.endpoints:
             continue
-        period = 1
-        y = sigma(d, x)
-        while y != x:
-            period += 1
-            y = sigma(d, y)
-        if period != q:
+        if len(orbit(d, x)[1]) != q:
             continue
         # first return to the gap boundary must land back on x itself
         y = sigma(d, x)
@@ -366,12 +356,7 @@ def uni_to_max(state: PullbackState, polygon: RotationalOrbit) -> Correspondence
     local_degree = crs.local_degree
     verts = set(polygon.points)
     for c in crs.coroots:
-        y = c
-        while True:
-            verts.add(y)
-            y = sigma(d, y)
-            if y == c:
-                break
+        verts.update(orbit(d, c)[1])
     if len(verts) != q * (local_degree - 1):
         raise ValueError(
             f"combined vertex count {len(verts)} != {q} * ({local_degree} - 1)"
@@ -415,15 +400,9 @@ def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
     vertex_cycles: list[tuple[CirclePoint, ...]] = []
     left = set(grown.points)
     while left:
-        x = min(left)
-        cycle = [x]
-        left.discard(x)
-        y = sigma(d, x)
-        while y != x:
-            cycle.append(y)
-            left.discard(y)
-            y = sigma(d, y)
-        vertex_cycles.append(tuple(cycle))
+        cycle = tuple(orbit(d, min(left))[1])
+        left.difference_update(cycle)
+        vertex_cycles.append(cycle)
     sizes = {len(c) for c in vertex_cycles}
     if len(sizes) != 1:
         raise ValueError("vertex cycles have mixed periods")

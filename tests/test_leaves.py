@@ -1,10 +1,12 @@
 """Tests for chords, crossing, sibling structure, faces, and invariance checks."""
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lamlab.circle import CirclePoint, angle, sigma
+from lamlab.circle import CirclePoint, angle, preimages, sigma
 from lamlab.leaves import (
     Arc,
     Face,
@@ -14,6 +16,7 @@ from lamlab.leaves import (
     SiblingCollection,
     check_invariance,
     faces,
+    fibre_matchings,
     grand_orbit_truncated,
     is_critical,
     leaf_image,
@@ -168,6 +171,43 @@ class TestSiblingCollections:
             return
         for c in sibling_collections(d, l):
             assert l in c.leaves
+
+
+def permutation_matchings(d, l):
+    """Reference: filter all d! fibre permutations through a chord crossing table."""
+    xs = [x.value for x in preimages(d, l.a)]
+    ys = [y.value for y in preimages(d, l.b)]
+    chord = {(i, j): tuple(sorted((xs[i], ys[j]))) for i in range(d) for j in range(d)}
+
+    def cross(c1, c2):
+        (x1, y1), (x2, y2) = c1, c2
+        if x2 in c1 or y2 in c1:
+            return False
+        return (x1 < x2 < y1) != (x1 < y2 < y1)
+
+    table = {(u, v): cross(chord[u], chord[v]) for u, v in itertools.combinations(chord, 2)}
+    return {
+        perm
+        for perm in itertools.permutations(range(d))
+        if not any(
+            table[(i, perm[i]), (k, perm[k])] if (i, perm[i]) < (k, perm[k])
+            else table[(k, perm[k]), (i, perm[i])]
+            for i, k in itertools.combinations(range(d), 2)
+        )
+    }
+
+
+class TestFibreMatchings:
+    @pytest.mark.parametrize("d", range(2, 8))
+    @settings(max_examples=20)
+    @given(leaf_strategy())
+    def test_equals_permutation_filter(self, d, l):
+        assert set(fibre_matchings(d)) == permutation_matchings(d, l)
+        assert len(fibre_matchings(d)) == comb(2 * d, d) // (d + 1)
+
+    def test_rejects_bad_degree(self):
+        with pytest.raises(ValueError):
+            fibre_matchings(1)
 
 
 class TestValidatePrelamination:

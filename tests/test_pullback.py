@@ -1,4 +1,5 @@
 """Tests for critical portraits, inverse branches, and staged preimage growth."""
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lamlab.circle import angle, preimages, sigma
-from lamlab.fpp import FixedPointPortrait, fixed_sectors
+from lamlab.docio import document_from_state, write_document
+from lamlab.fpp import FixedPointPortrait, canonical_portraits, fixed_sectors
 from lamlab.leaves import Lamination, Leaf, Polygon, check_invariance, leaf_image
 from lamlab.pullback import (
     CriticalPortrait,
@@ -548,3 +550,35 @@ class TestPreimageConsistency:
         seed = lf(0, "1/4")
         for l in state.frontier(1):
             assert leaf_image(5, l) == seed
+
+
+# SHA-256 of the written document for degree 6 and 7 pullbacks under the first
+# canonical placement.  The acceptance sweeps stop at degree 5, so these pin the
+# matchings chosen where the fibres are largest.
+GOLDEN_DOCUMENTS = [
+    (6, ((0, 1),), 2, "shortest", "a59d00aae4a7a9a412a887b12a50b54c13232aa7a8a7f765b2a7c56f02ab49e8"),
+    (6, ((0, 1),), 2, "prefer-existing", "aa84306dc5a636726de7ad00ab17c9cf92c1565ddb0291f6d24ccacd8cfc11ef"),
+    (6, ((1, 4),), 2, "shortest", "f64573089345661d6fb32ed37cbfb8d6174a6160eb2c6ddd2302c1ddecf9bbe2"),
+    (6, ((1, 4),), 2, "prefer-existing", "d5eb77823ec61ef76a730d8bda6d965ca03f356e28322e99c8061c90a74b0fcd"),
+    (6, ((0, 1, 2),), 2, "shortest", "dd8058b4e13372e39e0394e57c598abb5feb2c100b5a72f1c329f203cda42b2c"),
+    (6, ((0, 1, 2),), 2, "prefer-existing", "6212284238cb2f51b8215a4d098f5bf78e275d111bf299748c8abcd43ec4851e"),
+    (6, ((0, 1), (2, 3, 4)), 2, "shortest", "b4ff7cccdb54142089363831c3aa65aad6c49c4ff6aa44a07a384ebf59f5cec6"),
+    (6, ((0, 1), (2, 3, 4)), 2, "prefer-existing", "ca463f7c981ae0462bf400fe792e4baa6eb8fc40e92c22f706e9297bcfc9d439"),
+    (7, ((0, 1),), 2, "shortest", "24e19e90de5a301ed1c049e6545f12ec1fc174d83740e8f00a90df7e789fd7d0"),
+    (7, ((0, 1),), 2, "prefer-existing", "2f6907bf5dc687fe16e4d0ff99d7cc97e398fe10a087e8777f78b4024c965c71"),
+    (7, ((0, 1, 2, 3, 4, 5),), 2, "shortest", "b170e29ebdaaad81e42732edf19a98225bc3bffb9681ab2b1989ba01e0599c15"),
+    (7, ((0, 1, 2, 3, 4, 5),), 2, "prefer-existing", "a1d5f1436ff2c594bd64fc0846273e754a58b41348c15883185e4b892384b47a"),
+    (7, ((1, 2), (3, 5)), 2, "shortest", "ec8c10ef27094b7ef574343e40a72c631f5ae371e6793a009bfdae8b1fc2992a"),
+    (7, ((1, 2), (3, 5)), 2, "prefer-existing", "7126b95543e6b5793591f385229985c6380611db4e417a53dedd8e2fa4886d43"),
+    (7, ((0, 3),), 1, "shortest", "9082c3ff9a09ebadc2d8ed95383e1cc48fbfc472c6a0eca0549c3d397168559c"),
+    (7, ((0, 3),), 1, "prefer-existing", "46d29ae079e4e2aed794131291dbb4de938a9eccbb9ecc0ea09987852d5b7f31"),
+]
+
+
+@pytest.mark.parametrize("d,blocks,n,policy,digest", GOLDEN_DOCUMENTS)
+def test_high_degree_documents_pinned(d, blocks, n, policy, digest):
+    P = FixedPointPortrait(d, blocks)
+    C = canonical_portraits(P)[0].as_critical_portrait()
+    state = pullback(Lamination(d, P.hull_leaves), C, n, policy=policy)
+    text = write_document(document_from_state(state))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
