@@ -9,9 +9,12 @@ subdivision that the chords induce on the disk.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
+from typing import Iterator
 
 from .circle import CirclePoint, angle, ccw_span, check_degree, in_arc, preimages, sigma
 
@@ -253,14 +256,41 @@ class Violation:
     leaves: tuple[Leaf, ...] = ()
 
 
+def _crossers(ends: list[tuple[int, ...]], x: int, y: int) -> Iterator[tuple[int, ...]]:
+    """Lazily, the entries of `ends` whose chords the chord x < y crosses.
+
+    `ends` is a sorted list of (endpoint, partner, ...) integer entries, two
+    per chord.  A crosser has one endpoint strictly inside (x, y) and its
+    partner outside [x, y]; shared endpoints never cross.  Listing all costs
+    O(log N + k) for the k endpoints inside; `any()` stops at the first
+    crosser.  `ends` must not change while the result is read.
+    """
+    inside = range(bisect_left(ends, (x + 1,)), bisect_left(ends, (y,)))
+    return (ends[i] for i in inside if not x <= ends[i][1] <= y)
+
+
+def _scaled(t: CirclePoint, denom: int) -> int:
+    v = t.value
+    q, r = divmod(denom, v.denominator)
+    assert r == 0, "common denominator too coarse"
+    return v.numerator * q
+
+
 def validate_prelamination(L: Lamination) -> tuple[Violation, ...]:
-    """All crossing pairs; empty iff any two leaves meet at most in an endpoint."""
-    out = []
+    """All crossing pairs; empty iff any two leaves meet at most in an endpoint.
+
+    One sorted index of the endpoints, scaled to integers, finds each leaf's crossers.
+    """
     ls = L.sorted_leaves
-    for i, l1 in enumerate(ls):
-        for l2 in ls[i + 1 :]:
-            if leaves_cross(l1, l2):
-                out.append(Violation("crossing", f"{l1} crosses {l2}", (l1, l2)))
+    denom = lcm(*(t.value.denominator for l in ls for t in l.endpoints))
+    chords = [(_scaled(l.a, denom), _scaled(l.b, denom)) for l in ls]
+    ends = sorted(e for i, (x, y) in enumerate(chords) for e in ((x, y, i), (y, x, i)))
+    out = []
+    for i, (x, y) in enumerate(chords):
+        # a crosser j > i has its first endpoint inside (x, y) and its second
+        # beyond y, so the index yields those in leaf order
+        for j in (e[2] for e in _crossers(ends, x, y) if e[2] > i):
+            out.append(Violation("crossing", f"{ls[i]} crosses {ls[j]}", (ls[i], ls[j])))
     return tuple(out)
 
 

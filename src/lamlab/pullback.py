@@ -12,13 +12,12 @@ fixed objects carried by each sector.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Collection, Iterable, Iterator
-
-import numpy as np
 
 from .circle import CirclePoint, angle, check_degree, in_arc, preimages, sigma
 from .fpp import FixedPointPortrait, FixedSector, canonical_portraits, fixed_sectors
@@ -28,6 +27,8 @@ from .leaves import (
     Lamination,
     Leaf,
     Polygon,
+    _crossers,
+    _scaled,
     faces,
     fibre_matchings,
     is_critical,
@@ -85,11 +86,10 @@ class CriticalPortrait:
         for c in self.chords:
             if not is_critical(self.degree, c):
                 raise ValueError(f"chord {c} is not critical for degree {self.degree}")
-        cs = self.sorted_chords
-        for i, c1 in enumerate(cs):
-            for c2 in cs[i + 1 :]:
-                if leaves_cross(c1, c2):
-                    raise ValueError(f"critical chords {c1} and {c2} cross")
+        bad = validate_prelamination(Lamination(self.degree, self.chords))
+        if bad:
+            c1, c2 = bad[0].leaves
+            raise ValueError(f"critical chords {c1} and {c2} cross")
         total = self.criticality
         if total != self.degree - 1:
             raise ValueError(
@@ -214,18 +214,10 @@ class PullbackState:
 _POLICIES = ("prefer-existing", "shortest")
 
 
-def _scaled(t: CirclePoint, denom: int) -> int:
-    v = t.value
-    q, r = divmod(denom, v.denominator)
-    assert r == 0, "common denominator too coarse"
-    return v.numerator * q
-
-
 def _best_matching(
     d: int,
     l: Leaf,
-    acc_a: np.ndarray,
-    acc_b: np.ndarray,
+    ends: list[tuple[int, int]],
     acc_pairs: set[tuple[int, int]],
     denom: int,
     policy: str,
@@ -233,47 +225,35 @@ def _best_matching(
     """Pick the d disjoint preimage chords of l, returned as scaled endpoint pairs.
 
     Candidate chord (i, j) joins the i-th preimage of l.a to the j-th of l.b.
-    Validity against everything already placed is vectorized; the policy then
-    ranks the Catalan(d) non-crossing matchings of the two preimage fibers
-    whose chords are all valid.  The rank ends in the sorted chord pairs, so
-    the winner does not depend on enumeration order.
+    It is valid when it crosses nothing already placed: every placed endpoint
+    strictly inside it has its partner in the closed span, which the sorted
+    endpoint index `ends` answers.  The policy then ranks the Catalan(d)
+    non-crossing matchings of the two preimage fibers whose chords are all
+    valid.  The rank ends in the sorted chord pairs, so the winner does not
+    depend on enumeration order.
     """
     fib_a = [_scaled(t, denom) for t in preimages(d, l.a)]
     fib_b = [_scaled(t, denom) for t in preimages(d, l.b)]
-    lo = [[0] * d for _ in range(d)]
-    hi = [[0] * d for _ in range(d)]
-    ok = [[False] * d for _ in range(d)]
-    short = [[0] * d for _ in range(d)]
-    reused = [[False] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            x, y = (fib_a[i], fib_b[j]) if fib_a[i] < fib_b[j] else (fib_b[j], fib_a[i])
-            lo[i][j], hi[i][j] = x, y
-            span = y - x
-            short[i][j] = min(span, denom - span)
-            inside_a = (acc_a > x) & (acc_a < y)
-            inside_b = (acc_b > x) & (acc_b < y)
-            share = (acc_a == x) | (acc_a == y) | (acc_b == x) | (acc_b == y)
-            ok[i][j] = not bool(((inside_a != inside_b) & ~share).any())
-            reused[i][j] = (x, y) in acc_pairs
+    valid: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, j in itertools.product(range(d), repeat=2):
+        x, y = sorted((fib_a[i], fib_b[j]))
+        if not any(_crossers(ends, x, y)):
+            valid[i, j] = (x, y)
 
-    best_key = None
-    best: tuple[tuple[int, int], ...] | None = None
+    ranks = []
     for m in fibre_matchings(d):
-        if not all(ok[i][m[i]] for i in range(d)):
+        if not all(ij in valid for ij in enumerate(m)):
             continue
-        maxlen = max(short[i][m[i]] for i in range(d))
-        reuse = sum(1 for i in range(d) if reused[i][m[i]])
-        pairs = tuple(sorted((lo[i][m[i]], hi[i][m[i]]) for i in range(d)))
+        pairs = tuple(sorted(valid[ij] for ij in enumerate(m)))
+        maxlen = max(min(y - x, denom - y + x) for x, y in pairs)
+        reuse = sum(p in acc_pairs for p in pairs)
         if policy == "shortest":
-            rank = (maxlen, -reuse, pairs)
+            ranks.append((maxlen, -reuse, pairs))
         else:
-            rank = (-reuse, maxlen, pairs)
-        if best_key is None or rank < best_key:
-            best_key, best = rank, pairs
-    if best is None:
+            ranks.append((-reuse, maxlen, pairs))
+    if not ranks:
         raise ValueError(f"no compatible sibling matching exists for {l}")
-    return best
+    return min(ranks)[-1]
 
 
 def pullback(
@@ -298,13 +278,14 @@ def pullback(
     d = F0.degree
     if d != C.degree:
         raise ValueError("degree mismatch between initial set and portrait")
-    bad = validate_prelamination(F0)
+    bad = validate_prelamination(Lamination(d, F0.leaves | C.chords))
+    inner = [v for v in bad if F0.leaves.issuperset(v.leaves)]
+    if inner:
+        raise ValueError(f"initial set is not a pre-lamination: {inner[0].detail}")
     if bad:
-        raise ValueError(f"initial set is not a pre-lamination: {bad[0].message}")
-    for c in C.chords:
-        for l in F0.leaves:
-            if leaves_cross(c, l):
-                raise ValueError(f"critical chord {c} crosses initial leaf {l}")
+        l1, l2 = bad[0].leaves
+        c, l = (l2, l1) if l1 in F0.leaves else (l1, l2)
+        raise ValueError(f"critical chord {c} crosses initial leaf {l}")
     for l in F0.leaves:
         if is_critical(d, l):
             continue
@@ -312,9 +293,7 @@ def pullback(
         if img not in F0.leaves:
             raise ValueError(f"initial leaf {l} maps to {img} outside the initial set")
 
-    base = 1
-    for l in itertools.chain(F0.leaves, C.chords):
-        base = lcm(base, l.a.value.denominator, l.b.value.denominator)
+    base = lcm(*(t.value.denominator for l in F0.leaves | C.chords for t in l.endpoints))
 
     stages = [Lamination(d, F0.leaves, depth=0)]
     acc: set[Leaf] = set(F0.leaves)
@@ -322,22 +301,15 @@ def pullback(
         denom = base * d**k
         prev = stages[-2].leaves if k >= 2 else frozenset()
         frontier = sorted(stages[-1].leaves - prev)
-        lo_list = [_scaled(l.a, denom) for l in sorted(acc)] + [
-            _scaled(c.a, denom) for c in C.sorted_chords
-        ]
-        hi_list = [_scaled(l.b, denom) for l in sorted(acc)] + [
-            _scaled(c.b, denom) for c in C.sorted_chords
-        ]
-        acc_pairs = set(zip(lo_list, hi_list))
+        acc_pairs = {(_scaled(l.a, denom), _scaled(l.b, denom)) for l in acc | C.chords}
+        ends = sorted(e for x, y in acc_pairs for e in ((x, y), (y, x)))
         for l in frontier:
-            acc_a = np.array(lo_list, dtype=np.int64)
-            acc_b = np.array(hi_list, dtype=np.int64)
-            for x, y in _best_matching(d, l, acc_a, acc_b, acc_pairs, denom, policy):
+            for x, y in _best_matching(d, l, ends, acc_pairs, denom, policy):
                 if (x, y) in acc_pairs:
                     continue
                 acc_pairs.add((x, y))
-                lo_list.append(x)
-                hi_list.append(y)
+                insort(ends, (x, y))
+                insort(ends, (y, x))
                 acc.add(Leaf(angle(Fraction(x, denom)), angle(Fraction(y, denom))))
         stages.append(Lamination(d, frozenset(acc), depth=k))
     return PullbackState(d, stages[0], C, tuple(stages), policy)

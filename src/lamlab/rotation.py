@@ -342,6 +342,23 @@ def _side_orbits(d: int, sides: tuple[Leaf, ...]) -> list[tuple[Leaf, ...]]:
     return orbits
 
 
+def _majors(
+    d: int, grown: RotationalOrbit, q: int, local_degree: int
+) -> tuple[tuple[Leaf, ...], set[CirclePoint]]:
+    """The sorted majors of the sides' d' - 1 cycles of period q, and the endpoints they share."""
+    orbits = _side_orbits(d, grown.hull_sides())
+    if len(orbits) != local_degree - 1 or any(len(o) != q for o in orbits):
+        raise ValueError("sides do not split into d' - 1 cycles of the period")
+    majors = tuple(sorted(major_minor(d, o).major for o in orbits))
+    shared = {
+        x
+        for m1, m2 in itertools.combinations(majors, 2)
+        for x in m1.endpoints
+        if m2.has_endpoint(x)
+    }
+    return majors, shared
+
+
 def uni_to_max(state: PullbackState, polygon: RotationalOrbit) -> CorrespondencePair:
     """Grow a unicritical rotational polygon into its maximally critical one.
 
@@ -364,16 +381,7 @@ def uni_to_max(state: PullbackState, polygon: RotationalOrbit) -> Correspondence
     grown = RotationalOrbit(d, tuple(sorted(verts)))
     if grown.rotation != polygon.rotation:
         raise ValueError("rotation number changed while adding co-root orbits")
-    orbits = _side_orbits(d, grown.hull_sides())
-    if len(orbits) != local_degree - 1 or any(len(o) != q for o in orbits):
-        raise ValueError("sides do not split into d' - 1 cycles of the period")
-    majors = tuple(sorted(major_minor(d, o).major for o in orbits))
-    shared = {
-        x
-        for m1, m2 in itertools.combinations(majors, 2)
-        for x in m1.endpoints
-        if m2.has_endpoint(x)
-    }
+    majors, shared = _majors(d, grown, q, local_degree)
     if shared != set(crs.coroots):
         raise ValueError("major leaves do not chain through the co-roots")
     return CorrespondencePair(
@@ -408,33 +416,19 @@ def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
         raise ValueError("vertex cycles have mixed periods")
     q = sizes.pop()
     local_degree = len(vertex_cycles) + 1
-    if local_degree == 2:
-        survivor = grown
-        majors = (major_minor(d, grown.hull_sides()).major,)
-        coroots: tuple[CirclePoint, ...] = ()
-    else:
-        orbits = _side_orbits(d, grown.hull_sides())
-        if len(orbits) != local_degree - 1 or any(len(o) != q for o in orbits):
-            raise ValueError("sides do not split into d' - 1 cycles of the period")
-        majors = tuple(sorted(major_minor(d, o).major for o in orbits))
-        shared = {
-            x
-            for m1, m2 in itertools.combinations(majors, 2)
-            for x in m1.endpoints
-            if m2.has_endpoint(x)
-        }
-        if len(shared) != local_degree - 2:
-            raise ValueError("the majors are not adjacent through shared endpoints")
-        coroot_cycles = [c for c in vertex_cycles if set(c) & shared]
-        if len(coroot_cycles) != local_degree - 2:
-            raise ValueError("shared endpoints do not sit in distinct vertex cycles")
-        rest = [c for c in vertex_cycles if not (set(c) & shared)]
-        if len(rest) != 1:
-            raise ValueError("no single surviving vertex cycle")
-        survivor = RotationalOrbit(d, tuple(sorted(rest[0])))
-        if survivor.rotation != grown.rotation:
-            raise ValueError("the surviving cycle rotates differently")
-        coroots = tuple(sorted(shared))
+    majors, shared = _majors(d, grown, q, local_degree)
+    if len(shared) != local_degree - 2:
+        raise ValueError("the majors are not adjacent through shared endpoints")
+    coroot_cycles = [c for c in vertex_cycles if set(c) & shared]
+    if len(coroot_cycles) != local_degree - 2:
+        raise ValueError("shared endpoints do not sit in distinct vertex cycles")
+    rest = [c for c in vertex_cycles if not (set(c) & shared)]
+    if len(rest) != 1:
+        raise ValueError("no single surviving vertex cycle")
+    survivor = RotationalOrbit(d, tuple(sorted(rest[0])))
+    if survivor.rotation != grown.rotation:
+        raise ValueError("the surviving cycle rotates differently")
+    coroots = tuple(sorted(shared))
     gap, group = central_gap(state, survivor)
     if len(group) != local_degree:
         raise ValueError("all-critical group size disagrees with the major structure")

@@ -14,6 +14,7 @@ from lamlab.leaves import (
     Leaf,
     Polygon,
     SiblingCollection,
+    Violation,
     check_invariance,
     faces,
     fibre_matchings,
@@ -210,6 +211,28 @@ class TestFibreMatchings:
             fibre_matchings(1)
 
 
+def pairwise_violations(L):
+    """Reference: compare every pair of leaves with `leaves_cross`."""
+    out = []
+    ls = L.sorted_leaves
+    for i, l1 in enumerate(ls):
+        for l2 in ls[i + 1 :]:
+            if leaves_cross(l1, l2):
+                out.append(Violation("crossing", f"{l1} crosses {l2}", (l1, l2)))
+    return tuple(out)
+
+
+# Few denominators make shared endpoints and crossings common.
+small_leaf_sets = st.sampled_from([6, 8, 12]).flatmap(
+    lambda q: st.frozensets(
+        st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+        .filter(lambda t: t[0] != t[1])
+        .map(lambda t: lf(fr(t[0], q), fr(t[1], q))),
+        max_size=12,
+    )
+)
+
+
 class TestValidatePrelamination:
     def test_clean(self):
         assert validate_prelamination(Lamination(2, RABBIT)) == ()
@@ -219,6 +242,17 @@ class TestValidatePrelamination:
         (v,) = validate_prelamination(L)
         assert v.check == "crossing"
         assert set(v.leaves) == L.leaves
+
+    @pytest.mark.parametrize("leaves", [frozenset(), RABBIT])
+    def test_equals_pairwise_oracle_examples(self, leaves):
+        L = Lamination(2, leaves)
+        assert validate_prelamination(L) == pairwise_violations(L)
+
+    @settings(max_examples=300)
+    @given(small_leaf_sets, st.frozensets(leaf_strategy(), max_size=4))
+    def test_equals_pairwise_oracle(self, leaves, extra):
+        L = Lamination(2, leaves | extra)
+        assert validate_prelamination(L) == pairwise_violations(L)
 
 
 class TestFaces:

@@ -1,11 +1,15 @@
 """Tests for critical portraits, inverse branches, and staged preimage growth."""
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+import lamlab
 from lamlab.circle import angle, preimages, sigma
 from lamlab.docio import document_from_state, write_document
 from lamlab.fpp import FixedPointPortrait, canonical_portraits, fixed_sectors
@@ -301,6 +305,11 @@ class TestPullbackStages:
         with pytest.raises(ValueError, match="crosses initial leaf"):
             pullback(F0, C, 1)
 
+    def test_crossing_initial_set_rejected(self):
+        F0 = lam(2, [(0, "1/2"), ("1/4", "3/4")])
+        with pytest.raises(ValueError, match="not a pre-lamination"):
+            pullback(F0, diameter_portrait(), 1)
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
             pullback(lam(2, []), diameter_portrait(), 1, policy="fastest")
@@ -582,3 +591,16 @@ def test_high_degree_documents_pinned(d, blocks, n, policy, digest):
     state = pullback(Lamination(d, P.hull_leaves), C, n, policy=policy)
     text = write_document(document_from_state(state))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(lamlab.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, lamlab; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
