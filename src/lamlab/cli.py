@@ -142,6 +142,15 @@ def _load_document(path: str) -> LaminationDocument:
         raise _invalid(f"{path}: {exc}") from None
 
 
+def _load_prelamination(path: str) -> LaminationDocument:
+    """Load a document whose leaves must not cross, as face subdivisions require."""
+    doc = _load_document(path)
+    bad = validate_prelamination(doc.lamination())
+    if bad:
+        raise _invalid(f"{path}: not a pre-lamination: {bad[0].detail}")
+    return doc
+
+
 def _violation_rows(violations) -> list[dict]:
     return [{"kind": v.check, "detail": v.detail} for v in violations]
 
@@ -297,7 +306,7 @@ def _correspondence_obj(pair) -> dict:
 
 
 def _cmd_corr_uni_to_max(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
+    doc = _load_prelamination(args.file)
     pts = _parse_points(args.polygon, doc.degree)
     try:
         state = doc.pullback_state()
@@ -310,7 +319,7 @@ def _cmd_corr_uni_to_max(args: argparse.Namespace) -> int:
 
 
 def _cmd_corr_max_to_uni(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
+    doc = _load_prelamination(args.file)
     pts = _parse_points(args.polygon, doc.degree)
     try:
         state = doc.pullback_state()
@@ -323,7 +332,7 @@ def _cmd_corr_max_to_uni(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
+    doc = _load_prelamination(args.file)
     ptext = _read_text(args.portrait)
     try:
         C = read_portrait(ptext)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .circle import CirclePoint, parse_angle, render_dnary
+from .circle import CirclePoint, check_degree, parse_angle, render_dnary
 from .fpp import FixedPointPortrait
 from .leaves import Lamination, Leaf
 from .pullback import CriticalPortrait, PullbackState
@@ -63,6 +63,7 @@ class LaminationDocument:
     command: str = ""
 
     def __post_init__(self) -> None:
+        check_degree(self.degree)
         ls = tuple(self.leaves)
         if len(set(ls)) != len(ls):
             raise ValueError("document contains a duplicate leaf")
@@ -176,6 +177,14 @@ def _parse_pair(entry: object, degree: int, what: str) -> Leaf:
     return Leaf(parse_angle(a, degree), parse_angle(b, degree))
 
 
+def _parse_chords(raw: object, degree: int, what: str) -> CriticalPortrait:
+    if not isinstance(raw, list):
+        raise ValueError(f"{what} must be a list of angle pairs")
+    return CriticalPortrait(
+        degree, frozenset(_parse_pair(e, degree, "portrait chord") for e in raw)
+    )
+
+
 def read_document(text: str) -> LaminationDocument:
     try:
         payload = json.loads(text)
@@ -197,12 +206,13 @@ def read_document(text: str) -> LaminationDocument:
     leaves = tuple(_parse_pair(e, degree, "leaf") for e in raw_leaves)
     portrait = None
     if payload.get("portrait") is not None:
-        chords = [_parse_pair(e, degree, "portrait chord") for e in payload["portrait"]]
-        portrait = CriticalPortrait(degree, frozenset(chords))
+        portrait = _parse_chords(payload["portrait"], degree, "'portrait'")
     fpp = None
     if payload.get("fpp") is not None:
         raw_fpp = payload["fpp"]
-        if not isinstance(raw_fpp, list):
+        if not isinstance(raw_fpp, list) or not all(
+            isinstance(b, list) and all(isinstance(i, int) for i in b) for b in raw_fpp
+        ):
             raise ValueError("'fpp' must be a list of index blocks")
         fpp = FixedPointPortrait(degree, tuple(tuple(b) for b in raw_fpp))
     stages = None
@@ -247,8 +257,7 @@ def read_portrait(text: str) -> CriticalPortrait:
     degree = payload["degree"]
     if not isinstance(degree, int):
         raise ValueError("'degree' must be an integer")
-    chords = [_parse_pair(e, degree, "portrait chord") for e in payload["chords"]]
-    return CriticalPortrait(degree, frozenset(chords))
+    return _parse_chords(payload["chords"], degree, "'chords'")
 
 
 _STYLES = ("straight", "geodesic")

@@ -294,39 +294,40 @@ def validate_prelamination(L: Lamination) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def _sibling_matching_exists(d: int, img: Leaf, available: frozenset[Leaf]) -> bool:
-    xs = preimages(d, img.a)
-    ys = preimages(d, img.b)
-    present = [[Leaf(x, y) in available for y in ys] for x in xs]
-    return any(all(present[i][j] for i, j in enumerate(m)) for m in fibre_matchings(d))
-
-
 def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation, ...]:
     """Finite-depth invariance report between successive stages.
 
     For every leaf of L_prev: (a) its image lies in L_next or collapses;
     (b) some preimage leaf lies in L_next; (c) a full collection of d disjoint
     non-crossing leaves with the same image as the leaf exists within L_next.
-    Critical leaves are exempt from (c), having no leaf image.
+    Critical leaves are exempt from (c), having no leaf image.  One pass over
+    L_next indexes each image leaf by the fibre positions (i, j) of its
+    preimage leaves there: the i-th preimage of the image's a joined to the
+    j-th of its b.
     """
     if L_prev.degree != L_next.degree:
         raise ValueError("degree mismatch between stages")
     if not L_prev.leaves <= L_next.leaves:
         raise ValueError("earlier stage is not contained in the later stage")
     d = L_prev.degree
+    over: dict[Leaf, set[tuple[int, int]]] = {}
+    for m in L_next.leaves:
+        ia, ib = sigma(d, m.a), sigma(d, m.b)
+        if ia != ib:
+            # x = (t + i)/d with t in [0, 1) has floor(d x) = i
+            i, j = int(d * m.a.value), int(d * m.b.value)
+            over.setdefault(Leaf(ia, ib), set()).add((i, j) if ia < ib else (j, i))
     out: list[Violation] = []
     for l in L_prev.sorted_leaves:
         img = leaf_image(d, l)
         if isinstance(img, Leaf) and img not in L_next:
             out.append(Violation("forward", f"image {img} of {l} missing", (l,)))
-        has_pre = any(
-            Leaf(x, y) in L_next
-            for x in preimages(d, l.a)
-            for y in preimages(d, l.b)
-        )
-        if not has_pre:
+        if l not in over:
             out.append(Violation("backward", f"no preimage of {l} present", (l,)))
-        if isinstance(img, Leaf) and not _sibling_matching_exists(d, img, L_next.leaves):
+        present = over.get(img, set())
+        if isinstance(img, Leaf) and not any(
+            all(ij in present for ij in enumerate(m)) for m in fibre_matchings(d)
+        ):
             out.append(
                 Violation("sibling", f"no full sibling collection over {img}", (l,))
             )
@@ -398,67 +399,58 @@ def faces(L: Lamination) -> list[Face]:
 
     Requires a pre-lamination (no crossing pair); crossings are not re-checked
     here.  The empty lamination yields the whole disk, bounded by a full-circle
-    arc.  Traversal uses the half-edge rotation system at each endpoint: the
-    counterclockwise order of outgoing edges at a vertex is the forward arc,
-    then chords by increasing counterclockwise offset, then the backward arc.
+    arc.  Non-crossing leaves, read as intervals [a, b] of [0, 1), are nested
+    or disjoint, so one sweep by a ascending, b descending gives each leaf its
+    parent.  Each leaf closes the face on its a-to-b side, bounded by the leaf,
+    its children in order and one arc across each gap between them; the
+    top-level leaves bound one more face, closed by the arc through 0.
     """
-    chords = L.sorted_leaves
-    if not chords:
+    if not L.leaves:
         zero = angle(0)
         return [Face((Arc(zero, zero),))]
-    verts = sorted({p for l in chords for p in l.endpoints})
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
+    chords = sorted(L.leaves, key=lambda l: (l.a, -l.b.value))
+    boundaries: list[list[Leaf | Arc]] = []
 
-    # half-edge ids: ("c", j, 0) chord j as a->b, ("c", j, 1) as b->a,
-    # ("a", i, 0) arc verts[i]->verts[i+1], ("a", i, 1) its reverse
-    def target(h):
-        kind, j, direction = h
-        if kind == "c":
-            return chords[j].b if direction == 0 else chords[j].a
-        return verts[(j + 1) % n] if direction == 0 else verts[j]
+    def close(frame: list) -> None:
+        boundary, cursor, end = frame
+        if cursor != end:
+            boundary.append(Arc(cursor, end))
+        boundaries.append(boundary)
 
-    def reverse(h):
-        return (h[0], h[1], 1 - h[2])
+    first = chords[0].a
+    # open faces, innermost last: [boundary so far, vertex reached, closing vertex]
+    stack: list[list] = [[[], first, first]]
+    for l in chords:
+        while len(stack) > 1 and stack[-1][2] < l.b:
+            close(stack.pop())
+        parent = stack[-1]
+        if parent[1] != l.a:
+            parent[0].append(Arc(parent[1], l.a))
+        parent[0].append(l)
+        parent[1] = l.b
+        stack.append([[l], l.a, l.b])
+    while stack:
+        close(stack.pop())
 
-    outgoing: dict[CirclePoint, list] = {v: [] for v in verts}
-    for j, l in enumerate(chords):
-        outgoing[l.a].append(("c", j, 0))
-        outgoing[l.b].append(("c", j, 1))
-    pred: dict[tuple, tuple] = {}
-    for v in verts:
-        i = index[v]
-        chord_edges = sorted(
-            outgoing[v], key=lambda h: ccw_span(v, target(h))
-        )
-        rotation = [("a", i, 0), *chord_edges, ("a", (i - 1) % n, 1)]
-        for k, h in enumerate(rotation):
-            pred[h] = rotation[k - 1]
-
-    all_edges = list(pred.keys())
-    seen = set()
     out: list[Face] = []
-    for start in all_edges:
-        if start in seen:
-            continue
-        cycle = []
-        h = start
-        while h not in seen:
-            seen.add(h)
-            cycle.append(h)
-            h = pred[reverse(h)]
-        if any(kind == "a" and direction == 1 for kind, _, direction in cycle):
-            continue  # the region outside the disk
-        elements: list[Leaf | Arc] = []
-        for kind, j, direction in cycle:
-            if kind == "c":
-                elements.append(chords[j])
-            else:
-                elements.append(Arc(verts[j], verts[(j + 1) % n]))
+    for elements in boundaries:
         k0 = min(range(len(elements)), key=lambda k: _element_key(elements[k]))
         out.append(Face(tuple(elements[k0:] + elements[:k0])))
     out.sort(key=lambda f: tuple(_element_key(e) for e in f.boundary))
     return out
+
+
+def _iterates_onto(d: int, l: Leaf, targets: set[Leaf], cap: int) -> bool:
+    """Whether l or one of its first cap leaf images lies in targets."""
+    cur = l
+    for _ in range(cap + 1):
+        if cur in targets:
+            return True
+        img = leaf_image(d, cur)
+        if isinstance(img, CirclePoint):
+            return False
+        cur = img
+    return False
 
 
 def grand_orbit_truncated(
@@ -474,14 +466,4 @@ def grand_orbit_truncated(
             break
         targets.add(cur)
         cur = leaf_image(d, cur)
-    out: set[Leaf] = set()
-    for m in L.leaves:
-        node: Leaf | CirclePoint = m
-        for _ in range(max_depth + 1):
-            if not isinstance(node, Leaf):
-                break
-            if node in targets:
-                out.add(m)
-                break
-            node = leaf_image(d, node)
-    return out
+    return {m for m in L.leaves if _iterates_onto(d, m, targets, max_depth)}

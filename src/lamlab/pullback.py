@@ -28,6 +28,7 @@ from .leaves import (
     Leaf,
     Polygon,
     _crossers,
+    _iterates_onto,
     _scaled,
     faces,
     fibre_matchings,
@@ -364,25 +365,13 @@ def cp_pullback_equality(P: FixedPointPortrait, n: int) -> PortraitPullbackRepor
     return PortraitPullbackReport(P, n, len(runs), not mismatches, tuple(mismatches))
 
 
-def _iterates_onto(d: int, l: Leaf, targets: set[Leaf], cap: int) -> bool:
-    cur = l
-    for _ in range(cap + 1):
-        if cur in targets:
-            return True
-        img = leaf_image(d, cur)
-        if isinstance(img, CirclePoint):
-            return False
-        cur = img
-    return False
-
-
 def _invariant_faces(L: Lamination, S: FixedSector) -> Iterator[Face]:
     """Faces of L with every vertex inside S and mapped into the face's vertices."""
     for f in faces(L):
         verts = f.vertices
         vset = set(verts)
-        if all(S.contains_point(v) for v in verts) and all(
-            sigma(L.degree, v) in vset for v in verts
+        if all(sigma(L.degree, v) in vset for v in verts) and all(
+            S.contains_point(v) for v in verts
         ):
             yield f
 

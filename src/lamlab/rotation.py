@@ -246,9 +246,10 @@ def central_gap(
         raise ValueError("the polygon must have nonzero rotation number")
     mm = major_minor(state.degree, polygon.hull_sides())
     hits: list[tuple[Face, tuple[CirclePoint, ...]]] = []
+    subdivision = faces(state.final)
     for group in state.portrait.vertex_groups:
         wanted = set(group) | set(mm.major.endpoints)
-        for f in faces(state.final):
+        for f in subdivision:
             if wanted <= set(f.vertices):
                 hits.append((f, group))
     if len(hits) != 1:

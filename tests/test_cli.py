@@ -269,6 +269,23 @@ class TestLamCheck:
         assert rc == 1
         assert jline(out)["status"] == "fail"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"degree": 3, "leaves": [], "portrait": 5}', "must be a list"),
+            ('{"degree": 3, "leaves": [], "fpp": [1]}', "must be a list"),
+            ('{"degree": 1, "leaves": []}', "degree must be an integer >= 2"),
+        ],
+    )
+    def test_malformed_fields_fail_with_report(self, capsys, tmp_path, text, message):
+        f = tmp_path / "bad.json"
+        f.write_text(text)
+        rc, out, err = run(capsys, "lam", "check", "--file", str(f))
+        assert rc == 1
+        assert len(out.splitlines()) == 1
+        assert message in jline(out)["error"]
+        assert err == ""
+
 
 class TestRotCommands:
     def test_orbit_enumeration(self, capsys):
@@ -429,6 +446,17 @@ class TestClassifyCommand:
         assert rc == 1
         assert "disagrees" in jline(out)["error"]
 
+    def test_non_list_chords_fails_with_report(self, capsys, tmp_path):
+        doc_text, _ = mixed_quartic_texts()
+        f, p = tmp_path / "m.json", tmp_path / "c.json"
+        f.write_text(doc_text)
+        p.write_text('{"degree": 4, "chords": 7}')
+        rc, out, err = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
+        assert rc == 1
+        assert len(out.splitlines()) == 1
+        assert "'chords' must be a list" in jline(out)["error"]
+        assert err == ""
+
     def test_missing_portrait_file(self, capsys, tmp_path):
         doc_text, _ = mixed_quartic_texts()
         f = tmp_path / "m.json"
@@ -532,3 +560,42 @@ class TestReportShape:
             assert rc == 0
             for line in out.splitlines():
                 assert "status" in json.loads(line)
+
+
+class TestFacePrecondition:
+    """Commands built on the face subdivision reject crossing leaves."""
+
+    @pytest.fixture
+    def crossing_files(self, capsys, tmp_path):
+        f, p = tmp_path / "x.json", tmp_path / "c.json"
+        argv = "fpp canonical --degree 3 --fpp 0-1 --depth 2 --out".split()
+        assert run(capsys, *argv, str(f))[0] == 0
+        doc = json.loads(f.read_text())
+        doc["leaves"].append(["1/4", "3/4"])  # crosses the hull leaf 0-1/2
+        doc["stages"].append(2)
+        f.write_text(json.dumps(doc))
+        p.write_text(json.dumps({"degree": 3, "chords": doc["portrait"]}))
+        return str(f), str(p)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--portrait", "{p}"),
+            ("corr", "uni-to-max", "--polygon", "1/8,3/8"),
+            ("corr", "max-to-uni", "--polygon", "0,1/3,2/3"),
+        ],
+    )
+    def test_crossing_document_rejected(self, capsys, crossing_files, argv):
+        f, p = crossing_files
+        rc, out, _ = run(capsys, *(a.format(p=p) for a in argv), "--file", f)
+        assert rc == 1
+        assert len(out.splitlines()) == 1
+        obj = jline(out)
+        assert obj["status"] == "fail"
+        assert "Leaf(0, 1/2) crosses Leaf(1/4, 3/4)" in obj["error"]
+
+    def test_lam_check_still_reports_crossing(self, capsys, crossing_files):
+        f, _ = crossing_files
+        rc, out, _ = run(capsys, "lam", "check", "--file", f)
+        assert rc == 1
+        assert jline(out)["violations"][0]["kind"] == "crossing"

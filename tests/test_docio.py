@@ -172,6 +172,10 @@ class TestJsonCodec:
         with pytest.raises(ValueError, match="integer"):
             read_document('{"degree": "2", "leaves": []}')
 
+    def test_degree_below_two_rejected(self):
+        with pytest.raises(ValueError, match="degree must be an integer >= 2"):
+            read_document('{"degree": 1, "leaves": []}')
+
     def test_malformed_leaf_pair_rejected(self):
         with pytest.raises(ValueError, match="pair of angle strings"):
             read_document('{"degree": 2, "leaves": [["1/7"]]}')
@@ -185,6 +189,18 @@ class TestJsonCodec:
             read_document(
                 '{"degree": 2, "leaves": [["1/7", "2/7"]], "stages": ["0"]}'
             )
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ('"portrait": 5', "'portrait' must be a list"),
+            ('"fpp": [1]', "'fpp' must be a list of index blocks"),
+            ('"fpp": [[null]]', "'fpp' must be a list of index blocks"),
+        ],
+    )
+    def test_malformed_portrait_or_fpp_rejected(self, extra, message):
+        with pytest.raises(ValueError, match=message):
+            read_document('{"degree": 3, "leaves": [], ' + extra + "}")
 
     def test_dnary_angles_accepted_on_read(self):
         doc = read_document('{"degree": 2, "leaves": [["_001", "_010"]]}')
@@ -222,6 +238,10 @@ class TestPortraitCodec:
     def test_noncritical_chord_rejected(self):
         with pytest.raises(ValueError, match="not critical"):
             read_portrait('{"degree": 2, "chords": [["0/1", "1/7"]]}')
+
+    def test_non_list_chords_rejected(self):
+        with pytest.raises(ValueError, match="'chords' must be a list"):
+            read_portrait('{"degree": 2, "chords": 7}')
 
 
 class TestRenderSpec:

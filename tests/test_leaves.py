@@ -1,12 +1,14 @@
 """Tests for chords, crossing, sibling structure, faces, and invariance checks."""
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamlab.circle import CirclePoint, angle, preimages, sigma
+from lamlab.circle import CirclePoint, angle, ccw_span, preimages, sigma
+from lamlab.fpp import enumerate_fpps
 from lamlab.leaves import (
     Arc,
     Face,
@@ -25,6 +27,8 @@ from lamlab.leaves import (
     sibling_collections,
     validate_prelamination,
 )
+from lamlab.leaves import _element_key
+from lamlab.pullback import canonical_lamination
 
 
 def fr(p, q=1):
@@ -255,6 +259,111 @@ class TestValidatePrelamination:
         assert validate_prelamination(L) == pairwise_violations(L)
 
 
+def half_edge_faces(L):
+    """Reference: walk the half-edge rotation system at each endpoint.
+
+    The counterclockwise order of outgoing edges at a vertex is the forward
+    arc, then chords by increasing counterclockwise offset, then the backward
+    arc; following predecessors traces every face once.
+    """
+    chords = L.sorted_leaves
+    if not chords:
+        zero = angle(0)
+        return [Face((Arc(zero, zero),))]
+    verts = sorted({p for l in chords for p in l.endpoints})
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+
+    # half-edge ids: ("c", j, 0) chord j as a->b, ("c", j, 1) as b->a,
+    # ("a", i, 0) arc verts[i]->verts[i+1], ("a", i, 1) its reverse
+    def target(h):
+        kind, j, direction = h
+        if kind == "c":
+            return chords[j].b if direction == 0 else chords[j].a
+        return verts[(j + 1) % n] if direction == 0 else verts[j]
+
+    def reverse(h):
+        return (h[0], h[1], 1 - h[2])
+
+    outgoing: dict[CirclePoint, list] = {v: [] for v in verts}
+    for j, l in enumerate(chords):
+        outgoing[l.a].append(("c", j, 0))
+        outgoing[l.b].append(("c", j, 1))
+    pred: dict[tuple, tuple] = {}
+    for v in verts:
+        i = index[v]
+        chord_edges = sorted(
+            outgoing[v], key=lambda h: ccw_span(v, target(h))
+        )
+        rotation = [("a", i, 0), *chord_edges, ("a", (i - 1) % n, 1)]
+        for k, h in enumerate(rotation):
+            pred[h] = rotation[k - 1]
+
+    all_edges = list(pred.keys())
+    seen = set()
+    out: list[Face] = []
+    for start in all_edges:
+        if start in seen:
+            continue
+        cycle = []
+        h = start
+        while h not in seen:
+            seen.add(h)
+            cycle.append(h)
+            h = pred[reverse(h)]
+        if any(kind == "a" and direction == 1 for kind, _, direction in cycle):
+            continue  # the region outside the disk
+        elements: list[Leaf | Arc] = []
+        for kind, j, direction in cycle:
+            if kind == "c":
+                elements.append(chords[j])
+            else:
+                elements.append(Arc(verts[j], verts[(j + 1) % n]))
+        k0 = min(range(len(elements)), key=lambda k: _element_key(elements[k]))
+        out.append(Face(tuple(elements[k0:] + elements[:k0])))
+    out.sort(key=lambda f: tuple(_element_key(e) for e in f.boundary))
+    return out
+
+
+def greedy_noncrossing(q, pairs):
+    """The leaves k/q among `pairs` kept in order while they cross no kept leaf."""
+    kept = []
+    for x, y in pairs:
+        l = lf(fr(x, q), fr(y, q))
+        if not any(leaves_cross(l, m) for m in kept):
+            kept.append(l)
+    return Lamination(2, frozenset(kept))
+
+
+noncrossing_sets = st.sampled_from([6, 8, 12, 30]).flatmap(
+    lambda q: st.lists(
+        st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)).filter(
+            lambda t: t[0] != t[1]
+        ),
+        max_size=40,
+    ).map(lambda pairs: greedy_noncrossing(q, pairs))
+)
+
+
+@cache
+def canonical_states(d):
+    return [canonical_lamination(P, 3) for P in enumerate_fpps(d)]
+
+
+class TestFacesSweep:
+    @settings(max_examples=200)
+    @given(noncrossing_sets)
+    def test_equals_half_edge_oracle(self, L):
+        assert faces(L) == half_edge_faces(L)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equals_half_edge_oracle_on_canonical_stages(self, d):
+        for state in canonical_states(d):
+            for lam in state.stages:
+                for L in (lam, Lamination(d, lam.leaves | state.portrait.chords)):
+                    assert faces(L) == half_edge_faces(L)
+
+
 class TestFaces:
     def test_empty_is_whole_disk(self):
         (f,) = faces(Lamination(2, frozenset()))
@@ -348,6 +457,61 @@ class TestCheckInvariance:
         kinds = {v.check for v in violations}
         assert "sibling" not in kinds
         assert "forward" not in kinds  # image degenerates
+
+
+def probing_check_invariance(L_prev, L_next):
+    """Reference: probe L_next for the d*d preimage leaves of each leaf and its image."""
+    if L_prev.degree != L_next.degree:
+        raise ValueError("degree mismatch between stages")
+    if not L_prev.leaves <= L_next.leaves:
+        raise ValueError("earlier stage is not contained in the later stage")
+    d = L_prev.degree
+
+    def sibling_matching_exists(img):
+        xs = preimages(d, img.a)
+        ys = preimages(d, img.b)
+        present = [[Leaf(x, y) in L_next for y in ys] for x in xs]
+        return any(all(present[i][j] for i, j in enumerate(m)) for m in fibre_matchings(d))
+
+    out = []
+    for l in L_prev.sorted_leaves:
+        img = leaf_image(d, l)
+        if isinstance(img, Leaf) and img not in L_next:
+            out.append(Violation("forward", f"image {img} of {l} missing", (l,)))
+        has_pre = any(
+            Leaf(x, y) in L_next
+            for x in preimages(d, l.a)
+            for y in preimages(d, l.b)
+        )
+        if not has_pre:
+            out.append(Violation("backward", f"no preimage of {l} present", (l,)))
+        if isinstance(img, Leaf) and not sibling_matching_exists(img):
+            out.append(
+                Violation("sibling", f"no full sibling collection over {img}", (l,))
+            )
+    return tuple(out)
+
+
+class TestCheckInvarianceIndex:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equals_probing_oracle_on_canonical_stages(self, d):
+        for state in canonical_states(d):
+            for k, prev in enumerate(state.stages):
+                for nxt in state.stages[k:]:
+                    # dropping every third new leaf leaves stages without siblings
+                    new = sorted(nxt.leaves - prev.leaves)
+                    thinned = Lamination(d, nxt.leaves - frozenset(new[::3]))
+                    for L_next in (nxt, thinned):
+                        got = check_invariance(prev, L_next)
+                        assert got == probing_check_invariance(prev, L_next)
+
+    @settings(max_examples=200)
+    @given(small_leaf_sets, st.integers(2, 4), st.integers(0, 2**12 - 1))
+    def test_equals_probing_oracle(self, leaves, d, mask):
+        L_next = Lamination(d, leaves)
+        kept = (l for i, l in enumerate(L_next.sorted_leaves) if mask >> i & 1)
+        L_prev = Lamination(d, frozenset(kept))
+        assert check_invariance(L_prev, L_next) == probing_check_invariance(L_prev, L_next)
 
 
 class TestGrandOrbit:
