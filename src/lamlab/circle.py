@@ -6,6 +6,7 @@ interest is t -> d*t (mod 1) for an integer degree d >= 2.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 _DIGITS = "0123456789"
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")  # no zero denominator
 
 
 def check_degree(d: int) -> int:
@@ -200,13 +202,16 @@ def render_dnary(t: CirclePoint, d: int) -> DnaryString:
 
 
 def parse_angle(text: str, d: int | None = None) -> CirclePoint:
-    """Parse an angle literal: either a rational `p/q` or a digit string `pre_per`."""
+    """Parse an angle literal: an integer or rational `p/q`, or a digit string `pre_per`.
+
+    Only ASCII digits and an optional sign are read; decimals and exponents
+    are refused, so a short literal cannot expand into a huge integer.
+    """
     text = text.strip()
     if "_" in text:
         if d is None:
             raise ValueError("a degree is required to parse a digit-string angle")
         return parse_dnary(text, d)
-    try:
-        return CirclePoint(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed angle literal {text!r}") from exc
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed angle literal {text!r}")
+    return CirclePoint(Fraction(text))

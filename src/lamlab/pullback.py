@@ -269,8 +269,8 @@ def pullback(
 
     - "prefer-existing": reuse already-placed chords whenever possible, then
       shortest; this keeps refinements aligned with the coarser stages.
-    - "shortest": minimize the longest added chord, which forces the stage-k
-      additions under the 1/(2 d^k) decay bound.
+    - "shortest": minimize the longest added chord; for d <= 5 this keeps
+      the stage-k additions under the 1/(2 d^k) decay bound.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -320,7 +320,7 @@ def canonical_lamination(P: FixedPointPortrait, n: int) -> PullbackState:
     """Pull back the portrait's hull leaves under its first canonical placement.
 
     Matchings use the "shortest" policy, which keeps every stage-k addition
-    within the 1/(2 d^k) length bound.
+    within the 1/(2 d^k) length bound for d <= 5; at d = 6 the bound can fail.
     """
     choice = canonical_portraits(P)[0]
     F0 = Lamination(P.degree, P.hull_leaves)

@@ -1,9 +1,10 @@
 """Rotational sets and the unicritical / maximally-critical correspondence.
 
-Covers rotation numbers of finite invariant sets, exhaustive enumeration of
-rotational orbits, major and minor leaves, co-roots found on the boundary of
-the central gap of a unicritical lamination, and the translation between a
-unicritical rotational q-gon and its maximally critical q(d'-1)-gon.
+Covers rotation numbers of finite invariant sets, rotational orbits built
+from their base-d digit itineraries, major and minor leaves, co-roots found
+on the boundary of the central gap of a unicritical lamination, and the
+translation between a unicritical rotational q-gon and its maximally
+critical q(d'-1)-gon.
 """
 
 from __future__ import annotations
@@ -99,11 +100,13 @@ class RotationalOrbit:
 def enumerate_rotational_orbits(
     d: int, q: int, p: int | None = None
 ) -> list[RotationalOrbit]:
-    """All single rotational orbits of exact period q, by brute force.
+    """All single rotational orbits of exact period q (rotation p/q if given), sorted.
 
-    Scans every point of period dividing q, i.e. k/(d^q - 1), groups them
-    into orbits, and keeps the orbits of length q on which the map acts as a
-    rotation.  With p given, only orbits of rotation number p/q survive.
+    The sorted points x_0 < ... < x_{q-1} of a p/q orbit have nondecreasing
+    first base-d digits D_i, and x_i is the repeating expansion D_i D_{i+p}
+    D_{i+2p} ... (indices mod q).  So each nondecreasing digit tuple whose
+    points come out strictly increasing and below 1 is one orbit, and each
+    orbit arises once: C(q+d-2, d-2) per rotation number (Goldberg).
     """
     check_degree(d)
     if q < 1:
@@ -114,24 +117,17 @@ def enumerate_rotational_orbits(
         if math.gcd(p, q) != 1:
             raise ValueError(f"numerator {p} and period {q} share a factor")
     denom = d**q - 1
-    seen: set[CirclePoint] = set()
     out: list[RotationalOrbit] = []
-    for k in range(denom):
-        x = angle(Fraction(k, denom))
-        if x in seen:
-            continue
-        cycle = orbit(d, x)[1]
-        seen.update(cycle)
-        if len(cycle) != q:
-            continue
-        try:
-            rho = rotation_number(d, cycle)
-        except NotRotational:
-            continue
-        if p is not None and rho != Fraction(p, q):
-            continue
-        out.append(RotationalOrbit(d, tuple(sorted(cycle)), rho))
-    return out
+    for s in [p] if p is not None else [s for s in range(q) if math.gcd(s, q) == 1]:
+        for digits in itertools.combinations_with_replacement(range(d), q):
+            nums = [
+                sum(digits[(i + k * s) % q] * d ** (q - 1 - k) for k in range(q))
+                for i in range(q)
+            ]
+            if nums[-1] < denom and all(a < b for a, b in zip(nums, nums[1:])):
+                points = tuple(angle(Fraction(n, denom)) for n in nums)
+                out.append(RotationalOrbit(d, points, Fraction(s, q)))
+    return sorted(out, key=lambda o: o.points)
 
 
 @dataclass(frozen=True)
@@ -263,31 +259,30 @@ def central_gap(
 def find_coroots(state: PullbackState, polygon: RotationalOrbit) -> CoRootSet:
     """Locate the co-roots of a unicritical lamination's central gap.
 
-    A co-root is a boundary point of the central gap with the polygon's
-    period that returns to the boundary exactly at itself and is not a major
-    endpoint.  The local degree d' is the size of the all-critical group on
-    the gap, and exactly d' - 2 co-roots must appear.  In the global case
-    (d' = d) their pairwise distances must exceed 1/d.
+    A co-root is a boundary point of the central gap on an orbit rotating
+    like the polygon that returns to the boundary exactly at itself and is
+    not a major endpoint.  The local degree d' is the size of the
+    all-critical group on the gap, and exactly d' - 2 co-roots must appear.
+    In the global case (d' = d) their pairwise distances must exceed 1/d.
     """
     gap, group = central_gap(state, polygon)
     d = state.degree
     q = len(polygon.points)
+    if polygon.rotation.denominator != q:
+        raise ValueError(f"the polygon's {q} points form several cycles")
     local_degree = len(group)
     mm = major_minor(d, polygon.hull_sides())
-    denom = d**q - 1
     found: list[CirclePoint] = []
-    for k in range(denom):
-        x = angle(Fraction(k, denom))
-        if not gap.on_closure(x) or x in mm.major.endpoints:
-            continue
-        if len(orbit(d, x)[1]) != q:
-            continue
-        # first return to the gap boundary must land back on x itself
-        y = sigma(d, x)
-        while not gap.on_closure(y):
-            y = sigma(d, y)
-        if y == x:
-            found.append(x)
+    for candidate in enumerate_rotational_orbits(d, q, polygon.rotation.numerator):
+        for x in candidate.points:
+            if not gap.on_closure(x) or x in mm.major.endpoints:
+                continue
+            # first return to the gap boundary must land back on x itself
+            y = sigma(d, x)
+            while not gap.on_closure(y):
+                y = sigma(d, y)
+            if y == x:
+                found.append(x)
     if len(found) != local_degree - 2:
         raise ValueError(
             f"found {len(found)} co-roots where {local_degree - 2} were expected "

@@ -200,7 +200,7 @@ class TestParseAngle:
             parse_angle("_001")
 
     def test_malformed(self):
-        for bad in ["", "a/b", "1/0", "one"]:
+        for bad in ["", "a/b", "1/0", "one", "1e400", "0.25", "1e999999999", "١/٣"]:
             with pytest.raises(ValueError):
                 parse_angle(bad)
 

@@ -235,6 +235,17 @@ class TestLamCheck:
         assert obj["status"] == "fail"
         assert obj["violations"][0]["kind"] == "crossing"
 
+    def test_exponent_angle_literal_fails(self, capsys, tmp_path):
+        # Fraction would read "1e400" as 0; only integers and p/q are angles
+        f = tmp_path / "e.json"
+        f.write_text('{"degree": 2, "leaves": [["1e400", "1/3"]]}')
+        rc, out, _ = run(capsys, "lam", "check", "--file", str(f))
+        assert rc == 1
+        assert len(out.splitlines()) == 1
+        obj = jline(out)
+        assert obj["status"] == "fail"
+        assert "malformed angle literal '1e400'" in obj["error"]
+
     def test_invariance_between_stages(self, capsys, tmp_path):
         shallow, deep = tmp_path / "s.json", tmp_path / "d.json"
         argv = "fpp canonical --degree 5 --fpp 0-1 --depth 1 --out".split()

@@ -410,6 +410,12 @@ class TestStageDiagnostics:
         report = clp_checks(canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 2))
         assert report.ok
 
+    def test_length_bound_fails_at_degree_six(self):
+        # the 1/(2 d^k) bound holds through d = 5 only: here 1/10 > 1/12
+        P = FixedPointPortrait(6, ((0, 1, 2),))
+        report = clp_checks(canonical_lamination(P, 1))
+        assert (1, lf(0, "9/10")) in report.length_failures
+
 
 class TestInvariantGap:
     def test_small_sector_gap(self):

@@ -1,14 +1,17 @@
 """Tests for rotational orbits, majors, and the polygon correspondence."""
+import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lamlab.circle import angle, sigma
+from lamlab.circle import angle, orbit, sigma
 from lamlab.leaves import Lamination, Leaf, Polygon
 from lamlab.pullback import CriticalPortrait, pullback
 from lamlab.rotation import (
+    CoRootSet,
     MajorTieError,
     NotRotational,
     RotationalOrbit,
@@ -42,7 +45,8 @@ def values(points):
 
 
 def brute_orbits(d, q):
-    # integer residue scan mod d^q - 1, no shared code with the enumerator
+    # integer residue scan mod d^q - 1, no shared code with the enumerator;
+    # sorted (points, rotation) pairs
     mod = d**q - 1
     seen = set()
     out = []
@@ -59,8 +63,44 @@ def brute_orbits(d, q):
         shifts = {s % q for s in shift}
         if len(shifts) == 1:
             seen.add(min(orbit))
-            out.append(tuple(Fraction(r, mod) for r in residues))
+            out.append((tuple(Fraction(r, mod) for r in residues), Fraction(shifts.pop(), q)))
     return sorted(out)
+
+
+def scanning_find_coroots(state, polygon):
+    # the co-root search over every point k/(d^q - 1), kept as the oracle
+    gap, group = central_gap(state, polygon)
+    d = state.degree
+    q = len(polygon.points)
+    local_degree = len(group)
+    mm = major_minor(d, polygon.hull_sides())
+    denom = d**q - 1
+    found = []
+    for k in range(denom):
+        x = angle(Fraction(k, denom))
+        if not gap.on_closure(x) or x in mm.major.endpoints:
+            continue
+        if len(orbit(d, x)[1]) != q:
+            continue
+        y = sigma(d, x)
+        while not gap.on_closure(y):
+            y = sigma(d, y)
+        if y == x:
+            found.append(x)
+    if len(found) != local_degree - 2:
+        raise ValueError(f"found {len(found)} co-roots, expected {local_degree - 2}")
+    if local_degree == d:
+        for a, b in itertools.combinations(found, 2):
+            if a.distance(b) <= Fraction(1, d):
+                raise ValueError(f"co-roots {a} and {b} are within 1/{d} of each other")
+    return CoRootSet(gap, group, tuple(sorted(found)), local_degree)
+
+
+def coroot_outcome(search, state, polygon):
+    try:
+        return search(state, polygon)
+    except ValueError:
+        return ValueError
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +163,44 @@ def quartic_local_state():
         ),
     )
     return pullback(F0, C, 2)
+
+
+@lru_cache(maxsize=None)
+def quartic_reanchored_state():
+    # the local quartic triangle, portrait re-anchored so the full circle sees it
+    F0 = Lamination(
+        4,
+        frozenset(
+            {
+                lf(fr(88, 252), fr(100, 252)),
+                lf(fr(100, 252), fr(148, 252)),
+                lf(fr(88, 252), fr(148, 252)),
+            }
+        ),
+    )
+    C = CriticalPortrait(
+        4,
+        frozenset(
+            {
+                lf(fr(25, 252), fr(88, 252)),
+                lf(fr(88, 252), fr(151, 252)),
+                lf(fr(151, 252), fr(214, 252)),
+                lf(fr(25, 252), fr(214, 252)),
+            }
+        ),
+    )
+    return pullback(F0, C, 2)
+
+
+def anchored_states(d, q):
+    # every orbit with a unicritical anchor, with its depth-2 lamination
+    for o in enumerate_rotational_orbits(d, q):
+        verts = unicritical_anchor(d, o)
+        if o.rotation == 0 or verts is None:
+            continue
+        F0 = Lamination(d, frozenset(o.hull_sides()))
+        sides = (Leaf(*verts),) if d == 2 else Polygon(verts).sides
+        yield pullback(F0, CriticalPortrait(d, frozenset(sides)), 2), o
 
 
 def rabbit_orbit():
@@ -215,11 +293,29 @@ class TestEnumeration:
             enumerate_rotational_orbits(2, 3, p=3)
 
     def test_matches_residue_scan(self):
-        for d in (2, 3, 4):
-            for q in (1, 2, 3, 4):
+        for d in range(2, 6):
+            for q in range(1, 7):
                 expected = brute_orbits(d, q)
-                got = [tuple(values(o.points)) for o in enumerate_rotational_orbits(d, q)]
-                assert [tuple(e) for e in expected] == got, (d, q)
+                for p in [None] + [p for p in range(q) if math.gcd(p, q) == 1]:
+                    want = [e for e in expected if p is None or e[1] == fr(p, q)]
+                    got = [
+                        (tuple(values(o.points)), o.rotation)
+                        for o in enumerate_rotational_orbits(d, q, p)
+                    ]
+                    assert want == got, (d, q, p)
+
+    def test_goldberg_count(self):
+        # phi(q) rotation numbers p/q, each carried by C(q+d-2, d-2) orbits
+        counts = {}
+        for d in range(2, 7):
+            for q in range(1, 8):
+                rotations = [o.rotation for o in enumerate_rotational_orbits(d, q)]
+                coprime = [p for p in range(q) if math.gcd(p, q) == 1]
+                for p in coprime:
+                    assert rotations.count(fr(p, q)) == math.comb(q + d - 2, d - 2), (d, q, p)
+                assert len(rotations) == len(coprime) * math.comb(q + d - 2, d - 2)
+                counts[d, q] = len(rotations)
+        assert counts[6, 7] == 1980
 
     def test_deterministic(self):
         assert enumerate_rotational_orbits(3, 3) == enumerate_rotational_orbits(3, 3)
@@ -354,32 +450,39 @@ class TestCoRoots:
         assert cr.local_degree == 3
 
     def test_local_orbit_in_global_portrait(self):
-        # same triangle, portrait re-anchored so the full circle sees it
-        F0 = Lamination(
-            4,
-            frozenset(
-                {
-                    lf(fr(88, 252), fr(100, 252)),
-                    lf(fr(100, 252), fr(148, 252)),
-                    lf(fr(88, 252), fr(148, 252)),
-                }
-            ),
+        cr = find_coroots(
+            quartic_reanchored_state(), RotationalOrbit(4, pts("22/63", "25/63", "37/63"))
         )
-        C = CriticalPortrait(
-            4,
-            frozenset(
-                {
-                    lf(fr(25, 252), fr(88, 252)),
-                    lf(fr(88, 252), fr(151, 252)),
-                    lf(fr(151, 252), fr(214, 252)),
-                    lf(fr(25, 252), fr(214, 252)),
-                }
-            ),
-        )
-        state = pullback(F0, C, 2)
-        cr = find_coroots(state, RotationalOrbit(4, pts("22/63", "25/63", "37/63")))
         assert values(cr.coroots) == [fr(2, 21), fr(53, 63)]
         assert cr.local_degree == 4
+
+    def test_matches_scan_on_examples(self):
+        configs = [
+            (rabbit_state(), rabbit_orbit()),
+            (cubic_state(), RotationalOrbit(3, pts("1/8", "3/8"))),
+            (quartic_global_state(), RotationalOrbit(4, pts("1/63", "4/63", "16/63"))),
+            (quartic_local_state(), RotationalOrbit(4, pts("22/63", "25/63", "37/63"))),
+            (quartic_reanchored_state(), RotationalOrbit(4, pts("22/63", "25/63", "37/63"))),
+        ]
+        for state, polygon in configs:
+            assert find_coroots(state, polygon) == scanning_find_coroots(state, polygon)
+
+    @pytest.mark.parametrize("d, q", [(2, 5), (3, 3), (3, 4), (4, 3), (5, 2)])
+    def test_matches_scan_on_anchored_orbits(self, d, q):
+        # equal co-roots, or ValueError from both searches
+        for state, polygon in anchored_states(d, q):
+            assert coroot_outcome(find_coroots, state, polygon) == coroot_outcome(
+                scanning_find_coroots, state, polygon
+            ), polygon
+
+    def test_multi_cycle_polygon_rejected(self):
+        # two 2-cycles rotating by 1/2 as one 4-point set
+        polygon = RotationalOrbit(3, pts("1/8", "1/4", "3/8", "3/4"))
+        assert polygon.rotation == fr(1, 2)
+        with pytest.raises(ValueError):
+            find_coroots(cubic_state(), polygon)
+        with pytest.raises(ValueError):
+            uni_to_max(cubic_state(), polygon)
 
 
 class TestCorrespondence:
