@@ -44,7 +44,16 @@ class CirclePoint:
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value) % 1)
+        v = self.value
+        # a Fraction already in [0, 1) is kept as it is
+        if type(v) is not Fraction or not 0 <= v.numerator < v.denominator:
+            object.__setattr__(self, "value", Fraction(v) % 1)
+
+    def __hash__(self) -> int:
+        # equal points have equal reduced terms; Fraction.__hash__ would
+        # compute a modular inverse on every call
+        v = self.value
+        return hash((v.numerator, v.denominator))
 
     def __add__(self, other: CirclePoint | Fraction | int) -> CirclePoint:
         return CirclePoint(self.value + _raw(other))
@@ -124,7 +133,6 @@ def orbit(d: int, t: CirclePoint) -> tuple[int, list[CirclePoint]]:
     seq: list[CirclePoint] = []
     x = angle(t)
     while True:
-        # one hash per step: the angle hashes through Fraction, which is costly
         start = seen.setdefault(x, len(seq))
         if start < len(seq):
             return start, seq[start:]
@@ -201,6 +209,18 @@ def render_dnary(t: CirclePoint, d: int) -> DnaryString:
     return DnaryString(d, tuple(digits[:start]), tuple(digits[start:]))
 
 
+def _rational(text: str) -> Fraction | None:
+    """The value of an optionally signed ASCII integer or `p/q` with q != 0, else None.
+
+    Decimals and exponents are refused, so a short literal cannot expand
+    into a huge integer.
+    """
+    if not _RATIONAL.fullmatch(text):
+        return None
+    p, _, q = text.partition("/")
+    return Fraction(int(p), int(q or 1))
+
+
 def parse_angle(text: str, d: int | None = None) -> CirclePoint:
     """Parse an angle literal: an integer or rational `p/q`, or a digit string `pre_per`.
 
@@ -212,6 +232,7 @@ def parse_angle(text: str, d: int | None = None) -> CirclePoint:
         if d is None:
             raise ValueError("a degree is required to parse a digit-string angle")
         return parse_dnary(text, d)
-    if not _RATIONAL.fullmatch(text):
+    v = _rational(text)
+    if v is None:
         raise ValueError(f"malformed angle literal {text!r}")
-    return CirclePoint(Fraction(text))
+    return CirclePoint(v % 1)

@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .circle import CirclePoint, parse_angle
+from .circle import CirclePoint, _rational, parse_angle
 from .fpp import FixedPointPortrait, enumerate_fpps, fixed_sectors, fpps_up_to_rotation
 from .leaves import Polygon, check_invariance, validate_prelamination
 from .pullback import canonical_lamination, classify_sector
@@ -248,10 +247,9 @@ def _cmd_rot_orbits(args: argparse.Namespace) -> int:
         raise _usage("period must be >= 1")
     p = None
     if args.rotation is not None:
-        try:
-            rho = Fraction(args.rotation)
-        except (ValueError, ZeroDivisionError):
-            raise _usage(f"malformed rotation number {args.rotation!r}") from None
+        rho = _rational(args.rotation.strip())
+        if rho is None:
+            raise _usage(f"malformed rotation number {args.rotation!r}")
         if rho.denominator != q or not 0 <= rho < 1:
             raise _usage(
                 f"rotation {args.rotation} is not of the form p/{q} in lowest terms"

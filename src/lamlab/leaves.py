@@ -233,9 +233,28 @@ class Lamination:
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
 
-    @cached_property
+    @property
     def sorted_leaves(self) -> tuple[Leaf, ...]:
-        return tuple(sorted(self.leaves))
+        return self._view[2]
+
+    @property
+    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The integer view: a common denominator D and each sorted leaf as (x, y).
+
+        The leaf `sorted_leaves[i]` has endpoints x/D < y/D for the i-th pair.
+        D = lcm(d - 1, every endpoint denominator), so the fixed points
+        i/(d - 1) lie on the grid too, and the d-tupling map is x -> d*x mod D.
+        """
+        return self._view[:2]
+
+    @cached_property
+    def _view(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[Leaf, ...]]:
+        # scaling by D > 0 keeps every comparison, so sorting by the integer
+        # pairs orders the leaves as Leaf comparison does, without Fractions
+        ls = self.leaves
+        D = lcm(self.degree - 1, *(t.value.denominator for l in ls for t in l.endpoints))
+        keyed = sorted((_scaled_pair(l, D), l) for l in ls)
+        return D, tuple(p for p, _ in keyed), tuple(l for _, l in keyed)
 
     def __contains__(self, l: Leaf) -> bool:
         return l in self.leaves
@@ -276,14 +295,17 @@ def _scaled(t: CirclePoint, denom: int) -> int:
     return v.numerator * q
 
 
+def _scaled_pair(l: Leaf, denom: int) -> tuple[int, int]:
+    return _scaled(l.a, denom), _scaled(l.b, denom)
+
+
 def validate_prelamination(L: Lamination) -> tuple[Violation, ...]:
     """All crossing pairs; empty iff any two leaves meet at most in an endpoint.
 
-    One sorted index of the endpoints, scaled to integers, finds each leaf's crossers.
+    One sorted index of the integer endpoints finds each leaf's crossers.
     """
     ls = L.sorted_leaves
-    denom = lcm(*(t.value.denominator for l in ls for t in l.endpoints))
-    chords = [(_scaled(l.a, denom), _scaled(l.b, denom)) for l in ls]
+    _, chords = L.scaled
     ends = sorted(e for i, (x, y) in enumerate(chords) for e in ((x, y, i), (y, x, i)))
     out = []
     for i, (x, y) in enumerate(chords):
@@ -301,37 +323,56 @@ def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation,
     (b) some preimage leaf lies in L_next; (c) a full collection of d disjoint
     non-crossing leaves with the same image as the leaf exists within L_next.
     Critical leaves are exempt from (c), having no leaf image.  One pass over
-    L_next indexes each image leaf by the fibre positions (i, j) of its
-    preimage leaves there: the i-th preimage of the image's a joined to the
-    j-th of its b.
+    L_next's integer view indexes each image leaf by the fibre positions
+    (i, j) of its preimage leaves there: the i-th preimage of the image's a
+    joined to the j-th of its b.
     """
     if L_prev.degree != L_next.degree:
         raise ValueError("degree mismatch between stages")
-    if not L_prev.leaves <= L_next.leaves:
-        raise ValueError("earlier stage is not contained in the later stage")
     d = L_prev.degree
-    over: dict[Leaf, set[tuple[int, int]]] = {}
-    for m in L_next.leaves:
-        ia, ib = sigma(d, m.a), sigma(d, m.b)
+    D, pairs = L_next.scaled
+    D_prev, prev_pairs = L_prev.scaled
+    present = set(pairs)
+    # every endpoint denominator of a subset divides D
+    up = D // D_prev
+    if D % D_prev or not all((x * up, y * up) in present for x, y in prev_pairs):
+        raise ValueError("earlier stage is not contained in the later stage")
+    over: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for x, y in pairs:
+        ia, ib = d * x % D, d * y % D
         if ia != ib:
             # x = (t + i)/d with t in [0, 1) has floor(d x) = i
-            i, j = int(d * m.a.value), int(d * m.b.value)
-            over.setdefault(Leaf(ia, ib), set()).add((i, j) if ia < ib else (j, i))
+            i, j = d * x // D, d * y // D
+            if ia < ib:
+                over.setdefault((ia, ib), set()).add((i, j))
+            else:
+                over.setdefault((ib, ia), set()).add((j, i))
     out: list[Violation] = []
-    for l in L_prev.sorted_leaves:
-        img = leaf_image(d, l)
-        if isinstance(img, Leaf) and img not in L_next:
-            out.append(Violation("forward", f"image {img} of {l} missing", (l,)))
-        if l not in over:
+    for l, (x, y) in zip(L_prev.sorted_leaves, prev_pairs):
+        x, y = x * up, y * up
+        ia, ib = d * x % D, d * y % D
+        img = (ia, ib) if ia < ib else (ib, ia)
+        critical = ia == ib
+        if not critical and img not in present:
+            detail = f"image {_leaf(img, D)} of {l} missing"
+            out.append(Violation("forward", detail, (l,)))
+        if (x, y) not in over:
             out.append(Violation("backward", f"no preimage of {l} present", (l,)))
-        present = over.get(img, set())
-        if isinstance(img, Leaf) and not any(
-            all(ij in present for ij in enumerate(m)) for m in fibre_matchings(d)
+        fibres = over.get(img, set())
+        if not critical and not any(
+            all(ij in fibres for ij in enumerate(m)) for m in fibre_matchings(d)
         ):
-            out.append(
-                Violation("sibling", f"no full sibling collection over {img}", (l,))
-            )
+            detail = f"no full sibling collection over {_leaf(img, D)}"
+            out.append(Violation("sibling", detail, (l,)))
     return tuple(out)
+
+
+def _point(x: int, D: int) -> CirclePoint:
+    return CirclePoint(Fraction(x, D))
+
+
+def _leaf(pair: tuple[int, int], D: int) -> Leaf:
+    return Leaf(_point(pair[0], D), _point(pair[1], D))
 
 
 @dataclass(frozen=True, order=True)
@@ -354,12 +395,6 @@ class Arc:
         if t == self.start or t == self.end:
             return closed
         return in_arc(t, self.start, self.end)
-
-
-def _element_key(e: Leaf | Arc):
-    if isinstance(e, Leaf):
-        return (0, e.a, e.b)
-    return (1, e.start, e.end)
 
 
 @dataclass(frozen=True)
@@ -403,53 +438,104 @@ def faces(L: Lamination) -> list[Face]:
     or disjoint, so one sweep by a ascending, b descending gives each leaf its
     parent.  Each leaf closes the face on its a-to-b side, bounded by the leaf,
     its children in order and one arc across each gap between them; the
-    top-level leaves bound one more face, closed by the arc through 0.
+    top-level leaves bound one more face, closed by the arc through 0.  Each
+    face starts at its least element (leaves before arcs, then by endpoints)
+    and the faces are sorted by boundary.
     """
-    if not L.leaves:
-        zero = angle(0)
-        return [Face((Arc(zero, zero),))]
-    chords = sorted(L.leaves, key=lambda l: (l.a, -l.b.value))
-    boundaries: list[list[Leaf | Arc]] = []
+    return [_face(L, b) for b in _face_sweep(L)]
+
+
+def _face_sweep(L: Lamination) -> list[list[tuple[int, ...]]]:
+    """The face boundaries of `faces(L)`, in its order, on L's integer view.
+
+    A leaf `sorted_leaves[i]` with pair (x, y) is the element (0, x, y, i)
+    and an arc from u/D to v/D is (1, u, v), so elements order leaves first,
+    then by endpoints.  Each boundary starts at its least element and the
+    boundaries are sorted.  A face's vertices are the endpoints of its leaf
+    elements; the empty lamination has one face, the full circle (1, 0, 0).
+    """
+    pairs = L.scaled[1]
+    if not pairs:
+        return [[(1, 0, 0)]]
+    boundaries: list[list[tuple[int, ...]]] = []
 
     def close(frame: list) -> None:
         boundary, cursor, end = frame
         if cursor != end:
-            boundary.append(Arc(cursor, end))
+            boundary.append((1, cursor, end))
         boundaries.append(boundary)
 
-    first = chords[0].a
+    order = sorted(range(len(pairs)), key=lambda i: (pairs[i][0], -pairs[i][1]))
+    first = pairs[order[0]][0]
     # open faces, innermost last: [boundary so far, vertex reached, closing vertex]
     stack: list[list] = [[[], first, first]]
-    for l in chords:
-        while len(stack) > 1 and stack[-1][2] < l.b:
+    for i in order:
+        x, y = pairs[i]
+        while len(stack) > 1 and stack[-1][2] < y:
             close(stack.pop())
         parent = stack[-1]
-        if parent[1] != l.a:
-            parent[0].append(Arc(parent[1], l.a))
-        parent[0].append(l)
-        parent[1] = l.b
-        stack.append([[l], l.a, l.b])
+        if parent[1] != x:
+            parent[0].append((1, parent[1], x))
+        leaf = (0, x, y, i)
+        parent[0].append(leaf)
+        parent[1] = y
+        stack.append([[leaf], x, y])
     while stack:
         close(stack.pop())
 
-    out: list[Face] = []
+    out = []
     for elements in boundaries:
-        k0 = min(range(len(elements)), key=lambda k: _element_key(elements[k]))
-        out.append(Face(tuple(elements[k0:] + elements[:k0])))
-    out.sort(key=lambda f: tuple(_element_key(e) for e in f.boundary))
+        k0 = elements.index(min(elements))
+        out.append(elements[k0:] + elements[:k0])
+    out.sort()
     return out
 
 
-def _iterates_onto(d: int, l: Leaf, targets: set[Leaf], cap: int) -> bool:
-    """Whether l or one of its first cap leaf images lies in targets."""
-    cur = l
-    for _ in range(cap + 1):
-        if cur in targets:
+def _face(L: Lamination, boundary: list[tuple[int, ...]]) -> Face:
+    """The Face of one `_face_sweep(L)` boundary."""
+    D = L.scaled[0]
+    ls = L.sorted_leaves
+    return Face(
+        tuple(
+            ls[e[3]] if e[0] == 0 else Arc(_point(e[1], D), _point(e[2], D))
+            for e in boundary
+        )
+    )
+
+
+def _on_closure(boundary: list[tuple[int, ...]], D: int, t: CirclePoint) -> bool:
+    """Whether t is a vertex of a `_face_sweep` boundary over D or lies on one of its arcs.
+
+    t = p/q need not lie on the grid: the tests compare at the finer scale D*q.
+    """
+    p, q = t.value.numerator, t.value.denominator
+    x = p * D
+    for e in boundary:
+        if e[0] == 0:
+            if x == e[1] * q or x == e[2] * q:
+                return True
+        elif e[1] == e[2] or (x - e[1] * q) % (D * q) <= (e[2] - e[1]) % D * q:
             return True
-        img = leaf_image(d, cur)
-        if isinstance(img, CirclePoint):
+    return False
+
+
+def _iterates_onto(
+    d: int, D: int, pair: tuple[int, int], targets: set[tuple[int, int]], cap: int
+) -> bool:
+    """Whether a leaf or one of its first cap leaf images lies in targets.
+
+    Leaves are integer pairs x < y over D; the image of (x, y) is
+    (d*x mod D, d*y mod D), sorted, and a leaf collapsing to a point stops.
+    """
+    x, y = pair
+    for _ in range(cap + 1):
+        if (x, y) in targets:
+            return True
+        x, y = d * x % D, d * y % D
+        if x == y:
             return False
-        cur = img
+        if y < x:
+            x, y = y, x
     return False
 
 
@@ -459,11 +545,16 @@ def grand_orbit_truncated(
     """Leaves of L meeting the seed's forward orbit within max_depth steps each way."""
     if seed not in L:
         raise ValueError(f"seed {seed} is not a leaf of the lamination")
-    targets: set[Leaf] = set()
-    cur: Leaf | CirclePoint = seed
+    D, pairs = L.scaled
+    targets: set[tuple[int, int]] = set()
+    x, y = _scaled_pair(seed, D)
     for _ in range(max_depth + 1):
-        if not isinstance(cur, Leaf) or cur in targets:
+        if x == y or (x, y) in targets:
             break
-        targets.add(cur)
-        cur = leaf_image(d, cur)
-    return {m for m in L.leaves if _iterates_onto(d, m, targets, max_depth)}
+        targets.add((x, y))
+        x, y = sorted((d * x % D, d * y % D))
+    return {
+        l
+        for l, pair in zip(L.sorted_leaves, pairs)
+        if _iterates_onto(d, D, pair, targets, max_depth)
+    }

@@ -16,10 +16,9 @@ from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Collection, Iterable, Iterator
 
-from .circle import CirclePoint, angle, check_degree, in_arc, preimages, sigma
+from .circle import CirclePoint, check_degree, preimages, sigma
 from .fpp import FixedPointPortrait, FixedSector, canonical_portraits, fixed_sectors
 from .leaves import (
     Arc,
@@ -28,8 +27,13 @@ from .leaves import (
     Leaf,
     Polygon,
     _crossers,
+    _face,
+    _face_sweep,
     _iterates_onto,
+    _leaf,
+    _on_closure,
     _scaled,
+    _scaled_pair,
     faces,
     fibre_matchings,
     is_critical,
@@ -217,24 +221,26 @@ _POLICIES = ("prefer-existing", "shortest")
 
 def _best_matching(
     d: int,
-    l: Leaf,
+    pair: tuple[int, int],
+    denom: int,
     ends: list[tuple[int, int]],
     acc_pairs: set[tuple[int, int]],
-    denom: int,
     policy: str,
 ) -> tuple[tuple[int, int], ...]:
-    """Pick the d disjoint preimage chords of l, returned as scaled endpoint pairs.
+    """Pick the d disjoint preimage chords of the leaf pair/denom, as pairs over d*denom.
 
-    Candidate chord (i, j) joins the i-th preimage of l.a to the j-th of l.b.
-    It is valid when it crosses nothing already placed: every placed endpoint
-    strictly inside it has its partner in the closed span, which the sorted
-    endpoint index `ends` answers.  The policy then ranks the Catalan(d)
+    Candidate chord (i, j) joins the i-th preimage (x + i*denom)/(d*denom) of
+    the leaf's first endpoint x/denom to the j-th of its second.  It is valid
+    when it crosses nothing already placed: every placed endpoint strictly
+    inside it has its partner in the closed span, which the sorted endpoint
+    index `ends` answers.  The policy then ranks the Catalan(d)
     non-crossing matchings of the two preimage fibers whose chords are all
     valid.  The rank ends in the sorted chord pairs, so the winner does not
     depend on enumeration order.
     """
-    fib_a = [_scaled(t, denom) for t in preimages(d, l.a)]
-    fib_b = [_scaled(t, denom) for t in preimages(d, l.b)]
+    fib_a = [pair[0] + i * denom for i in range(d)]
+    fib_b = [pair[1] + i * denom for i in range(d)]
+    full = d * denom
     valid: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j in itertools.product(range(d), repeat=2):
         x, y = sorted((fib_a[i], fib_b[j]))
@@ -246,14 +252,16 @@ def _best_matching(
         if not all(ij in valid for ij in enumerate(m)):
             continue
         pairs = tuple(sorted(valid[ij] for ij in enumerate(m)))
-        maxlen = max(min(y - x, denom - y + x) for x, y in pairs)
+        maxlen = max(min(y - x, full - y + x) for x, y in pairs)
         reuse = sum(p in acc_pairs for p in pairs)
         if policy == "shortest":
             ranks.append((maxlen, -reuse, pairs))
         else:
             ranks.append((-reuse, maxlen, pairs))
     if not ranks:
-        raise ValueError(f"no compatible sibling matching exists for {l}")
+        raise ValueError(
+            f"no compatible sibling matching exists for {_leaf(pair, denom)}"
+        )
     return min(ranks)[-1]
 
 
@@ -279,7 +287,8 @@ def pullback(
     d = F0.degree
     if d != C.degree:
         raise ValueError("degree mismatch between initial set and portrait")
-    bad = validate_prelamination(Lamination(d, F0.leaves | C.chords))
+    with_chords = Lamination(d, F0.leaves | C.chords)
+    bad = validate_prelamination(with_chords)
     inner = [v for v in bad if F0.leaves.issuperset(v.leaves)]
     if inner:
         raise ValueError(f"initial set is not a pre-lamination: {inner[0].detail}")
@@ -294,24 +303,28 @@ def pullback(
         if img not in F0.leaves:
             raise ValueError(f"initial leaf {l} maps to {img} outside the initial set")
 
-    base = lcm(*(t.value.denominator for l in F0.leaves | C.chords for t in l.endpoints))
-
+    # placed chords as integer pairs over denom = D * d^k, D from the integer
+    # view; the frontier holds the leaves new at the previous stage, sorted
+    denom, acc_pairs = with_chords.scaled
+    acc_pairs = set(acc_pairs)
+    frontier = sorted(_scaled_pair(l, denom) for l in F0.leaves)
     stages = [Lamination(d, F0.leaves, depth=0)]
     acc: set[Leaf] = set(F0.leaves)
     for k in range(1, n + 1):
-        denom = base * d**k
-        prev = stages[-2].leaves if k >= 2 else frozenset()
-        frontier = sorted(stages[-1].leaves - prev)
-        acc_pairs = {(_scaled(l.a, denom), _scaled(l.b, denom)) for l in acc | C.chords}
+        acc_pairs = {(x * d, y * d) for x, y in acc_pairs}
         ends = sorted(e for x, y in acc_pairs for e in ((x, y), (y, x)))
-        for l in frontier:
-            for x, y in _best_matching(d, l, ends, acc_pairs, denom, policy):
+        new = []
+        for pair in frontier:
+            for x, y in _best_matching(d, pair, denom, ends, acc_pairs, policy):
                 if (x, y) in acc_pairs:
                     continue
                 acc_pairs.add((x, y))
                 insort(ends, (x, y))
                 insort(ends, (y, x))
-                acc.add(Leaf(angle(Fraction(x, denom)), angle(Fraction(y, denom))))
+                new.append((x, y))
+                acc.add(_leaf((x, y), denom * d))
+        denom *= d
+        frontier = sorted(new)
         stages.append(Lamination(d, frozenset(acc), depth=k))
     return PullbackState(d, stages[0], C, tuple(stages), policy)
 
@@ -365,22 +378,52 @@ def cp_pullback_equality(P: FixedPointPortrait, n: int) -> PortraitPullbackRepor
     return PortraitPullbackReport(P, n, len(runs), not mismatches, tuple(mismatches))
 
 
-def _invariant_faces(L: Lamination, S: FixedSector) -> Iterator[Face]:
-    """Faces of L with every vertex inside S and mapped into the face's vertices."""
-    for f in faces(L):
-        verts = f.vertices
-        vset = set(verts)
-        if all(sigma(L.degree, v) in vset for v in verts) and all(
-            S.contains_point(v) for v in verts
+def _sector_arcs(S: FixedSector, D: int) -> list[tuple[int, int]]:
+    """S's arcs over the denominator D as (start, length); the full circle has length D."""
+    out = []
+    for a in S.arcs:
+        s = _scaled(a.start, D)
+        out.append((s, (_scaled(a.end, D) - s) % D or D))
+    return out
+
+
+def _in_sector(x: int, arcs: list[tuple[int, int]], D: int) -> bool:
+    """Whether x/D lies on one of the closed `_sector_arcs`."""
+    return any((x - s) % D <= n for s, n in arcs)
+
+
+def _invariant_faces(L: Lamination, S: FixedSector) -> Iterator[list[tuple[int, ...]]]:
+    """Faces of L with every vertex inside S and mapped into the face's vertices.
+
+    Yields `_face_sweep` boundaries: the tests run on L's integer view, where
+    sigma is x -> d*x mod D, and callers build a Face only for what they return.
+    """
+    if S.degree != L.degree:
+        # the sector's fixed points lie on L's grid only for L's own degree
+        raise ValueError("degree mismatch between lamination and sector")
+    d = L.degree
+    D = L.scaled[0]
+    arcs = _sector_arcs(S, D)
+    for boundary in _face_sweep(L):
+        verts = {v for e in boundary if e[0] == 0 for v in (e[1], e[2])}
+        if all(d * x % D in verts for x in verts) and all(
+            _in_sector(x, arcs, D) for x in verts
         ):
-            yield f
+            yield boundary
 
 
-def _gap_candidates(lam: Lamination, S: FixedSector, chords: list[Leaf]) -> list[Face]:
+def _is_polygon(boundary: list[tuple[int, ...]]) -> bool:
+    return all(e[0] == 0 for e in boundary)
+
+
+def _gap_candidates(
+    lam: Lamination, S: FixedSector, chords: list[Leaf]
+) -> list[list[tuple[int, ...]]]:
+    D = lam.scaled[0]
     return [
-        f
-        for f in _invariant_faces(lam, S)
-        if all(f.on_closure(c.a) and f.on_closure(c.b) for c in chords)
+        b
+        for b in _invariant_faces(lam, S)
+        if all(_on_closure(b, D, t) for c in chords for t in c.endpoints)
     ]
 
 
@@ -395,7 +438,7 @@ def _walk_back_gap(state: PullbackState, S: FixedSector) -> tuple[Face, int] | N
     for k in range(state.depth, 0, -1):
         cands = _gap_candidates(state.stages[k], S, sector_chords)
         if len(cands) == 1:
-            return cands[0], k
+            return _face(state.stages[k], cands[0]), k
     return None
 
 
@@ -464,20 +507,35 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
     if state.fpp is None:
         raise ValueError("state was not built from a fixed point portrait")
     d = state.degree
-    initial = set(state.stages[0].leaves)
+    # the stages are nested, so the final stage's D is a multiple of each stage's
+    D = state.final.scaled[0]
+
+    def stage_pairs(lam: Lamination) -> list[tuple[int, int]]:
+        D_k, pairs = lam.scaled
+        up = D // D_k
+        return [(x * up, y * up) for x, y in pairs]
+
+    initial = set(stage_pairs(state.stages[0]))
     escapes: list[tuple[int, Leaf]] = []
     too_long: list[tuple[int, Leaf]] = []
     worst: list[Fraction] = []
+    prev = initial
     for k in range(1, state.depth + 1):
-        bound = Fraction(1, 2 * d**k)
-        stage_max = Fraction(0)
-        for l in sorted(state.frontier(k)):
-            if l.length > bound:
+        lam = state.stages[k]
+        pairs = stage_pairs(lam)
+        stage_max = 0
+        scale = 2 * d**k  # length/D > 1/(2 d^k) iff scale * length > D
+        for l, (x, y) in zip(lam.sorted_leaves, pairs):
+            if (x, y) in prev:
+                continue
+            length = min(y - x, D - y + x)
+            if scale * length > D:
                 too_long.append((k, l))
-            stage_max = max(stage_max, l.length)
-            if not _iterates_onto(d, l, initial, k):
+            stage_max = max(stage_max, length)
+            if not _iterates_onto(d, D, (x, y), initial, k):
                 escapes.append((k, l))
-        worst.append(stage_max)
+        worst.append(Fraction(stage_max, D))
+        prev = set(pairs)
     sector_reports: list[SectorGapReport] = []
     if state.depth >= 1:
         for S in fixed_sectors(state.fpp):
@@ -486,12 +544,12 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
                 sector_reports.append(SectorGapReport(S, 0, 0, ()))
                 continue
             face, gap_depth = found
-            hull = set(S.boundary_leaves)
+            hull = {_scaled_pair(l, D) for l in S.boundary_leaves}
             unresolved = tuple(
                 sorted(
                     l
                     for l in face.leaves
-                    if not _iterates_onto(d, l, hull, state.depth)
+                    if not _iterates_onto(d, D, _scaled_pair(l, D), hull, state.depth)
                 )
             )
             sector_reports.append(
@@ -588,9 +646,17 @@ def _boundary_objects(S: FixedSector) -> list[tuple[tuple[CirclePoint, ...], tup
     return objects
 
 
-def _separates(l: Leaf, pts: tuple[CirclePoint, ...], others: set[CirclePoint]) -> bool:
-    for u, v in l.short_arcs():
-        if all(in_arc(p, u, v) for p in pts) and not any(in_arc(q, u, v) for q in others):
+def _separates(pair: tuple[int, int], pts: list[int], others: set[int], D: int) -> bool:
+    """Whether a short side of the leaf pair/D holds every point of pts and none of others.
+
+    Points are integers over D; a side (u, n) is the open arc of length n
+    from u, and it is short when n <= D/2 (a diameter has two).
+    """
+    x, y = pair
+    for u, n in ((x, y - x), (y, D - y + x)):
+        if 2 * n <= D and all(0 < (p - u) % D < n for p in pts) and not any(
+            0 < (q - u) % D < n for q in others
+        ):
             return True
     return False
 
@@ -607,14 +673,19 @@ def classify_sector(L: Lamination, C: CriticalPortrait, S: FixedSector) -> Secto
     if L.depth < 1:
         raise InsufficientDepthError("insufficient depth: need at least stage 1 leaves")
     raw = _boundary_objects(S)
-    boundary = set(S.boundary_leaves)
+    D, pairs = L.scaled
+    arcs = _sector_arcs(S, D)
+    boundary = {_scaled_pair(l, D) for l in S.boundary_leaves}
     inside = [
-        l for l in sorted(L.leaves) if l not in boundary and S.contains_leaf(l)
+        p
+        for p in pairs
+        if p not in boundary and _in_sector(p[0], arcs, D) and _in_sector(p[1], arcs, D)
     ]
+    points = [[_scaled(p, D) for p in pts] for pts, _ in raw]
     flags: list[bool] = []
-    for i, (pts, _) in enumerate(raw):
-        others = {q for j, (qs, _) in enumerate(raw) if j != i for q in qs}
-        flags.append(any(_separates(l, pts, others) for l in inside))
+    for i, pts in enumerate(points):
+        others = {q for j, qs in enumerate(points) if j != i for q in qs}
+        flags.append(any(_separates(p, pts, others, D) for p in inside))
     objects = tuple(
         FixedObject(pts, lvs, flag) for (pts, lvs), flag in zip(raw, flags)
     )
@@ -630,9 +701,10 @@ def _rotational_polygon_witness(L: Lamination, S: FixedSector) -> tuple[Face, Fr
     from .rotation import NotRotational, rotation_number
 
     cands: list[tuple[Face, Fraction]] = []
-    for f in _invariant_faces(L, S):
-        if not f.is_polygon():
+    for b in _invariant_faces(L, S):
+        if not _is_polygon(b):
             continue
+        f = _face(L, b)
         try:
             rho = rotation_number(L.degree, f.vertices)
         except NotRotational:
@@ -650,41 +722,51 @@ def _rotational_polygon_witness(L: Lamination, S: FixedSector) -> tuple[Face, Fr
 def _gap_witness(
     L: Lamination, S: FixedSector, objects: tuple[FixedObject, ...]
 ) -> Face:
-    required = [o for o in objects if not o.subtended]
+    D = L.scaled[0]
+    required = [p for o in objects if not o.subtended for p in o.points]
     cands = [
-        f
-        for f in _invariant_faces(L, S)
-        if not f.is_polygon()
-        and all(f.on_closure(p) for o in required for p in o.points)
+        b
+        for b in _invariant_faces(L, S)
+        if not _is_polygon(b) and all(_on_closure(b, D, p) for p in required)
     ]
-    subtended = [o for o in objects if o.subtended]
+    subtended = [_scaled(p, D) for o in objects if o.subtended for p in o.points]
     if len(cands) > 1 and subtended:
         # A face pinched off behind a leaf joining two distinct required
         # objects only ever touches those two; when every subtended object
         # sits beyond the pinch it cannot be the sector's gap.
-        owner: dict[CirclePoint, int] = {}
-        for i, o in enumerate(objects):
-            if not o.subtended:
-                for p in o.points:
-                    owner[p] = i
-        cands = [f for f in cands if not _pinched_off(f, owner, subtended)]
+        owner = {
+            _scaled(p, D): i
+            for i, o in enumerate(objects)
+            if not o.subtended
+            for p in o.points
+        }
+        cands = [b for b in cands if not _pinched_off(b, owner, subtended, D)]
     if len(cands) != 1:
         raise InsufficientDepthError(
             f"insufficient depth: found {len(cands)} invariant gap faces, expected 1"
         )
-    return cands[0]
+    return _face(L, cands[0])
 
 
 def _pinched_off(
-    f: Face, owner: dict[CirclePoint, int], subtended: list[FixedObject]
+    boundary: list[tuple[int, ...]], owner: dict[int, int], beyond: list[int], D: int
 ) -> bool:
-    for b in f.leaves:
-        ia, ib = owner.get(b.a), owner.get(b.b)
+    """Whether a leaf of the face joins two required objects with all of `beyond` behind it.
+
+    Points are integers over D; behind means strictly inside the open arc
+    on the leaf's far side from the face, which holds no face vertex.
+    """
+    leaves = [(e[1], e[2]) for e in boundary if e[0] == 0]
+    verts = [v for leaf in leaves for v in leaf]
+    for x, y in leaves:
+        ia, ib = owner.get(x), owner.get(y)
         if ia is None or ib is None or ia == ib:
             continue
-        for u, v in ((b.a, b.b), (b.b, b.a)):
-            beyond = all(in_arc(p, u, v) for o in subtended for p in o.points)
-            if beyond and not any(in_arc(w, u, v) for w in f.vertices):
+        # the open arcs x -> y and y -> x
+        for u, n in ((x, y - x), (y, D - y + x)):
+            if all(0 < (p - u) % D < n for p in beyond) and not any(
+                0 < (w - u) % D < n for w in verts
+            ):
                 return True
     return False
 

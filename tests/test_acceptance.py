@@ -1,8 +1,9 @@
 """Acceptance gate: one test per shipped guarantee.
 
-Each test prints a single PASS/FAIL line to the terminal, bypassing
-capture, so a full run reads as a checklist.  Workloads are shared
-through cached builders to keep the whole gate inside a few minutes.
+Each test prints a single PASS/FAIL line with its elapsed seconds to the
+terminal, bypassing capture, so a full run reads as a timed checklist.
+Workloads are shared through cached builders to keep the whole gate inside
+a few minutes.
 """
 import json
 import time
@@ -41,9 +42,20 @@ def lf(a, b):
     return Leaf(angle(a), angle(b))
 
 
+_started = time.perf_counter()
+
+
+@pytest.fixture(autouse=True)
+def _item_clock():
+    """Start the clock that `announce` reads when each item begins."""
+    global _started
+    _started = time.perf_counter()
+
+
 def announce(capsys, num, name, passed):
+    elapsed = time.perf_counter() - _started
     with capsys.disabled():
-        print(f"AC{num:02d} {name}: {'PASS' if passed else 'FAIL'}")
+        print(f"AC{num:02d} {name}: {'PASS' if passed else 'FAIL'} ({elapsed:.2f} s)")
 
 
 @lru_cache(maxsize=None)

@@ -44,6 +44,23 @@ class TestCirclePoint:
         assert fr(0).distance(fr(3, 4)) == F(1, 4)
         assert fr(1, 8).distance(fr(5, 8)) == F(1, 2)
 
+    @given(
+        st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+        st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+    )
+    def test_equal_points_hash_equal(self, x, y):
+        a, b = CirclePoint(x), CirclePoint(y)
+        assert (a == b) == ((x - y) % 1 == 0)
+        if a == b:
+            assert hash(a) == hash(b)
+        # another representative mod 1, built through a different path
+        c = CirclePoint(x + 5)
+        assert a == c and hash(a) == hash(c)
+        assert len({a, b, c}) == (1 if a == b else 2)
+        table = {a: "a"}
+        assert (b in table) == (a == b)
+        assert table.get(c) == "a"
+
     def test_ordering_is_by_representative(self):
         assert fr(1, 8) < fr(7, 8)
         assert sorted([fr(3, 4), fr(0), fr(1, 2)]) == [fr(0), fr(1, 2), fr(3, 4)]
@@ -203,6 +220,19 @@ class TestParseAngle:
         for bad in ["", "a/b", "1/0", "one", "1e400", "0.25", "1e999999999", "١/٣"]:
             with pytest.raises(ValueError):
                 parse_angle(bad)
+
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.one_of(st.none(), st.integers(1, 10**30)),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 3),
+    )
+    def test_gated_literal_equals_fraction(self, p, q, sign, zeros):
+        # every literal the gate admits reads as Fraction(text) mod 1
+        text = sign + str(abs(p)) if sign else str(p)
+        if q is not None:
+            text += "/" + "0" * zeros + str(q)
+        assert parse_angle(text).value == Fraction(text) % 1
 
 
 @given(angles, angles)

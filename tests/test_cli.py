@@ -319,6 +319,16 @@ class TestRotCommands:
         assert obj["count"] == 1
         assert obj["orbits"][0]["points"] == ["3/7", "5/7", "6/7"]
 
+    @pytest.mark.parametrize("rotation", ["0.5", "1e999999999"])
+    def test_rotation_decimal_or_exponent_is_usage_error(self, capsys, rotation):
+        # only integers and p/q are rotation numbers, as for angles
+        rc, out, err = run(
+            capsys, "rot", "orbits", "--degree", "3", "--period", "2", "--rotation", rotation
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == f"lamlab: error: malformed rotation number {rotation!r}\n"
+
     def test_rotation_not_in_lowest_terms(self, capsys):
         rc, _, err = run(
             capsys, "rot", "orbits", "--degree", "2", "--period", "6", "--rotation", "2/6"

@@ -27,7 +27,6 @@ from lamlab.leaves import (
     sibling_collections,
     validate_prelamination,
 )
-from lamlab.leaves import _element_key
 from lamlab.pullback import canonical_lamination
 
 
@@ -257,6 +256,12 @@ class TestValidatePrelamination:
     def test_equals_pairwise_oracle(self, leaves, extra):
         L = Lamination(2, leaves | extra)
         assert validate_prelamination(L) == pairwise_violations(L)
+
+
+def _element_key(e):
+    if isinstance(e, Leaf):
+        return (0, e.a, e.b)
+    return (1, e.start, e.end)
 
 
 def half_edge_faces(L):

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -444,6 +445,13 @@ class TestInvariantGap:
         assert face.vertices == ()
         assert len(face.arcs) == 1
 
+    def test_sector_of_another_degree_rejected(self):
+        # the fixed points 1/3, 2/3 of a quartic sector are not on a cubic grid
+        state = canonical_lamination(FixedPointPortrait(3, ()), 2)
+        S = fixed_sectors(FixedPointPortrait(4, ()))[0]
+        with pytest.raises(ValueError, match="degree mismatch"):
+            invariant_gap(state, S)
+
 
 class TestStageInvariance:
     def test_canonical_stages_invariant(self):
@@ -597,6 +605,86 @@ def test_high_degree_documents_pinned(d, blocks, n, policy, digest):
     state = pullback(Lamination(d, P.hull_leaves), C, n, policy=policy)
     text = write_document(document_from_state(state))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def diagnostics_lines(state, sectors):
+    """The per-sector diagnostics of a state, one line each, exceptions included.
+
+    For every depth n >= 1 of the state truncated there: the `clp_checks`
+    report and each sector's gap report and `invariant_gap`; for every stage:
+    `classify_sector` on each sector.
+    """
+
+    def outcome(call):
+        try:
+            return repr(call())
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    lines = []
+    for n in range(1, state.depth + 1):
+        st = replace(state, stages=state.stages[: n + 1])
+        report = clp_checks(st)
+        lines.append(
+            repr((n, report.escape_failures, report.length_failures, report.max_new_length))
+        )
+        for i, (S, r) in enumerate(zip(sectors, report.sector_reports)):
+            lines.append(f"clp {n} {i} {r!r}")
+            lines.append(f"gap {n} {i} " + outcome(lambda: invariant_gap(st, S)))
+    for k, L in enumerate(state.stages):
+        for i, S in enumerate(sectors):
+            lines.append(
+                f"classify {k} {i} " + outcome(lambda: classify_sector(L, state.portrait, S))
+            )
+    return lines
+
+
+def diagnosed_state(key):
+    if key[0] == "canonical":
+        return canonical_lamination(FixedPointPortrait(key[1], key[2]), 3)
+    if key[0] == "mixed-quartic":
+        return replace(mixed_quartic_state(2), fpp=FixedPointPortrait(4, ()))
+    return replace(triangle_quartic_state(), fpp=FixedPointPortrait(4, ((0, 1),)))
+
+
+# SHA-256 prefixes of `diagnostics_lines`, recorded with the Fraction-arithmetic
+# checkers that the integer endpoint kernel replaced: every canonical state for
+# d <= 5 at depth 3, and the two hand-built quartic states with a portrait
+# attached, whose sectors reach the pinched-face filter of `_gap_witness`.
+GOLDEN_DIAGNOSTICS = {
+    ('canonical', 2, ()): '460e9d8d2a6525a3',
+    ('canonical', 3, ()): '5c3e0f84373ec495',
+    ('canonical', 3, ((0, 1),)): '9201c71f63a8dc95',
+    ('canonical', 4, ()): 'ec96271395ded07b',
+    ('canonical', 4, ((0, 1),)): '872502dbf8f5d529',
+    ('canonical', 4, ((0, 1, 2),)): 'd4b6841a13fa0a66',
+    ('canonical', 4, ((0, 2),)): '9b2c256c96a61dd4',
+    ('canonical', 4, ((1, 2),)): 'adea37f3f0df8cae',
+    ('canonical', 5, ()): '3f76d7c000faedf4',
+    ('canonical', 5, ((0, 1),)): '66fcfc9e4fcfd0ec',
+    ('canonical', 5, ((0, 1, 2),)): '3885ce039040f3ad',
+    ('canonical', 5, ((0, 1, 2, 3),)): 'e72b0e6a6961b2d5',
+    ('canonical', 5, ((0, 1, 3),)): 'fd3cdf82f940599c',
+    ('canonical', 5, ((0, 2),)): 'dc65bcc557b3e630',
+    ('canonical', 5, ((0, 2, 3),)): '955ef2a766709ec3',
+    ('canonical', 5, ((0, 3),)): '6c013ab854b22073',
+    ('canonical', 5, ((1, 2),)): '337fc27d41e87780',
+    ('canonical', 5, ((1, 2, 3),)): '4ecd46e00dbf6b42',
+    ('canonical', 5, ((1, 3),)): 'e873421a972274b8',
+    ('canonical', 5, ((2, 3),)): 'e48d276b6b6a45a7',
+    ('canonical', 5, ((0, 1), (2, 3))): '9b1f62d8dbfff314',
+    ('canonical', 5, ((0, 3), (1, 2))): '9f12056cb19923c7',
+    ('mixed-quartic',): 'e87240efbadbc633',
+    ('triangle-quartic',): '2620fdc773009b07',
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_DIAGNOSTICS))
+def test_sector_diagnostics_pinned(key):
+    state = diagnosed_state(key)
+    lines = diagnostics_lines(state, fixed_sectors(state.fpp))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == GOLDEN_DIAGNOSTICS[key]
 
 
 def test_import_does_not_load_numpy():
