@@ -37,9 +37,15 @@ def check_degree(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False)
 class CirclePoint:
-    """A point of R/Z, stored as a reduced fraction in [0, 1)."""
+    """A point of R/Z, stored as a reduced fraction in [0, 1).
+
+    Points compare by the integer terms of their values: equal terms for
+    `==`, and cross-multiplied terms for order, which is the order of the
+    values because both denominators are positive.  Comparing through
+    `Fraction` would pass every operand through the `numbers.Rational` checks.
+    """
 
     value: Fraction
 
@@ -54,6 +60,36 @@ class CirclePoint:
         # compute a modular inverse on every call
         v = self.value
         return hash((v.numerator, v.denominator))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        u, v = self.value, other.value
+        return u.numerator == v.numerator and u.denominator == v.denominator
+
+    def __lt__(self, other: CirclePoint) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        u, v = self.value, other.value
+        return u.numerator * v.denominator < v.numerator * u.denominator
+
+    def __le__(self, other: CirclePoint) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        u, v = self.value, other.value
+        return u.numerator * v.denominator <= v.numerator * u.denominator
+
+    def __gt__(self, other: CirclePoint) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        u, v = self.value, other.value
+        return u.numerator * v.denominator > v.numerator * u.denominator
+
+    def __ge__(self, other: CirclePoint) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        u, v = self.value, other.value
+        return u.numerator * v.denominator >= v.numerator * u.denominator
 
     def __add__(self, other: CirclePoint | Fraction | int) -> CirclePoint:
         return CirclePoint(self.value + _raw(other))
@@ -189,36 +225,36 @@ def parse_dnary(s: str, d: int) -> CirclePoint:
 def render_dnary(t: CirclePoint, d: int) -> DnaryString:
     """Base-d expansion of t with minimal preperiod and minimal period.
 
-    Runs the digit recursion x -> d*x mod 1, tracking exact remainders; the
-    first repeated remainder pins down both minimal lengths at once.  An
-    all-(d-1) repeating tail can never appear because remainders are exact.
+    Runs the digit recursion x -> d*x mod 1 on the numerator of x over its
+    fixed denominator q, tracking exact remainders; the first repeated
+    remainder pins down both minimal lengths at once.  An all-(d-1)
+    repeating tail can never appear because remainders are exact.
     """
     check_degree(d)
     if d > 10:
         raise ValueError("base-d strings are limited to d <= 10; use a p/q rational")
-    x = angle(t).value
-    seen: dict[Fraction, int] = {}
+    v = angle(t).value
+    x, q = v.numerator, v.denominator
+    seen: dict[int, int] = {}
     digits: list[int] = []
     while x not in seen:
         seen[x] = len(digits)
-        scaled = x * d
-        digit = int(scaled)
+        digit, x = divmod(x * d, q)
         digits.append(digit)
-        x = scaled - digit
     start = seen[x]
     return DnaryString(d, tuple(digits[:start]), tuple(digits[start:]))
 
 
-def _rational(text: str) -> Fraction | None:
-    """The value of an optionally signed ASCII integer or `p/q` with q != 0, else None.
+def _rational(text: str) -> tuple[int, int] | None:
+    """The terms (p, q) of an optionally signed ASCII integer or `p/q` with q > 0, else None.
 
-    Decimals and exponents are refused, so a short literal cannot expand
-    into a huge integer.
+    The terms are as written, not reduced.  Decimals and exponents are
+    refused, so a short literal cannot expand into a huge integer.
     """
     if not _RATIONAL.fullmatch(text):
         return None
     p, _, q = text.partition("/")
-    return Fraction(int(p), int(q or 1))
+    return int(p), int(q or 1)
 
 
 def parse_angle(text: str, d: int | None = None) -> CirclePoint:
@@ -232,7 +268,8 @@ def parse_angle(text: str, d: int | None = None) -> CirclePoint:
         if d is None:
             raise ValueError("a degree is required to parse a digit-string angle")
         return parse_dnary(text, d)
-    v = _rational(text)
-    if v is None:
+    terms = _rational(text)
+    if terms is None:
         raise ValueError(f"malformed angle literal {text!r}")
-    return CirclePoint(v % 1)
+    p, q = terms
+    return CirclePoint(Fraction(p % q, q))

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -247,9 +248,10 @@ def _cmd_rot_orbits(args: argparse.Namespace) -> int:
         raise _usage("period must be >= 1")
     p = None
     if args.rotation is not None:
-        rho = _rational(args.rotation.strip())
-        if rho is None:
+        terms = _rational(args.rotation.strip())
+        if terms is None:
             raise _usage(f"malformed rotation number {args.rotation!r}")
+        rho = Fraction(*terms)
         if rho.denominator != q or not 0 <= rho < 1:
             raise _usage(
                 f"rotation {args.rotation} is not of the form p/{q} in lowest terms"

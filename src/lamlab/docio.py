@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
+from typing import Iterable
 
 from . import __version__
 from .circle import CirclePoint, check_degree, parse_angle, render_dnary
@@ -75,7 +76,8 @@ class LaminationDocument:
                 raise ValueError("stage annotations must cover the leaves exactly")
             if any(s < 0 for s in st):
                 raise ValueError("stage annotations must be >= 0")
-            order = sorted(zip(ls, st))
+            # leaves are distinct, so the stages never break a tie
+            order = sorted(zip(ls, st), key=itemgetter(0))
             object.__setattr__(self, "leaves", tuple(l for l, _ in order))
             object.__setattr__(self, "stages", tuple(s for _, s in order))
         if self.portrait is not None and self.portrait.degree != self.degree:
@@ -116,9 +118,9 @@ def document_from_state(state: PullbackState, command: str = "") -> LaminationDo
     """Package a pullback state, tagging each leaf with its first stage."""
     first: dict[Leaf, int] = {}
     for k in range(state.depth + 1):
-        for l in state.frontier(k):
-            first.setdefault(l, k)
-    leaves = tuple(sorted(state.final.leaves))
+        # fromkeys and update reuse the hashes the frontier sets hold
+        first.update(dict.fromkeys(state.frontier(k), k))
+    leaves = state.final.sorted_leaves
     return LaminationDocument(
         degree=state.degree,
         leaves=leaves,
@@ -129,27 +131,19 @@ def document_from_state(state: PullbackState, command: str = "") -> LaminationDo
     )
 
 
-def _pair_block(pairs: list[list[str]]) -> str:
-    # one pair per line; json.dumps handles the string escaping
-    if not pairs:
-        return "[]"
-    body = ",\n".join("    " + json.dumps(p) for p in pairs)
-    return "[\n" + body + "\n  ]"
+def _pair_block(leaves: Iterable[Leaf]) -> str:
+    # one pair per line, as json.dumps would write it: `p/q` needs no escaping
+    body = ",\n".join(f'    ["{_fmt(l.a)}", "{_fmt(l.b)}"]' for l in leaves)
+    return "[\n" + body + "\n  ]" if body else "[]"
 
 
 def write_document(doc: LaminationDocument) -> str:
-    leaf_pairs = [[_fmt(l.a), _fmt(l.b)] for l in doc.leaves]
-    chord_pairs = (
-        None
-        if doc.portrait is None
-        else [[_fmt(c.a), _fmt(c.b)] for c in doc.portrait.sorted_chords]
-    )
     out = ["{"]
     out.append(f'  "degree": {doc.degree},')
-    out.append(f'  "leaves": {_pair_block(leaf_pairs)},')
+    out.append(f'  "leaves": {_pair_block(doc.leaves)},')
     out.append(
         '  "portrait": '
-        + ("null" if chord_pairs is None else _pair_block(chord_pairs))
+        + ("null" if doc.portrait is None else _pair_block(doc.portrait.sorted_chords))
         + ","
     )
     out.append(
@@ -210,8 +204,9 @@ def read_document(text: str) -> LaminationDocument:
     fpp = None
     if payload.get("fpp") is not None:
         raw_fpp = payload["fpp"]
+        # `type(i) is int` here and below refuses JSON booleans, which are ints
         if not isinstance(raw_fpp, list) or not all(
-            isinstance(b, list) and all(isinstance(i, int) for i in b) for b in raw_fpp
+            isinstance(b, list) and all(type(i) is int for i in b) for b in raw_fpp
         ):
             raise ValueError("'fpp' must be a list of index blocks")
         fpp = FixedPointPortrait(degree, tuple(tuple(b) for b in raw_fpp))
@@ -219,7 +214,7 @@ def read_document(text: str) -> LaminationDocument:
     if payload.get("stages") is not None:
         raw_stages = payload["stages"]
         if not isinstance(raw_stages, list) or not all(
-            isinstance(s, int) for s in raw_stages
+            type(s) is int for s in raw_stages
         ):
             raise ValueError("'stages' must be a list of integers")
         stages = tuple(raw_stages)
@@ -238,11 +233,10 @@ def read_document(text: str) -> LaminationDocument:
 
 
 def write_portrait(C: CriticalPortrait) -> str:
-    pairs = [[_fmt(c.a), _fmt(c.b)] for c in C.sorted_chords]
     return (
         "{\n"
         + f'  "degree": {C.degree},\n'
-        + f'  "chords": {_pair_block(pairs)}\n'
+        + f'  "chords": {_pair_block(C.sorted_chords)}\n'
         + "}\n"
     )
 
@@ -327,26 +321,32 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
     cx = cy = size / 2
     r = size * 0.46
 
-    def xy(t: CirclePoint) -> tuple[float, float]:
-        theta = 2 * math.pi * float(t.value)
+    # Angles enter as integer terms n/q.  Python's n / q is the correctly
+    # rounded value of the rational, so it equals float(Fraction(n, q)) for
+    # reduced and unreduced terms alike.
+    def xy(n: int, q: int) -> tuple[float, float]:
+        theta = 2 * math.pi * (n / q)
         return cx + r * math.cos(theta), cy - r * math.sin(theta)
 
     def chord_path(l: Leaf) -> str:
-        x1, y1 = xy(l.a)
-        x2, y2 = xy(l.b)
-        span = (l.b.value - l.a.value) % 1
-        if spec.style == "straight" or span == Fraction(1, 2):
+        u, v = l.a.value, l.b.value
+        na, qa, nb, qb = u.numerator, u.denominator, v.numerator, v.denominator
+        x1, y1 = xy(na, qa)
+        x2, y2 = xy(nb, qb)
+        # the span b - a = num/den lies in (0, 1) because a < b
+        num, den = nb * qa - na * qb, qa * qb
+        if spec.style == "straight" or 2 * num == den:
             return (
                 f'M {_coord(x1)} {_coord(y1)} L {_coord(x2)} {_coord(y2)}'
             )
         # run along the short side so the arc formula sees span <= 1/2
-        if span > Fraction(1, 2):
+        if 2 * num > den:
             (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
-            span = 1 - span
+            num = den - num
         # circle through both endpoints orthogonal to the main circle:
         # radius r*tan(pi*span), always the minor arc, sweeping clockwise
         # on screen when the start-to-end walk is the short way around
-        rho = r * math.tan(math.pi * float(span))
+        rho = r * math.tan(math.pi * (num / den))
         return (
             f'M {_coord(x1)} {_coord(y1)} '
             f'A {_coord(rho)} {_coord(rho)} 0 0 1 {_coord(x2)} {_coord(y2)}'
@@ -366,7 +366,8 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         by_depth.setdefault(s, []).append(l)
     for depth in sorted(by_depth, reverse=True):
         color = spec.leaf_color(depth)
-        for l in sorted(by_depth[depth]):
+        # doc.leaves is sorted, so each depth's list is too
+        for l in by_depth[depth]:
             lines.append(
                 f'<path d="{chord_path(l)}" fill="none" '
                 f'stroke="{color}" stroke-width="1.2"/>'
@@ -382,7 +383,7 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
 
     dot = max(2.0, size / 200)
     for i in range(d - 1):
-        fx, fy = xy(CirclePoint(Fraction(i, d - 1)))
+        fx, fy = xy(i, d - 1)
         lines.append(
             f'<circle cx="{_coord(fx)}" cy="{_coord(fy)}" r="{_coord(dot)}" '
             f'fill="{spec.fixed_point_color}"/>'
@@ -393,7 +394,7 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         rr = r * 1.07
         fs = max(8, size // 55)
         for p in pts:
-            theta = 2 * math.pi * float(p.value)
+            theta = 2 * math.pi * (p.value.numerator / p.value.denominator)
             lx = cx + rr * math.cos(theta)
             ly = cy - rr * math.sin(theta)
             text = _fmt(p) if spec.labels == "rational" else str(render_dnary(p, d))

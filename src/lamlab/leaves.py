@@ -51,9 +51,12 @@ class Leaf:
 
     def __post_init__(self) -> None:
         pa, pb = angle(self.a), angle(self.b)
-        if pa == pb:
+        # one cross-multiplication of the reduced terms decides = and <
+        u, v = pa.value, pb.value
+        lhs, rhs = u.numerator * v.denominator, v.numerator * u.denominator
+        if lhs == rhs:
             raise ValueError(f"degenerate leaf at {pa}")
-        if pb < pa:
+        if rhs < lhs:
             pa, pb = pb, pa
         object.__setattr__(self, "a", pa)
         object.__setattr__(self, "b", pb)

@@ -9,6 +9,7 @@ import json
 import time
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -444,3 +445,31 @@ class TestAcceptance:
             ok = True
         finally:
             announce(capsys, 12, "repeated CLI runs are byte-identical", ok)
+
+    def test_ac13_correspondence_counts(self, capsys):
+        # The degree-d Multibrot set has d - 1 limbs of each rotation number
+        # p/q, so exactly d - 1 orbits of each p/q admit a unicritical anchor;
+        # each anchored orbit comes back from its maximally critical partner.
+        grid = [(2, 5), (2, 7), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (4, 5)]
+        grid += [(5, 3), (5, 4), (6, 3), (7, 2), (7, 3), (8, 2)]
+        ok = False
+        try:
+            for d, q in grid:
+                for p in (p for p in range(1, q) if gcd(p, q) == 1):
+                    anchored = []
+                    for orb in enumerate_rotational_orbits(d, q, p):
+                        verts = unicritical_anchor(d, orb)
+                        if verts is not None:
+                            anchored.append((orb, verts))
+                    assert len(anchored) == d - 1, (d, q, p, len(anchored))
+                    for orb, verts in anchored:
+                        F0 = Lamination(d, frozenset(orb.hull_sides()))
+                        sides = (Leaf(*verts),) if d == 2 else Polygon(verts).sides
+                        C = CriticalPortrait(d, frozenset(sides))
+                        state = pullback(F0, C, 2)
+                        there = uni_to_max(state, orb)
+                        back = max_to_uni(state, Polygon(there.max_polygon.points))
+                        assert back.polygon.points == orb.points, (d, q, p, orb)
+            ok = True
+        finally:
+            announce(capsys, 13, "d-1 anchored orbits per p/q, each round trips", ok)

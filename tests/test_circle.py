@@ -1,7 +1,9 @@
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lamlab.circle import (
@@ -17,6 +19,7 @@ from lamlab.circle import (
     render_dnary,
     sigma,
 )
+from lamlab.leaves import Leaf
 
 F = Fraction
 
@@ -64,6 +67,67 @@ class TestCirclePoint:
     def test_ordering_is_by_representative(self):
         assert fr(1, 8) < fr(7, 8)
         assert sorted([fr(3, 4), fr(0), fr(1, 2)]) == [fr(0), fr(1, 2), fr(3, 4)]
+
+
+@dataclass(frozen=True, order=True)
+class FractionPoint:
+    """The comparisons CirclePoint had before it compared integer terms.
+
+    They are the dataclass-generated ones over the `Fraction` value, kept
+    here as the oracle for the hand-written ones.
+    """
+
+    value: Fraction
+
+
+# a point spelled as an unreduced literal p*k/q*k shifted by m turns, so
+# equal points arrive through different spellings and different denominators
+spelled = st.builds(
+    lambda p, q, k, m: f"{p * k + m * q * k}/{q * k}",
+    st.integers(0, 40),
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.integers(-2, 2),
+)
+COMPARISONS = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
+
+
+class TestComparisonOracle:
+    @given(spelled, spelled)
+    @example("1/2", "2/4")
+    @example("-1/3", "2/3")
+    @example("0", "7/7")
+    def test_matches_fraction_comparisons(self, s, t):
+        x, y = parse_angle(s), parse_angle(t)
+        fx, fy = FractionPoint(Fraction(s) % 1), FractionPoint(Fraction(t) % 1)
+        for op in COMPARISONS:
+            assert op(x, y) == op(fx, fy), (op.__name__, s, t)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @pytest.mark.parametrize("other", [Fraction(1, 2), 0, 1])
+    def test_other_types_do_not_compare(self, other):
+        p = fr(1, 2) if isinstance(other, Fraction) else fr(0)
+        assert p != other and not p == other
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(p, other)
+            with pytest.raises(TypeError):
+                op(other, p)
+
+    @given(st.lists(st.tuples(spelled, spelled), max_size=12))
+    def test_leaf_order_is_endpoint_value_order(self, raw):
+        leaves = []
+        for s, t in raw:
+            x, y = parse_angle(s), parse_angle(t)
+            if x == y:
+                with pytest.raises(ValueError, match="degenerate"):
+                    Leaf(x, y)
+                continue
+            l = Leaf(x, y)
+            assert (l.a.value, l.b.value) == tuple(sorted((x.value, y.value)))
+            leaves.append(l)
+        assert sorted(leaves) == sorted(leaves, key=lambda l: (l.a.value, l.b.value))
 
 
 class TestSigma:
@@ -227,6 +291,10 @@ class TestParseAngle:
         st.sampled_from(["", "+", "-"]),
         st.integers(0, 3),
     )
+    @example(-7, 3, "", 0)  # negative
+    @example(10, 4, "", 0)  # unreduced and out of range
+    @example(9, 2, "+", 1)  # out of range, signed, zero-padded denominator
+    @example(-6, 3, "", 0)  # a negative integer in disguise
     def test_gated_literal_equals_fraction(self, p, q, sign, zeros):
         # every literal the gate admits reads as Fraction(text) mod 1
         text = sign + str(abs(p)) if sign else str(p)

@@ -286,6 +286,15 @@ class TestLamCheck:
             ('{"degree": 3, "leaves": [], "portrait": 5}', "must be a list"),
             ('{"degree": 3, "leaves": [], "fpp": [1]}', "must be a list"),
             ('{"degree": 1, "leaves": []}', "degree must be an integer >= 2"),
+            # JSON booleans are not stage numbers or fixed point indices
+            (
+                '{"degree": 2, "leaves": [["1/7", "2/7"]], "stages": [true]}',
+                "'stages' must be a list of integers",
+            ),
+            (
+                '{"degree": 3, "leaves": [], "fpp": [[true, false]]}',
+                "'fpp' must be a list of index blocks",
+            ),
         ],
     )
     def test_malformed_fields_fail_with_report(self, capsys, tmp_path, text, message):
