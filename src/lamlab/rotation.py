@@ -5,6 +5,13 @@ from their base-d digit itineraries, major and minor leaves, co-roots found
 on the boundary of the central gap of a unicritical lamination, and the
 translation between a unicritical rotational q-gon and its maximally
 critical q(d'-1)-gon.
+
+Everything runs on integer numerators over a common denominator D, where
+the d-tupling map is x -> d*x mod D: the points of a period-q orbit lie on
+the grid over d^q - 1.  Each RotationalOrbit keeps one such view, its
+sorted points as numerators over their least common denominator.
+CirclePoint, Leaf and Face objects are built only for returned values and
+error messages.
 """
 
 from __future__ import annotations
@@ -13,10 +20,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .circle import CirclePoint, angle, check_degree, fixed_points, in_arc, orbit, sigma
-from .leaves import Face, Leaf, Polygon, faces, leaf_image, leaves_cross
+from .circle import CirclePoint, angle, check_degree, fixed_points, in_arc
+from .leaves import Face, Leaf, Polygon, _face, _face_sweep, _leaf, _point, _scaled_pair
 from .pullback import CriticalPortrait, PullbackState, critical_sectors
 
 
@@ -36,6 +43,36 @@ class MajorTieError(ValueError):
         self.candidates = candidates
 
 
+def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator D of the values, and each value's numerator over D."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def _rotation(d: int, D: int, nums: Sequence[int]) -> Fraction:
+    """The rotation number of the sorted distinct points nums[i]/D.
+
+    x -> d*x mod D must permute them with a constant index shift p; the
+    result is p/q.  Raises NotRotational at the first point whose image
+    leaves the set or whose shift differs from the earlier ones.
+    """
+    if not nums:
+        raise ValueError("rotation number needs at least one point")
+    q = len(nums)
+    index = {x: i for i, x in enumerate(nums)}
+    shift: int | None = None
+    for i, x in enumerate(nums):
+        j = index.get(d * x % D)
+        if j is None:
+            raise NotRotational(f"the image of point {i} ({_point(x, D)}) leaves the set", i)
+        s = (j - i) % q
+        if shift is None:
+            shift = s
+        elif s != shift:
+            raise NotRotational(f"the index shift breaks at point {i} ({_point(x, D)})", i)
+    return Fraction(shift, q)
+
+
 def rotation_number(d: int, points: Iterable[CirclePoint | Fraction]) -> Fraction:
     """Combinatorial rotation number of a finite forward-invariant set.
 
@@ -44,23 +81,8 @@ def rotation_number(d: int, points: Iterable[CirclePoint | Fraction]) -> Fractio
     has rotation number 0.  Raises NotRotational otherwise.
     """
     check_degree(d)
-    pts = sorted({angle(x) for x in points})
-    if not pts:
-        raise ValueError("rotation number needs at least one point")
-    q = len(pts)
-    index = {x: i for i, x in enumerate(pts)}
-    shift: int | None = None
-    for i, x in enumerate(pts):
-        j = index.get(sigma(d, x))
-        if j is None:
-            raise NotRotational(f"the image of point {i} ({x}) leaves the set", i)
-        s = (j - i) % q
-        if shift is None:
-            shift = s
-        elif s != shift:
-            raise NotRotational(f"the index shift breaks at point {i} ({x})", i)
-    assert shift is not None
-    return Fraction(shift, q)
+    D, nums = _numerators([angle(x).value for x in points])
+    return _rotation(d, D, sorted(set(nums)))
 
 
 @dataclass(frozen=True)
@@ -68,7 +90,9 @@ class RotationalOrbit:
     """A finite rotational set: sorted points plus their rotation number.
 
     Despite the name this may hold several periodic orbits at once, as long
-    as the union still rotates with one constant shift.
+    as the union still rotates with one constant shift.  The integer view
+    `_scaled` is (D, nums): the least common denominator of the points and
+    the sorted numerators over it.
     """
 
     degree: int
@@ -77,24 +101,81 @@ class RotationalOrbit:
 
     def __post_init__(self) -> None:
         check_degree(self.degree)
-        pts = tuple(sorted({angle(x) for x in self.points}))
-        if len(pts) != len(tuple(self.points)):
+        pts = [angle(x) for x in self.points]
+        D, nums = _numerators([t.value for t in pts])
+        if len(set(nums)) != len(nums):
             raise ValueError("rotational set points must be distinct")
-        object.__setattr__(self, "points", pts)
-        rho = rotation_number(self.degree, pts)
+        order = sorted(range(len(nums)), key=nums.__getitem__)
+        view = (D, tuple(nums[i] for i in order))
+        object.__setattr__(self, "points", tuple(pts[i] for i in order))
+        rho = _rotation(self.degree, *view)
         if self.rotation is None:
             object.__setattr__(self, "rotation", rho)
         elif Fraction(self.rotation) != rho:
             raise ValueError(f"stated rotation {self.rotation} but the set rotates by {rho}")
+        object.__setattr__(self, "_scaled", view)
 
     def hull_sides(self) -> tuple[Leaf, ...]:
         """Sides of the convex hull; a pair gives one leaf, a point none."""
         pts = self.points
-        if len(pts) == 1:
-            return ()
-        if len(pts) == 2:
-            return (Leaf(pts[0], pts[1]),)
-        return Polygon(pts).sides
+        if len(pts) < 3:
+            return (Leaf(*pts),) if len(pts) == 2 else ()
+        return tuple(Leaf(a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
+def _orbit(
+    d: int, D: int, nums: tuple[int, ...], rotation: Fraction | None = None
+) -> RotationalOrbit:
+    """The orbit with sorted distinct points nums[i]/D, built from its integer view.
+
+    The view is reduced to the least common denominator.  A missing rotation
+    is derived, and so checked, as RotationalOrbit does; a given one is trusted.
+    """
+    g = math.gcd(D, *nums)
+    if g > 1:
+        D, nums = D // g, tuple(x // g for x in nums)
+    if rotation is None:
+        rotation = _rotation(d, D, nums)
+    orb = object.__new__(RotationalOrbit)
+    object.__setattr__(orb, "degree", d)
+    object.__setattr__(orb, "points", tuple(_point(x, D) for x in nums))
+    object.__setattr__(orb, "rotation", rotation)
+    object.__setattr__(orb, "_scaled", (D, nums))
+    return orb
+
+
+def _sides(nums: Sequence[int]) -> list[tuple[int, int]]:
+    """The hull sides of sorted numerators as pairs, in `hull_sides` order."""
+    if len(nums) < 3:
+        return [tuple(nums)] if len(nums) == 2 else []
+    return list(zip(nums, nums[1:])) + [(nums[0], nums[-1])]
+
+
+def _itineraries(d: int, q: int, p: int) -> list[tuple[int, ...]]:
+    """The p/q orbits as sorted numerator tuples over d^q - 1, in increasing order.
+
+    The sorted points x_0 < ... < x_{q-1} of a p/q orbit have nondecreasing
+    first base-d digits D_i, and x_i is the repeating expansion D_i D_{i+p}
+    D_{i+2p} ... (indices mod q).  So x_0 reads the digits in that order,
+    and shifting the expansion gives x_{i+p} = d*x_i mod (d^q - 1).  Each
+    nondecreasing digit tuple whose points come out strictly increasing and
+    below 1 is one orbit, and each orbit arises once.
+    """
+    Q = d**q - 1
+    hops = [k * p % q for k in range(q)]
+    out = []
+    for digits in itertools.combinations_with_replacement(range(d), q):
+        x = 0
+        for i in hops:
+            x = x * d + digits[i]
+        nums = [0] * q
+        for i in hops:
+            nums[i] = x
+            x = d * x % Q
+        if nums[-1] < Q and all(a < b for a, b in zip(nums, nums[1:])):
+            out.append(tuple(nums))
+    out.sort()
+    return out
 
 
 def enumerate_rotational_orbits(
@@ -102,11 +183,10 @@ def enumerate_rotational_orbits(
 ) -> list[RotationalOrbit]:
     """All single rotational orbits of exact period q (rotation p/q if given), sorted.
 
-    The sorted points x_0 < ... < x_{q-1} of a p/q orbit have nondecreasing
-    first base-d digits D_i, and x_i is the repeating expansion D_i D_{i+p}
-    D_{i+2p} ... (indices mod q).  So each nondecreasing digit tuple whose
-    points come out strictly increasing and below 1 is one orbit, and each
-    orbit arises once: C(q+d-2, d-2) per rotation number (Goldberg).
+    Each rotation number p/q contributes the orbits of `_itineraries`, built
+    from nondecreasing base-d digit tuples: C(q+d-2, d-2) of them (Goldberg).
+    The orbits are sorted by their numerators over d^q - 1, which is the
+    order of their points.
     """
     check_degree(d)
     if q < 1:
@@ -116,18 +196,10 @@ def enumerate_rotational_orbits(
             raise ValueError("numerator out of range")
         if math.gcd(p, q) != 1:
             raise ValueError(f"numerator {p} and period {q} share a factor")
-    denom = d**q - 1
-    out: list[RotationalOrbit] = []
-    for s in [p] if p is not None else [s for s in range(q) if math.gcd(s, q) == 1]:
-        for digits in itertools.combinations_with_replacement(range(d), q):
-            nums = [
-                sum(digits[(i + k * s) % q] * d ** (q - 1 - k) for k in range(q))
-                for i in range(q)
-            ]
-            if nums[-1] < denom and all(a < b for a, b in zip(nums, nums[1:])):
-                points = tuple(angle(Fraction(n, denom)) for n in nums)
-                out.append(RotationalOrbit(d, points, Fraction(s, q)))
-    return sorted(out, key=lambda o: o.points)
+    rotations = [p] if p is not None else [s for s in range(q) if math.gcd(s, q) == 1]
+    found = sorted((nums, s) for s in rotations for nums in _itineraries(d, q, s))
+    Q = d**q - 1
+    return [_orbit(d, Q, nums, Fraction(s, q)) for nums, s in found]
 
 
 @dataclass(frozen=True)
@@ -138,6 +210,52 @@ class MajorMinor:
     sides: tuple[Leaf, ...]
     major: Leaf
     minor: Leaf
+
+
+def _image(d: int, D: int, side: tuple[int, int]) -> tuple[int, int] | int:
+    """The image pair of a side over D, sorted; the point when it collapses."""
+    u, v = d * side[0] % D, d * side[1] % D
+    if u == v:
+        return u
+    return (u, v) if u < v else (v, u)
+
+
+def _check_sides(d: int, D: int, sides: Sequence[tuple[int, int]]) -> None:
+    """Raise ValueError unless the image of every side over D is one of the sides."""
+    present = set(sides)
+    for s in sides:
+        img = _image(d, D, s)
+        if isinstance(img, int):
+            raise ValueError(f"side {_leaf(s, D)} collapses to a point")
+        if img not in present:
+            raise ValueError(f"side {_leaf(s, D)} maps to {_leaf(img, D)}, outside the collection")
+
+
+def _closest(d: int, D: int, sides: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The sorted distinct sides over D closest to critical length, as major_minor ranks them.
+
+    A length n/D is at least 1/(d+1) when n*(d+1) >= D, and its distance
+    to 1/d is |d*n - D| / (d*D).
+    """
+    lengths = [min(y - x, D - y + x) for x, y in sides]
+    pool = [i for i, n in enumerate(lengths) if n * (d + 1) >= D]
+    if not pool:
+        longest = max(lengths)
+        pool = [i for i, n in enumerate(lengths) if n == longest]
+    gaps = {i: abs(d * lengths[i] - D) for i in pool}
+    best = min(gaps.values())
+    return sorted(sides[i] for i in pool if gaps[i] == best)
+
+
+def _major(d: int, D: int, sides: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The one side of `_closest`; raises MajorTieError when several tie."""
+    winners = _closest(d, D, sides)
+    if len(winners) > 1:
+        raise MajorTieError(
+            f"{len(winners)} sides are equally close to length 1/{d}",
+            tuple(_leaf(w, D) for w in winners),
+        )
+    return winners[0]
 
 
 def major_minor(d: int, sides: Iterable[Leaf]) -> MajorMinor:
@@ -151,34 +269,31 @@ def major_minor(d: int, sides: Iterable[Leaf]) -> MajorMinor:
     side_set = frozenset(sides)
     if not side_set:
         raise ValueError("empty side collection")
-    for s in side_set:
-        img = leaf_image(d, s)
-        if not isinstance(img, Leaf):
-            raise ValueError(f"side {s} collapses to a point")
-        if img not in side_set:
-            raise ValueError(f"side {s} maps to {img}, outside the collection")
-    floor = Fraction(1, d + 1)
-    candidates = [s for s in side_set if s.length >= floor]
-    if not candidates:
-        longest = max(s.length for s in side_set)
-        candidates = [s for s in side_set if s.length == longest]
-    target = Fraction(1, d)
-    best = min(abs(s.length - target) for s in candidates)
-    winners = sorted(s for s in candidates if abs(s.length - target) == best)
-    if len(winners) > 1:
-        raise MajorTieError(
-            f"{len(winners)} sides are equally close to length 1/{d}", tuple(winners)
-        )
-    major = winners[0]
-    minor = leaf_image(d, major)
-    assert isinstance(minor, Leaf)
-    return MajorMinor(d, tuple(sorted(side_set)), major, minor)
+    D, nums = _numerators([t.value for s in side_set for t in s.endpoints])
+    pairs = list(zip(nums[::2], nums[1::2]))
+    _check_sides(d, D, pairs)
+    by_pair = dict(zip(pairs, side_set))
+    major = _major(d, D, pairs)
+    return MajorMinor(
+        d,
+        tuple(by_pair[s] for s in sorted(pairs)),
+        by_pair[major],
+        by_pair[_image(d, D, major)],
+    )
 
 
 def major_length_bound_check(d: int, major: Leaf) -> bool:
     """Whether the major's length is within 1/(d(d+1)) of the critical length 1/d."""
     check_degree(d)
     return abs(Fraction(1, d) - major.length) <= Fraction(1, d * (d + 1))
+
+
+def _cross(l1: tuple[int, int], l2: tuple[int, int]) -> bool:
+    """Strict interleaving of two integer chords x < y; sharing an endpoint never crosses."""
+    (a, b), (x, y) = l1, l2
+    if x == a or x == b or y == a or y == b:
+        return False
+    return (a < x < b) != (a < y < b)
 
 
 def unicritical_anchor(d: int, orbit: RotationalOrbit) -> tuple[CirclePoint, ...] | None:
@@ -189,22 +304,24 @@ def unicritical_anchor(d: int, orbit: RotationalOrbit) -> tuple[CirclePoint, ...
     tried, the smaller first; a tied major contributes every tied side's
     endpoints.  Returns None when no placement works, which is exactly the
     situation where the orbit admits no unicritical lamination of this
-    degree.
+    degree.  Over the orbit's view (D, nums) the gon's vertices are
+    d*a + j*D over d*D.
     """
     check_degree(d)
-    sides = orbit.hull_sides()
+    D, nums = orbit._scaled
+    sides = _sides(nums)
     if not sides:
         return None
-    try:
-        anchors = list(major_minor(d, sides).major.endpoints)
-    except MajorTieError as tie:
-        anchors = sorted({p for s in tie.candidates for p in s.endpoints})
-    step = Fraction(1, d)
-    for anchor in anchors:
-        verts = tuple(sorted(anchor + step * j for j in range(d)))
-        gon = [Leaf(verts[i], verts[(i + 1) % d]) for i in range(d)]
-        if not any(leaves_cross(g, s) for g in gon for s in sides):
-            return verts
+    if d != orbit.degree:
+        # only the orbit's own map is known to carry its sides onto each other
+        _check_sides(d, D, [_scaled_pair(s, D) for s in frozenset(orbit.hull_sides())])
+    anchors = sorted({x for side in _closest(d, D, sides) for x in side})
+    hull = [(d * x, d * y) for x, y in sides]
+    for a in anchors:
+        verts = sorted((d * a + j * D) % (d * D) for j in range(d))
+        gon = list(zip(verts, verts[1:])) + [(verts[0], verts[-1])]
+        if not any(_cross(g, s) for g in gon for s in hull):
+            return tuple(_point(v, d * D) for v in verts)
     return None
 
 
@@ -224,6 +341,43 @@ class CoRootSet:
             )
 
 
+def _regrid(x: int, D: int, E: int) -> int | None:
+    """The numerator over E of the point x/D, or None when it is not on that grid."""
+    n = x * E
+    return None if n % D else n // D
+
+
+def _central_gap(
+    state: PullbackState, polygon: RotationalOrbit
+) -> tuple[tuple[int, int], list[tuple[int, ...]], tuple[CirclePoint, ...]]:
+    """The polygon's major over its view, and central_gap's face as a `_face_sweep` boundary."""
+    if state.degree != polygon.degree:
+        raise ValueError("degree mismatch between lamination and polygon")
+    if polygon.rotation == 0:
+        raise ValueError("the polygon must have nonzero rotation number")
+    D, nums = polygon._scaled
+    major = _major(state.degree, D, _sides(nums))
+    L = state.final
+    DL = L.scaled[0]
+    # a point off the stage's grid is no vertex of any face
+    ends = {_regrid(x, D, DL) for x in major}
+    wanted = [
+        (group, ends | {_regrid(t.value.numerator, t.value.denominator, DL) for t in group})
+        for group in state.portrait.vertex_groups
+    ]
+    hits = []
+    for boundary in _face_sweep(L):
+        verts = {v for e in boundary if e[0] == 0 for v in e[1:3]}
+        if ends <= verts:
+            hits += [(boundary, group) for group, want in wanted if want <= verts]
+    if len(hits) != 1:
+        raise ValueError(
+            f"central gap not identified: {len(hits)} candidate faces "
+            "(insufficient depth or incompatible polygon)"
+        )
+    return major, *hits[0]
+
+
 def central_gap(
     state: PullbackState, polygon: RotationalOrbit
 ) -> tuple[Face, tuple[CirclePoint, ...]]:
@@ -234,26 +388,64 @@ def central_gap(
     the critical portrait.  Vertex membership, not mere closure, is required:
     a shallow stage can sweep a wanted point inside a boundary arc without
     ever resolving the gap.  Exactly one such face must exist; anything else
-    signals insufficient depth or an incompatible polygon.
+    signals insufficient depth or an incompatible polygon.  The search reads
+    the `_face_sweep` boundaries of the deepest stage by their integer vertex
+    sets, a point off that stage's grid being no vertex of any face, and
+    builds the Face of the one hit only.
     """
-    if state.degree != polygon.degree:
-        raise ValueError("degree mismatch between lamination and polygon")
-    if polygon.rotation == 0:
-        raise ValueError("the polygon must have nonzero rotation number")
-    mm = major_minor(state.degree, polygon.hull_sides())
-    hits: list[tuple[Face, tuple[CirclePoint, ...]]] = []
-    subdivision = faces(state.final)
-    for group in state.portrait.vertex_groups:
-        wanted = set(group) | set(mm.major.endpoints)
-        for f in subdivision:
-            if wanted <= set(f.vertices):
-                hits.append((f, group))
-    if len(hits) != 1:
+    _, boundary, group = _central_gap(state, polygon)
+    return _face(state.final, boundary), group
+
+
+def _coroots(
+    state: PullbackState, polygon: RotationalOrbit
+) -> tuple[list[tuple[int, ...]], tuple[CirclePoint, ...], int, list[int]]:
+    """find_coroots on integers: (gap boundary, group, Q, sorted co-roots over Q = d^q - 1)."""
+    major, boundary, group = _central_gap(state, polygon)
+    d = state.degree
+    q = len(polygon.points)
+    if polygon.rotation.denominator != q:
+        raise ValueError(f"the polygon's {q} points form several cycles")
+    local_degree = len(group)
+    # one q-cycle lies on the grid over Q = d^q - 1; the candidates and the
+    # gap boundary, over the stage's DL, meet on the grid over M
+    Q = d**q - 1
+    D = polygon._scaled[0]
+    majors = {x * (Q // D) for x in major}
+    DL = state.final.scaled[0]
+    M = math.lcm(DL, Q)
+    up, lift = M // DL, M // Q
+    verts = {v * up for e in boundary if e[0] == 0 for v in e[1:3]}
+    arcs = [(e[1] * up, (e[2] - e[1]) % DL * up) for e in boundary if e[0] == 1]
+
+    def on_closure(x: int) -> bool:
+        x *= lift
+        return x in verts or any((x - u) % M <= span for u, span in arcs)
+
+    found: list[int] = []
+    for candidate in _itineraries(d, q, polygon.rotation.numerator):
+        for x in candidate:
+            if x in majors or not on_closure(x):
+                continue
+            # first return to the gap boundary must land back on x itself
+            y = d * x % Q
+            while not on_closure(y):
+                y = d * y % Q
+            if y == x:
+                found.append(x)
+    if len(found) != local_degree - 2:
         raise ValueError(
-            f"central gap not identified: {len(hits)} candidate faces "
-            "(insufficient depth or incompatible polygon)"
+            f"found {len(found)} co-roots where {local_degree - 2} were expected "
+            "(insufficient depth or non-canonical input)"
         )
-    return hits[0]
+    if local_degree == d:
+        for x, y in itertools.combinations(found, 2):
+            gap = (y - x) % Q
+            if min(gap, Q - gap) * d <= Q:
+                raise ValueError(
+                    f"co-roots {_point(x, Q)} and {_point(y, Q)} are within 1/{d} of each other"
+                )
+    return boundary, group, Q, sorted(found)
 
 
 def find_coroots(state: PullbackState, polygon: RotationalOrbit) -> CoRootSet:
@@ -264,35 +456,16 @@ def find_coroots(state: PullbackState, polygon: RotationalOrbit) -> CoRootSet:
     not a major endpoint.  The local degree d' is the size of the
     all-critical group on the gap, and exactly d' - 2 co-roots must appear.
     In the global case (d' = d) their pairwise distances must exceed 1/d.
+    The candidates are the points of the orbits with the polygon's rotation
+    number, as numerators over Q = d^q - 1.  Closure on the gap (a vertex,
+    or a point of a closed boundary arc) is an integer test on the grid over
+    lcm(Q, D), D the deepest stage's denominator; the first return runs
+    x -> d*x mod Q, and the spacing compares distances over Q with Q/d.
+    The polygon's major is ranked once, for the gap and the co-roots.
     """
-    gap, group = central_gap(state, polygon)
-    d = state.degree
-    q = len(polygon.points)
-    if polygon.rotation.denominator != q:
-        raise ValueError(f"the polygon's {q} points form several cycles")
-    local_degree = len(group)
-    mm = major_minor(d, polygon.hull_sides())
-    found: list[CirclePoint] = []
-    for candidate in enumerate_rotational_orbits(d, q, polygon.rotation.numerator):
-        for x in candidate.points:
-            if not gap.on_closure(x) or x in mm.major.endpoints:
-                continue
-            # first return to the gap boundary must land back on x itself
-            y = sigma(d, x)
-            while not gap.on_closure(y):
-                y = sigma(d, y)
-            if y == x:
-                found.append(x)
-    if len(found) != local_degree - 2:
-        raise ValueError(
-            f"found {len(found)} co-roots where {local_degree - 2} were expected "
-            "(insufficient depth or non-canonical input)"
-        )
-    if local_degree == d:
-        for a, b in itertools.combinations(found, 2):
-            if a.distance(b) <= Fraction(1, d):
-                raise ValueError(f"co-roots {a} and {b} are within 1/{d} of each other")
-    return CoRootSet(gap, group, tuple(sorted(found)), local_degree)
+    boundary, group, Q, found = _coroots(state, polygon)
+    coroots = tuple(_point(x, Q) for x in found)
+    return CoRootSet(_face(state.final, boundary), group, coroots, len(group))
 
 
 @dataclass(frozen=True)
@@ -318,40 +491,52 @@ class CorrespondencePair:
             raise ValueError("co-root count disagrees with the local degree")
 
 
-def _side_orbits(d: int, sides: tuple[Leaf, ...]) -> list[tuple[Leaf, ...]]:
-    """Partition polygon sides into forward-image cycles."""
+def _cycle(d: int, D: int, x: int) -> list[int]:
+    """The cycle of a periodic point x over D under x -> d*x mod D, starting at x."""
+    out = [x]
+    y = d * x % D
+    while y != x:
+        out.append(y)
+        y = d * y % D
+    return out
+
+
+def _side_cycles(
+    d: int, D: int, sides: Sequence[tuple[int, int]]
+) -> list[list[tuple[int, int]]]:
+    """Partition polygon side pairs over D into forward-image cycles."""
     side_set = set(sides)
     left = set(sides)
-    orbits: list[tuple[Leaf, ...]] = []
+    cycles: list[list[tuple[int, int]]] = []
     while left:
         s = min(left)
         cycle = [s]
         left.discard(s)
-        t = leaf_image(d, s)
+        t = _image(d, D, s)
         while t != s:
-            if not isinstance(t, Leaf) or t not in side_set:
-                raise ValueError(f"side image {t} is not a side of the polygon")
+            if isinstance(t, int) or t not in side_set:
+                img = _point(t, D) if isinstance(t, int) else _leaf(t, D)
+                raise ValueError(f"side image {img} is not a side of the polygon")
             cycle.append(t)
             left.discard(t)
-            t = leaf_image(d, t)
-        orbits.append(tuple(cycle))
-    return orbits
+            t = _image(d, D, t)
+        cycles.append(cycle)
+    return cycles
 
 
 def _majors(
     d: int, grown: RotationalOrbit, q: int, local_degree: int
-) -> tuple[tuple[Leaf, ...], set[CirclePoint]]:
-    """The sorted majors of the sides' d' - 1 cycles of period q, and the endpoints they share."""
-    orbits = _side_orbits(d, grown.hull_sides())
-    if len(orbits) != local_degree - 1 or any(len(o) != q for o in orbits):
+) -> tuple[list[tuple[int, int]], set[int]]:
+    """The sorted majors of the sides' d' - 1 cycles of period q, and the endpoints they share.
+
+    Both are over the view of `grown`.
+    """
+    D, nums = grown._scaled
+    cycles = _side_cycles(d, D, _sides(nums))
+    if len(cycles) != local_degree - 1 or any(len(c) != q for c in cycles):
         raise ValueError("sides do not split into d' - 1 cycles of the period")
-    majors = tuple(sorted(major_minor(d, o).major for o in orbits))
-    shared = {
-        x
-        for m1, m2 in itertools.combinations(majors, 2)
-        for x in m1.endpoints
-        if m2.has_endpoint(x)
-    }
+    majors = sorted(_major(d, D, c) for c in cycles)
+    shared = {x for m1, m2 in itertools.combinations(majors, 2) for x in m1 if x in m2}
     return majors, shared
 
 
@@ -364,28 +549,30 @@ def uni_to_max(state: PullbackState, polygon: RotationalOrbit) -> Correspondence
     per-cycle majors must chain through the co-roots as shared endpoints.
     """
     d = state.degree
-    crs = find_coroots(state, polygon)
+    _, group, Q, coroots = _coroots(state, polygon)
     q = len(polygon.points)
-    local_degree = crs.local_degree
-    verts = set(polygon.points)
-    for c in crs.coroots:
-        verts.update(orbit(d, c)[1])
+    local_degree = len(group)
+    D, nums = polygon._scaled
+    verts = {x * (Q // D) for x in nums}
+    for c in coroots:
+        verts.update(_cycle(d, Q, c))
     if len(verts) != q * (local_degree - 1):
         raise ValueError(
             f"combined vertex count {len(verts)} != {q} * ({local_degree} - 1)"
         )
-    grown = RotationalOrbit(d, tuple(sorted(verts)))
+    grown = _orbit(d, Q, tuple(sorted(verts)))
     if grown.rotation != polygon.rotation:
         raise ValueError("rotation number changed while adding co-root orbits")
     majors, shared = _majors(d, grown, q, local_degree)
-    if shared != set(crs.coroots):
+    G = grown._scaled[0]
+    if shared != {c * G // Q for c in coroots}:
         raise ValueError("major leaves do not chain through the co-roots")
     return CorrespondencePair(
         polygon=polygon,
-        all_critical=crs.all_critical,
+        all_critical=group,
         max_polygon=grown,
-        majors=majors,
-        coroots=crs.coroots,
+        majors=tuple(_leaf(m, G) for m in majors),
+        coroots=tuple(_point(c, Q) for c in coroots),
         local_degree=local_degree,
     )
 
@@ -401,10 +588,11 @@ def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
     grown = RotationalOrbit(d, gon.vertices)
     if grown.rotation == 0:
         raise ValueError("the polygon does not rotate")
-    vertex_cycles: list[tuple[CirclePoint, ...]] = []
-    left = set(grown.points)
+    D, nums = grown._scaled
+    vertex_cycles: list[list[int]] = []
+    left = set(nums)
     while left:
-        cycle = tuple(orbit(d, min(left))[1])
+        cycle = _cycle(d, D, min(left))
         left.difference_update(cycle)
         vertex_cycles.append(cycle)
     sizes = {len(c) for c in vertex_cycles}
@@ -415,25 +603,24 @@ def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
     majors, shared = _majors(d, grown, q, local_degree)
     if len(shared) != local_degree - 2:
         raise ValueError("the majors are not adjacent through shared endpoints")
-    coroot_cycles = [c for c in vertex_cycles if set(c) & shared]
+    coroot_cycles = [c for c in vertex_cycles if shared.intersection(c)]
     if len(coroot_cycles) != local_degree - 2:
         raise ValueError("shared endpoints do not sit in distinct vertex cycles")
-    rest = [c for c in vertex_cycles if not (set(c) & shared)]
+    rest = [c for c in vertex_cycles if not shared.intersection(c)]
     if len(rest) != 1:
         raise ValueError("no single surviving vertex cycle")
-    survivor = RotationalOrbit(d, tuple(sorted(rest[0])))
+    survivor = _orbit(d, D, tuple(sorted(rest[0])))
     if survivor.rotation != grown.rotation:
         raise ValueError("the surviving cycle rotates differently")
-    coroots = tuple(sorted(shared))
-    gap, group = central_gap(state, survivor)
+    _, _, group = _central_gap(state, survivor)
     if len(group) != local_degree:
         raise ValueError("all-critical group size disagrees with the major structure")
     return CorrespondencePair(
         polygon=survivor,
         all_critical=group,
         max_polygon=grown,
-        majors=majors,
-        coroots=coroots,
+        majors=tuple(_leaf(m, D) for m in majors),
+        coroots=tuple(_point(x, D) for x in sorted(shared)),
         local_degree=local_degree,
     )
 

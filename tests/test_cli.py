@@ -1,10 +1,12 @@
 """Tests for the command line interface, driven through main()."""
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from lamlab import cli
 from lamlab.circle import angle
 from lamlab.cli import main
 from lamlab.docio import document_from_state, write_document, write_portrait
@@ -344,6 +346,39 @@ class TestRotCommands:
         )
         assert rc == 2
         assert "lowest terms" in err
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            # phi(14) = 6 rotation numbers, C(22, 14) = 319,770 tuples each
+            (["--degree", "9", "--period", "14"], "1918620"),
+            (["--degree", "9", "--period", "14", "--rotation", "1/14"], "319770"),
+            (["--degree", "2", "--period", str(10**12)], "more than 1000000"),
+            (["--degree", str(10**12), "--period", "2"], "more than 1000000"),
+        ],
+    )
+    def test_orbit_work_is_capped_before_enumerating(self, capsys, monkeypatch, argv, shown):
+        def refuse(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(cli, "enumerate_rotational_orbits", refuse)
+        rc, out, err = run(capsys, "rot", "orbits", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            f"lamlab: error: degree {argv[1]} and period {argv[3]} mean {shown} digit "
+            f"tuples to read; the limit is {cli.MAX_ORBIT_TUPLES}\n"
+        )
+
+    def test_orbit_cap_counts_digit_tuples(self):
+        # phi(q) * C(q+d-1, q), or C(q+d-1, q) for one rotation number
+        for d in range(2, 7):
+            for q in range(1, 9):
+                phi = sum(1 for s in range(q) if math.gcd(s, q) == 1)
+                per = math.comb(q + d - 1, q)
+                assert cli._orbit_tuples(d, q, True) == per
+                assert cli._orbit_tuples(d, q, False) == phi * per
+        assert cli._orbit_tuples(6, 10, False) == 12012 <= cli.MAX_ORBIT_TUPLES
 
     def test_rotation_number_plain_output(self, capsys):
         rc, out, _ = run(

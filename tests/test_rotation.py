@@ -1,17 +1,21 @@
 """Tests for rotational orbits, majors, and the polygon correspondence."""
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lamlab.circle import angle, orbit, sigma
-from lamlab.leaves import Lamination, Leaf, Polygon
+from lamlab.leaves import Lamination, Leaf, Polygon, leaf_image, leaves_cross
 from lamlab.pullback import CriticalPortrait, pullback
 from lamlab.rotation import (
     CoRootSet,
+    MajorMinor,
     MajorTieError,
     NotRotational,
     RotationalOrbit,
@@ -26,6 +30,7 @@ from lamlab.rotation import (
     unicritical_anchor,
     validate_rotational_placement,
 )
+from test_leaves import half_edge_faces
 
 
 def fr(p, q=1):
@@ -629,3 +634,440 @@ class TestRotationProperties:
         orbits = enumerate_rotational_orbits(3, 3)
         orbit = orbits[k % len(orbits)]
         assert rotation_number(3, orbit.points) == orbit.rotation
+
+
+# ---------------------------------------------------------------------------
+# Output pins.  The SHA-256 digests below were recorded from the Fraction
+# implementation of the rotation layer; the integer kernel must reproduce
+# every byte.
+
+AC13_GRID = [(2, 5), (2, 7), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (4, 5)]
+AC13_GRID += [(5, 3), (5, 4), (6, 3), (7, 2), (7, 3), (8, 2)]
+
+
+@lru_cache(maxsize=None)
+def ac13_orbits():
+    """(orbit, anchor, depth-2 unicritical lamination or None) for every orbit of the grid."""
+    out = []
+    for d, q in AC13_GRID:
+        for o in enumerate_rotational_orbits(d, q):
+            verts = unicritical_anchor(d, o)
+            state = None
+            if verts is not None:
+                F0 = Lamination(d, frozenset(o.hull_sides()))
+                sides = (Leaf(*verts),) if d == 2 else Polygon(verts).sides
+                state = pullback(F0, CriticalPortrait(d, frozenset(sides)), 2)
+            out.append((o, verts, state))
+    return out
+
+
+def cycles(d, q):
+    """Every cycle of exact period q of x -> d*x mod d^q - 1, as sorted residues.
+
+    Rotational cycles and the others alike.
+    """
+    mod = d**q - 1
+    seen = set()
+    out = []
+    for k in range(mod):
+        if k in seen:
+            continue
+        cyc = [k]
+        cur = k * d % mod
+        while cur != k:
+            cyc.append(cur)
+            cur = cur * d % mod
+        seen.update(cyc)
+        if len(cyc) == q:
+            out.append(tuple(sorted(cyc)))
+    return out
+
+
+def number_cases():
+    """(degree, point values): single cycles, cycles missing a point, cycles with a
+    preperiodic point, unions of two cycles of one period and cycles with a fixed point."""
+    for d in (2, 3, 4):
+        fixed = [fr(k, d - 1) for k in range(d - 1)]
+        for q in range(1, 5):
+            mod = d**q - 1
+            cyc = [tuple(fr(k, mod) for k in c) for c in cycles(d, q)]
+            for i, c in enumerate(cyc):
+                yield d, c
+                if len(c) > 1:
+                    yield d, c[1:]
+                yield d, c + ((c[0] + 1) / d,)
+                yield d, c + (fixed[i % len(fixed)],)
+                if q <= 3 and i + 1 < len(cyc):
+                    yield d, c + cyc[i + 1]
+
+
+def outcome(call):
+    try:
+        return str(call())
+    except NotRotational as exc:
+        return f"NotRotational {exc} @{exc.index}"
+    except ValueError as exc:
+        return f"{type(exc).__name__} {exc}"
+
+
+def rotation_output_texts():
+    """The texts whose digests are pinned, by name."""
+    from lamlab.cli import _correspondence_obj, main
+
+    texts = {}
+    lines = []
+    for d in range(2, 7):
+        for q in range(1, 7):
+            for p in [None] + [p for p in range(q) if math.gcd(p, q) == 1]:
+                argv = ["rot", "orbits", "--degree", str(d), "--period", str(q)]
+                if p is not None:
+                    argv += ["--rotation", f"{p}/{q}"]
+                lines.append(" ".join(argv))
+                lines.append(outcome(lambda: json.dumps(_cli_stdout(main, argv))))
+    texts["rot orbits"] = "\n".join(lines)
+
+    anchors, pairs = [], []
+    for o, verts, state in ac13_orbits():
+        anchors.append(f"{o.degree} {list(map(str, o.points))} {verts}")
+        if state is None:
+            continue
+        there = uni_to_max(state, o)
+        back = max_to_uni(state, Polygon(there.max_polygon.points))
+        pairs.append(json.dumps(_correspondence_obj(there)))
+        pairs.append(json.dumps(_correspondence_obj(back)))
+    texts["anchors"] = "\n".join(anchors)
+    texts["correspondence"] = "\n".join(pairs)
+
+    numbers = []
+    for d, values in number_cases():
+        numbers.append(f"{d} {list(map(str, values))}")
+        numbers.append(outcome(lambda: rotation_number(d, values)))
+        numbers.append(outcome(lambda: RotationalOrbit(d, pts(*values)).rotation))
+        numbers.append(outcome(lambda: RotationalOrbit(d, pts(*values), fr(1, 2)).rotation))
+    texts["rot number"] = "\n".join(numbers)
+    return texts
+
+
+def _cli_stdout(main, argv):
+    import contextlib
+    import io
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    return rc, buf.getvalue()
+
+
+ROTATION_OUTPUT_DIGESTS = {
+    "rot orbits": "0e92577f29d84e083a4d7c669f856c0293a2f586092a3c0ef180f4a5686a2d6f",
+    "anchors": "cd537a182de708c9477018a37f35491a61e79069bdd398f67a3658a5a8ee0756",
+    "correspondence": "6e21b12ee08250f5b8de2d7df9c1666cf77da1fffd04f2f5d8db1d1a2757ea64",
+    "rot number": "45009e2a62808f6b2c8b7acfa21bc6e5eeb7e024e592dc83c54300140e0116c5",
+}
+
+
+def test_rotation_outputs_pinned():
+    got = {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in rotation_output_texts().items()
+    }
+    assert got == ROTATION_OUTPUT_DIGESTS
+
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles.  The rotation layer runs on integer numerators over a
+# common denominator; these are the Fraction routines it replaced, compared
+# with it on every orbit of the grid and on drawn point sets.  The faces come
+# from `half_edge_faces`, so the gap oracle shares no code with the sweep.
+
+
+def fraction_rotation_number(d, points):
+    pts = sorted({angle(x) for x in points})
+    if not pts:
+        raise ValueError("rotation number needs at least one point")
+    q = len(pts)
+    index = {x: i for i, x in enumerate(pts)}
+    shift = None
+    for i, x in enumerate(pts):
+        j = index.get(sigma(d, x))
+        if j is None:
+            raise NotRotational(f"the image of point {i} ({x}) leaves the set", i)
+        s = (j - i) % q
+        if shift is None:
+            shift = s
+        elif s != shift:
+            raise NotRotational(f"the index shift breaks at point {i} ({x})", i)
+    return Fraction(shift, q)
+
+
+def fraction_orbit(d, points, rotation=None):
+    """Reference RotationalOrbit construction: (sorted points, rotation)."""
+    raw = tuple(points)
+    pts = tuple(sorted({angle(x) for x in raw}))
+    if len(pts) != len(raw):
+        raise ValueError("rotational set points must be distinct")
+    rho = fraction_rotation_number(d, pts)
+    if rotation is not None and Fraction(rotation) != rho:
+        raise ValueError(f"stated rotation {rotation} but the set rotates by {rho}")
+    return pts, rho if rotation is None else rotation
+
+
+def fraction_hull_sides(points):
+    if len(points) == 1:
+        return ()
+    if len(points) == 2:
+        return (Leaf(points[0], points[1]),)
+    return Polygon(points).sides
+
+
+def fraction_major_minor(d, sides):
+    side_set = frozenset(sides)
+    if not side_set:
+        raise ValueError("empty side collection")
+    for s in side_set:
+        img = leaf_image(d, s)
+        if not isinstance(img, Leaf):
+            raise ValueError(f"side {s} collapses to a point")
+        if img not in side_set:
+            raise ValueError(f"side {s} maps to {img}, outside the collection")
+    floor = Fraction(1, d + 1)
+    candidates = [s for s in side_set if s.length >= floor]
+    if not candidates:
+        longest = max(s.length for s in side_set)
+        candidates = [s for s in side_set if s.length == longest]
+    target = Fraction(1, d)
+    best = min(abs(s.length - target) for s in candidates)
+    winners = sorted(s for s in candidates if abs(s.length - target) == best)
+    if len(winners) > 1:
+        raise MajorTieError(
+            f"{len(winners)} sides are equally close to length 1/{d}", tuple(winners)
+        )
+    major = winners[0]
+    return MajorMinor(d, tuple(sorted(side_set)), major, leaf_image(d, major))
+
+
+def fraction_unicritical_anchor(d, orbit):
+    sides = fraction_hull_sides(orbit.points)
+    if not sides:
+        return None
+    try:
+        anchors = list(fraction_major_minor(d, sides).major.endpoints)
+    except MajorTieError as tie:
+        anchors = sorted({p for s in tie.candidates for p in s.endpoints})
+    step = Fraction(1, d)
+    for anchor in anchors:
+        verts = tuple(sorted(anchor + step * j for j in range(d)))
+        gon = [Leaf(verts[i], verts[(i + 1) % d]) for i in range(d)]
+        if not any(leaves_cross(g, s) for g in gon for s in sides):
+            return verts
+    return None
+
+
+def fraction_central_gap(state, polygon):
+    if state.degree != polygon.degree:
+        raise ValueError("degree mismatch between lamination and polygon")
+    if polygon.rotation == 0:
+        raise ValueError("the polygon must have nonzero rotation number")
+    mm = fraction_major_minor(state.degree, fraction_hull_sides(polygon.points))
+    hits = []
+    subdivision = half_edge_faces(state.final)
+    for group in state.portrait.vertex_groups:
+        wanted = set(group) | set(mm.major.endpoints)
+        for f in subdivision:
+            if wanted <= set(f.vertices):
+                hits.append((f, group))
+    if len(hits) != 1:
+        raise ValueError(
+            f"central gap not identified: {len(hits)} candidate faces "
+            "(insufficient depth or incompatible polygon)"
+        )
+    return hits[0]
+
+
+def fraction_find_coroots(state, polygon):
+    gap, group = fraction_central_gap(state, polygon)
+    d = state.degree
+    q = len(polygon.points)
+    if polygon.rotation.denominator != q:
+        raise ValueError(f"the polygon's {q} points form several cycles")
+    local_degree = len(group)
+    mm = fraction_major_minor(d, fraction_hull_sides(polygon.points))
+    found = []
+    for candidate in enumerate_rotational_orbits(d, q, polygon.rotation.numerator):
+        for x in candidate.points:
+            if not gap.on_closure(x) or x in mm.major.endpoints:
+                continue
+            y = sigma(d, x)
+            while not gap.on_closure(y):
+                y = sigma(d, y)
+            if y == x:
+                found.append(x)
+    if len(found) != local_degree - 2:
+        raise ValueError(
+            f"found {len(found)} co-roots where {local_degree - 2} were expected "
+            "(insufficient depth or non-canonical input)"
+        )
+    if local_degree == d:
+        for a, b in itertools.combinations(found, 2):
+            if a.distance(b) <= Fraction(1, d):
+                raise ValueError(f"co-roots {a} and {b} are within 1/{d} of each other")
+    return CoRootSet(gap, group, tuple(sorted(found)), local_degree)
+
+
+def result(call):
+    """A call's value, or its error with the index or candidates it carries."""
+    try:
+        return call()
+    except NotRotational as exc:
+        return "NotRotational", str(exc), exc.index
+    except MajorTieError as exc:
+        return "MajorTieError", str(exc), exc.candidates
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_orbit_layer_agrees(d, values):
+    """Kernel against oracle on one point set: rotation, orbit, major and anchors."""
+    assert result(lambda: rotation_number(d, values)) == result(
+        lambda: fraction_rotation_number(d, values)
+    )
+    for rotation in (None, fr(1, 2), fr(1, 3)):
+        got = result(lambda: RotationalOrbit(d, pts(*values), rotation))
+        want = result(lambda: fraction_orbit(d, values, rotation))
+        if isinstance(got, RotationalOrbit):
+            got = got.points, got.rotation
+        assert got == want, (d, values, rotation)
+    o = result(lambda: RotationalOrbit(d, pts(*values)))
+    if not isinstance(o, RotationalOrbit):
+        return
+    D, nums = o._scaled
+    assert [Fraction(x, D) for x in nums] == [t.value for t in o.points]
+    assert math.gcd(D, *nums) == 1
+    assert o.hull_sides() == fraction_hull_sides(o.points)
+    if o.hull_sides():
+        assert result(lambda: major_minor(d, o.hull_sides())) == result(
+            lambda: fraction_major_minor(d, o.hull_sides())
+        )
+    for e in range(2, 6):
+        # another degree's map need not carry the sides onto each other
+        assert result(lambda: unicritical_anchor(e, o)) == result(
+            lambda: fraction_unicritical_anchor(e, o)
+        ), (e, o)
+
+
+def truncated(state, depth):
+    return dataclasses.replace(state, stages=state.stages[: depth + 1])
+
+
+class TestFractionOracles:
+    def test_grid_orbits(self):
+        for o, verts, _ in ac13_orbits():
+            d = o.degree
+            D, nums = o._scaled
+            assert RotationalOrbit(d, o.points)._scaled == (D, nums)
+            assert rotation_number(d, o.points) == fraction_rotation_number(d, o.points)
+            assert o.hull_sides() == fraction_hull_sides(o.points)
+            assert result(lambda: major_minor(d, o.hull_sides())) == result(
+                lambda: fraction_major_minor(d, o.hull_sides())
+            )
+            assert verts == fraction_unicritical_anchor(d, o)
+
+    def test_grid_gaps_and_coroots(self):
+        # every anchored orbit on its own lamination, at depths 1 and 2, and
+        # on the lamination of the next anchored orbit of its degree
+        anchored = [(o, state) for o, _, state in ac13_orbits() if state is not None]
+        for (o, state), (other, _) in zip(anchored, anchored[1:] + anchored[:1]):
+            cases = [(truncated(state, 1), o), (state, o)]
+            if other.degree == o.degree:
+                cases.append((state, other))
+            for st_, polygon in cases:
+                assert result(lambda: central_gap(st_, polygon)) == result(
+                    lambda: fraction_central_gap(st_, polygon)
+                ), polygon
+                assert result(lambda: find_coroots(st_, polygon)) == result(
+                    lambda: fraction_find_coroots(st_, polygon)
+                ), polygon
+
+    def test_named_configurations(self):
+        configs = [
+            (rabbit_state(), rabbit_orbit()),
+            (cubic_state(), RotationalOrbit(3, pts("1/8", "3/8"))),
+            (cubic_state(), RotationalOrbit(3, pts("1/8", "1/4", "3/8", "3/4"))),
+            (quartic_global_state(), RotationalOrbit(4, pts("1/63", "4/63", "16/63"))),
+            (quartic_local_state(), RotationalOrbit(4, pts("22/63", "25/63", "37/63"))),
+            (quartic_reanchored_state(), RotationalOrbit(4, pts("22/63", "25/63", "37/63"))),
+            (quartic_global_state(), RotationalOrbit(4, pts("22/63", "25/63", "37/63"))),
+        ]
+        for state, polygon in configs:
+            for depth in range(state.depth + 1):
+                st_ = truncated(state, depth)
+                assert result(lambda: central_gap(st_, polygon)) == result(
+                    lambda: fraction_central_gap(st_, polygon)
+                )
+                assert result(lambda: find_coroots(st_, polygon)) == result(
+                    lambda: fraction_find_coroots(st_, polygon)
+                )
+
+    def test_tie_candidates(self):
+        # an equilateral triangle and a half-turn symmetric 4-gon tie
+        for d, values in [
+            (4, ("1/9", "4/9", "7/9")),
+            (3, ("1/16", "3/16", "9/16", "11/16")),
+            (3, ("1/4", "3/4")),
+        ]:
+            o = RotationalOrbit(d, pts(*values))
+            got = result(lambda: major_minor(d, o.hull_sides()))
+            assert got == result(lambda: fraction_major_minor(d, o.hull_sides()))
+            assert_orbit_layer_agrees(d, tuple(Fraction(v) for v in values))
+        triangle = RotationalOrbit(4, pts("1/9", "4/9", "7/9"))
+        tie = result(lambda: major_minor(4, triangle.hull_sides()))
+        assert tie[0] == "MajorTieError" and len(tie[2]) == 3
+
+    def test_number_cases(self):
+        # cycles, cycles missing a point or joined by a preperiodic point,
+        # unions of two cycles and cycles with a fixed point
+        for d, values in number_cases():
+            assert_orbit_layer_agrees(d, values)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_drawn_point_sets(self, data):
+        d = data.draw(st.integers(2, 4), label="d")
+        values = set()
+        for _ in range(data.draw(st.integers(1, 3), label="pieces")):
+            kind = data.draw(st.sampled_from(["cycle", "drop", "point"]))
+            if kind == "point":
+                m = data.draw(st.integers(2, 40))
+                values.add(fr(data.draw(st.integers(0, m - 1)), m))
+                continue
+            q = data.draw(st.integers(1, 4))
+            mod = d**q - 1
+            k = data.draw(st.integers(0, mod - 1))
+            cyc = [k]
+            while (cur := cyc[-1] * d % mod) != k:
+                cyc.append(cur)
+            values.update(fr(x, mod) for x in cyc[kind == "drop" :])
+        if values:
+            assert_orbit_layer_agrees(d, tuple(sorted(values)))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_drawn_side_collections(self, data):
+        # leaf orbits are closed unless a leaf collapses; loose leaves are not
+        d = data.draw(st.integers(2, 4), label="d")
+        sides = set()
+        for _ in range(data.draw(st.integers(1, 3), label="pieces")):
+            m = data.draw(st.sampled_from([d**2 - 1, d**3 - 1, 2 * (d**2 - 1), 12]))
+            a, b = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+            leaf = lf(fr(a, m), fr(b, m))
+            if data.draw(st.booleans(), label="whole orbit"):
+                while isinstance(leaf, Leaf) and leaf not in sides:
+                    sides.add(leaf)
+                    leaf = leaf_image(d, leaf)
+            else:
+                sides.add(leaf)
+        sides = sorted(sides)
+        assert result(lambda: major_minor(d, sides)) == result(
+            lambda: fraction_major_minor(d, sides)
+        )
