@@ -701,13 +701,16 @@ def number_cases():
                     yield d, c + cyc[i + 1]
 
 
-def outcome(call):
+def result(call):
+    """A call's value, or its error with the index or candidates it carries."""
     try:
-        return str(call())
+        return call()
     except NotRotational as exc:
-        return f"NotRotational {exc} @{exc.index}"
+        return "NotRotational", str(exc), exc.index
+    except MajorTieError as exc:
+        return "MajorTieError", str(exc), exc.candidates
     except ValueError as exc:
-        return f"{type(exc).__name__} {exc}"
+        return type(exc).__name__, str(exc)
 
 
 def rotation_output_texts():
@@ -723,7 +726,7 @@ def rotation_output_texts():
                 if p is not None:
                     argv += ["--rotation", f"{p}/{q}"]
                 lines.append(" ".join(argv))
-                lines.append(outcome(lambda: json.dumps(_cli_stdout(main, argv))))
+                lines.append(str(result(lambda: json.dumps(_cli_stdout(main, argv)))))
     texts["rot orbits"] = "\n".join(lines)
 
     anchors, pairs = [], []
@@ -741,9 +744,9 @@ def rotation_output_texts():
     numbers = []
     for d, values in number_cases():
         numbers.append(f"{d} {list(map(str, values))}")
-        numbers.append(outcome(lambda: rotation_number(d, values)))
-        numbers.append(outcome(lambda: RotationalOrbit(d, pts(*values)).rotation))
-        numbers.append(outcome(lambda: RotationalOrbit(d, pts(*values), fr(1, 2)).rotation))
+        numbers.append(str(result(lambda: rotation_number(d, values))))
+        numbers.append(str(result(lambda: RotationalOrbit(d, pts(*values)).rotation)))
+        numbers.append(str(result(lambda: RotationalOrbit(d, pts(*values), fr(1, 2)).rotation)))
     texts["rot number"] = "\n".join(numbers)
     return texts
 
@@ -762,7 +765,7 @@ ROTATION_OUTPUT_DIGESTS = {
     "rot orbits": "0e92577f29d84e083a4d7c669f856c0293a2f586092a3c0ef180f4a5686a2d6f",
     "anchors": "cd537a182de708c9477018a37f35491a61e79069bdd398f67a3658a5a8ee0756",
     "correspondence": "6e21b12ee08250f5b8de2d7df9c1666cf77da1fffd04f2f5d8db1d1a2757ea64",
-    "rot number": "45009e2a62808f6b2c8b7acfa21bc6e5eeb7e024e592dc83c54300140e0116c5",
+    "rot number": "0dfaa3ab8013d6fdc81583ada69798db2b94f550e800df8d1a42493a8a718e76",
 }
 
 
@@ -913,18 +916,6 @@ def fraction_find_coroots(state, polygon):
             if a.distance(b) <= Fraction(1, d):
                 raise ValueError(f"co-roots {a} and {b} are within 1/{d} of each other")
     return CoRootSet(gap, group, tuple(sorted(found)), local_degree)
-
-
-def result(call):
-    """A call's value, or its error with the index or candidates it carries."""
-    try:
-        return call()
-    except NotRotational as exc:
-        return "NotRotational", str(exc), exc.index
-    except MajorTieError as exc:
-        return "MajorTieError", str(exc), exc.candidates
-    except ValueError as exc:
-        return type(exc).__name__, str(exc)
 
 
 def assert_orbit_layer_agrees(d, values):
