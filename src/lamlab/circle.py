@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 __all__ = [
     "CirclePoint",
@@ -41,6 +42,7 @@ def check_degree(d: int) -> int:
 class CirclePoint:
     """A point of R/Z, stored as a reduced fraction in [0, 1).
 
+    The value must be a Fraction or an int; a float or a string raises TypeError.
     Points compare by the integer terms of their values: equal terms for
     `==`, and cross-multiplied terms for order, which is the order of the
     values because both denominators are positive.  Comparing through
@@ -53,7 +55,7 @@ class CirclePoint:
         v = self.value
         # a Fraction already in [0, 1) is kept as it is
         if type(v) is not Fraction or not 0 <= v.numerator < v.denominator:
-            object.__setattr__(self, "value", Fraction(v) % 1)
+            object.__setattr__(self, "value", _exact(v) % 1)
 
     def __hash__(self) -> int:
         # equal points have equal reduced terms; Fraction.__hash__ would
@@ -114,15 +116,27 @@ class CirclePoint:
         return str(self.value)
 
 
+def _exact(x: Fraction | int) -> Fraction:
+    if not isinstance(x, Rational):
+        raise TypeError(f"a circle point needs an exact rational, got {x!r}")
+    return Fraction(x)
+
+
 def _raw(x: CirclePoint | Fraction | int) -> Fraction:
-    return x.value if isinstance(x, CirclePoint) else Fraction(x)
+    return x.value if isinstance(x, CirclePoint) else _exact(x)
 
 
 def angle(x: CirclePoint | Fraction | int | str) -> CirclePoint:
-    """Coerce a fraction-like value ("3/7", Fraction, int, CirclePoint) to a CirclePoint."""
+    """Coerce a CirclePoint, Fraction, int or `p/q` string ("3/7") to a CirclePoint.
+
+    Strings are read by `parse_angle` without a degree, so decimals and
+    exponents are refused with ValueError; a float is refused with TypeError.
+    """
     if isinstance(x, CirclePoint):
         return x
-    return CirclePoint(Fraction(x))
+    if isinstance(x, str):
+        return parse_angle(x)
+    return CirclePoint(x)
 
 
 def ccw_span(a: CirclePoint, b: CirclePoint) -> Fraction:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,7 +40,10 @@ from .docio import (
 
 __all__ = ["main"]
 
-DEFAULT_MAX_DEPTH = 12
+# `fpp canonical` builds at most |F0| * (d^(n+1) - 1)/(d - 1) leaves in n
+# stages; the 29,524 of degree 3, portrait 0-1, depth 9 take about 2.7 s and
+# 48 MB on a 2-CPU Xeon, and pullback time grows faster than the leaf count
+MAX_LEAVES = 50_000
 # `rot orbits` reads C(q+d-1, q) digit tuples per rotation number p/q; the
 # 92,378 of degree 10, rotation 1/10 take about 3 s with their 12 MB of
 # output on a 2-CPU Xeon
@@ -73,19 +75,6 @@ def _check_degree_arg(d: int) -> int:
     if d < 2:
         raise _usage(f"degree must be at least 2, got {d}")
     return d
-
-
-def _max_depth() -> int:
-    raw = os.environ.get("LAMLAB_MAX_DEPTH")
-    if raw is None:
-        return DEFAULT_MAX_DEPTH
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _usage(f"LAMLAB_MAX_DEPTH must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise _usage(f"LAMLAB_MAX_DEPTH must be >= 0, got {cap}")
-    return cap
 
 
 def _parse_points(text: str, d: int) -> tuple[CirclePoint, ...]:
@@ -180,17 +169,18 @@ def _cmd_fpp_canonical(args: argparse.Namespace) -> int:
     d = _check_degree_arg(args.degree)
     if args.depth < 0:
         raise _usage("depth must be >= 0")
-    cap = _max_depth()
-    if args.depth > cap:
-        raise _usage(
-            f"depth {args.depth} exceeds the safety cap {cap} "
-            "(raise LAMLAB_MAX_DEPTH to go deeper)"
-        )
     blocks = _parse_blocks(args.fpp)
     try:
         P = FixedPointPortrait(d, blocks)
     except ValueError as exc:
         raise _usage(str(exc)) from None
+    work = _leaf_work(len(P.hull_leaves), d, args.depth)
+    if work is None or work > MAX_LEAVES:
+        shown = f"more than {10 * MAX_LEAVES}" if work is None else str(work)
+        raise _usage(
+            f"degree {d}, depth {args.depth} and {len(P.hull_leaves)} initial leaves "
+            f"mean {shown} leaves and stages to build; the limit is {MAX_LEAVES}"
+        )
     try:
         state = canonical_lamination(P, args.depth)
     except ValueError as exc:
@@ -244,6 +234,21 @@ def _cmd_lam_check(args: argparse.Namespace) -> int:
         if inv:
             rc = 1
     return rc
+
+
+def _leaf_work(leaves: int, d: int, n: int) -> int | None:
+    """The leaves n pullback stages of `leaves` initial ones can hold, leaves *
+    (d^(n+1) - 1)/(d - 1), plus one per stage, so that an empty start still
+    counts its stages.  None once the sum exceeds ten times MAX_LEAVES, so a
+    huge degree or depth never forms a huge number or a long loop."""
+    total, stage = 0, leaves
+    # each stage adds at least one, which bounds the loop
+    for _ in range(n + 1):
+        total += stage + 1
+        if total > 10 * MAX_LEAVES:
+            return None
+        stage *= d
+    return total
 
 
 def _orbit_tuples(d: int, q: int, one_rotation: bool) -> int | None:

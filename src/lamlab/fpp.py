@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .circle import CirclePoint, angle, ccw_span, check_degree, fixed_points
-from .leaves import Arc, Lamination, Leaf, Polygon, faces
+from .leaves import Arc, Lamination, Leaf, Polygon, _cross, _sides, faces
 
 __all__ = [
     "CanonicalPortraitChoice",
@@ -29,22 +29,13 @@ __all__ = [
 ]
 
 
-def _blocks_cross(b1: tuple[int, ...], b2: tuple[int, ...], n: int) -> bool:
-    """Whether two index blocks interleave on the circle of n fixed points."""
-    # b2 must sit inside a single gap between consecutive b1 members
-    gaps = sorted(b1)
-    positions = set()
-    for x in b2:
-        for i, g in enumerate(gaps):
-            nxt = gaps[(i + 1) % len(gaps)]
-            lo, hi = g, nxt
-            span = (hi - lo) % n or n
-            if 0 < (x - lo) % n < span:
-                positions.add(i)
-                break
-        else:
-            return True  # x coincides with a b1 member
-    return len(positions) > 1
+def _blocks_cross(b1: tuple[int, ...], b2: tuple[int, ...]) -> bool:
+    """Whether two disjoint sorted index blocks interleave on the circle of fixed points.
+
+    Two inscribed hulls with no common vertex meet exactly when a side of one
+    crosses a side of the other.
+    """
+    return any(_cross(s, t) for s in _sides(b1) for t in _sides(b2))
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,7 @@ class FixedPointPortrait:
             norm.append(bb)
         norm.sort()
         for b1, b2 in itertools.combinations(norm, 2):
-            if _blocks_cross(b1, b2, n):
+            if _blocks_cross(b1, b2):
                 raise ValueError(f"blocks {b1} and {b2} cross")
         object.__setattr__(self, "blocks", tuple(norm))
 
@@ -82,13 +73,9 @@ class FixedPointPortrait:
     @cached_property
     def hull_leaves(self) -> frozenset[Leaf]:
         """All hull sides: one leaf per 2-block, polygon sides per larger block."""
-        out: set[Leaf] = set()
-        for b in self.blocks:
-            if len(b) == 2:
-                out.add(Leaf(self.point(b[0]), self.point(b[1])))
-            else:
-                out.update(Polygon(tuple(self.point(i) for i in b)).sides)
-        return frozenset(out)
+        return frozenset(
+            Leaf(x, y) for b in self.blocks for x, y in _sides([self.point(i) for i in b])
+        )
 
     @property
     def fixed_leaves(self) -> tuple[Leaf, ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .circle import CirclePoint, angle, ccw_span, check_degree, in_arc, preimages, sigma
 
@@ -112,10 +112,7 @@ class Polygon:
 
     @property
     def sides(self) -> tuple[Leaf, ...]:
-        n = len(self.vertices)
-        return tuple(
-            Leaf(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)
-        )
+        return tuple(Leaf(a, b) for a, b in _sides(self.vertices))
 
 
 def leaf_image(d: int, l: Leaf) -> Leaf | CirclePoint:
@@ -254,9 +251,9 @@ class Lamination:
     def _view(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[Leaf, ...]]:
         # scaling by D > 0 keeps every comparison, so sorting by the integer
         # pairs orders the leaves as Leaf comparison does, without Fractions
-        ls = self.leaves
-        D = lcm(self.degree - 1, *(t.value.denominator for l in ls for t in l.endpoints))
-        keyed = sorted((_scaled_pair(l, D), l) for l in ls)
+        ls = list(self.leaves)
+        D, nums = _numerators([t.value for l in ls for t in l.endpoints], self.degree - 1)
+        keyed = sorted(zip(zip(nums[::2], nums[1::2]), ls))
         return D, tuple(p for p, _ in keyed), tuple(l for _, l in keyed)
 
     def __contains__(self, l: Leaf) -> bool:
@@ -291,15 +288,70 @@ def _crossers(ends: list[tuple[int, ...]], x: int, y: int) -> Iterator[tuple[int
     return (ends[i] for i in inside if not x <= ends[i][1] <= y)
 
 
+def _numerators(values: Sequence[Fraction], base: int = 1) -> tuple[int, list[int]]:
+    """The least common denominator D of base and the values, and each value's numerator over D."""
+    D = lcm(base, *(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def _regrid(x: int, D: int, E: int) -> int | None:
+    """The numerator over E of the point x/D, or None when it is not on that grid."""
+    n = x * E
+    return None if n % D else n // D
+
+
 def _scaled(t: CirclePoint, denom: int) -> int:
     v = t.value
-    q, r = divmod(denom, v.denominator)
-    assert r == 0, "common denominator too coarse"
-    return v.numerator * q
+    x = _regrid(v.numerator, v.denominator, denom)
+    assert x is not None, "common denominator too coarse"
+    return x
 
 
 def _scaled_pair(l: Leaf, denom: int) -> tuple[int, int]:
     return _scaled(l.a, denom), _scaled(l.b, denom)
+
+
+def _image(d: int, D: int, pair: tuple[int, int]) -> tuple[int, int] | int:
+    """The image of the leaf pair x < y over D, sorted; the point when it collapses."""
+    u, v = d * pair[0] % D, d * pair[1] % D
+    if u == v:
+        return u
+    return (u, v) if u < v else (v, u)
+
+
+def _sides(pts: Sequence) -> list[tuple]:
+    """Hull sides of sorted points as pairs: neighbours, then first and last; two give one."""
+    if len(pts) < 3:
+        return [tuple(pts)] if len(pts) == 2 else []
+    return list(zip(pts, pts[1:])) + [(pts[0], pts[-1])]
+
+
+def _cross(l1: tuple[int, int], l2: tuple[int, int]) -> bool:
+    """Strict interleaving of two integer chords x < y; sharing an endpoint never crosses."""
+    (a, b), (x, y) = l1, l2
+    if x == a or x == b or y == a or y == b:
+        return False
+    return (a < x < b) != (a < y < b)
+
+
+def _cycles(step: Callable, items: Iterable) -> list[list]:
+    """The cycles of `step` through the items, each from its least member, in that order.
+
+    `step` must permute a finite set holding the items: points over D under
+    x -> d*x mod D with d prime to D, or a rotational set's hull sides under
+    `_image`, which carries sides onto sides as it shifts the sorted points.
+    """
+    left = set(items)
+    out = []
+    while left:
+        cycle = [min(left)]
+        x = step(cycle[0])
+        while x != cycle[0]:
+            cycle.append(x)
+            x = step(x)
+        left.difference_update(cycle)
+        out.append(cycle)
+    return out
 
 
 def validate_prelamination(L: Lamination) -> tuple[Violation, ...]:
@@ -550,12 +602,12 @@ def grand_orbit_truncated(
         raise ValueError(f"seed {seed} is not a leaf of the lamination")
     D, pairs = L.scaled
     targets: set[tuple[int, int]] = set()
-    x, y = _scaled_pair(seed, D)
+    cur: tuple[int, int] | int = _scaled_pair(seed, D)
     for _ in range(max_depth + 1):
-        if x == y or (x, y) in targets:
+        if isinstance(cur, int) or cur in targets:
             break
-        targets.add((x, y))
-        x, y = sorted((d * x % D, d * y % D))
+        targets.add(cur)
+        cur = _image(d, D, cur)
     return {
         l
         for l, pair in zip(L.sorted_leaves, pairs)

@@ -29,6 +29,7 @@ from .leaves import (
     _crossers,
     _face,
     _face_sweep,
+    _image,
     _iterates_onto,
     _leaf,
     _on_closure,
@@ -565,14 +566,14 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
     )
 
 
-def _leaves_recur(d: int, leaves: Iterable[Leaf], cap: int) -> bool:
-    """Whether each leaf revisits an earlier image within cap steps, never collapsing."""
-    for b in leaves:
+def _leaves_recur(d: int, D: int, pairs: Iterable[tuple[int, int]], cap: int) -> bool:
+    """Whether each leaf pair over D revisits an earlier image within cap steps, not collapsing."""
+    for b in pairs:
         seen = {b}
         cur = b
         for _ in range(cap):
-            img = leaf_image(d, cur)
-            if isinstance(img, CirclePoint):
+            img = _image(d, D, cur)
+            if isinstance(img, int):
                 return False
             if img in seen:
                 break
@@ -595,6 +596,7 @@ def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool
     if not L.leaves:
         return True
     cap = max(2 * depth + 2, 4)
+    D = L.scaled[0]
     subdivision = faces(L)
     for chord in C.sorted_chords:
         if chord in L.leaves:
@@ -606,7 +608,9 @@ def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool
             and f.on_closure(chord.b)
             and not any(leaves_cross(b, chord) for b in f.leaves)
         ]
-        if len(carriers) != 1 or not _leaves_recur(L.degree, carriers[0].leaves, cap):
+        if len(carriers) != 1 or not _leaves_recur(
+            L.degree, D, [_scaled_pair(l, D) for l in carriers[0].leaves], cap
+        ):
             return False
     return True
 
@@ -784,13 +788,14 @@ class FlowerLike:
         return len(self.attached)
 
 
-def _recurring_face(d: int, f: Face, cap: int) -> bool:
-    vset = set(f.vertices)
+def _recurring_face(d: int, D: int, f: Face, cap: int) -> bool:
+    """Whether within cap steps f's vertices over D map into themselves, and its leaves recur."""
+    vset = {_scaled(v, D) for v in f.vertices}
     image = vset
     for _ in range(cap):
-        image = {sigma(d, v) for v in image}
+        image = {d * x % D for x in image}
         if image <= vset:
-            return _leaves_recur(d, f.leaves, cap)
+            return _leaves_recur(d, D, [_scaled_pair(l, D) for l in f.leaves], cap)
     return False
 
 
@@ -821,7 +826,7 @@ def flower_like(L: Lamination, G: Polygon | Face | Leaf) -> FlowerLike:
         for f in faces(L)
         if set(f.leaves) != edge_set
         and set(f.leaves) & edge_set
-        and _recurring_face(L.degree, f, cap)
+        and _recurring_face(L.degree, L.scaled[0], f, cap)
     ]
     attached.sort(key=lambda f: f.vertices)
     return FlowerLike(tuple(sorted(vset)), tuple(sorted(edge_set)), tuple(attached))

@@ -296,11 +296,33 @@ class TestParseAngle:
     @example(9, 2, "+", 1)  # out of range, signed, zero-padded denominator
     @example(-6, 3, "", 0)  # a negative integer in disguise
     def test_gated_literal_equals_fraction(self, p, q, sign, zeros):
-        # every literal the gate admits reads as Fraction(text) mod 1
+        # every literal the gate admits reads as Fraction(text) mod 1, and
+        # `angle`, which read strings as CirclePoint(Fraction(text)), agrees
         text = sign + str(abs(p)) if sign else str(p)
         if q is not None:
             text += "/" + "0" * zeros + str(q)
         assert parse_angle(text).value == Fraction(text) % 1
+        assert angle(text) == angle(f" {text}\n") == CirclePoint(Fraction(text))
+
+
+class TestAngle:
+    def test_floats_refused(self):
+        for x in [0.1, 0.5, float("inf")]:
+            with pytest.raises(TypeError):
+                angle(x)
+            with pytest.raises(TypeError):
+                CirclePoint(x)
+        with pytest.raises(TypeError):
+            fr(1, 4) + 0.5
+        with pytest.raises(TypeError):
+            CirclePoint("1/2")
+
+    def test_strings_pass_the_literal_gate(self):
+        # "1e999999999" is refused before any integer is built
+        for bad in ["1e3", "0.5", "1e999999999", "1_000/3", "abc", "1/0", "_001"]:
+            with pytest.raises(ValueError):
+                angle(bad)
+        assert angle("-1/3") == fr(2, 3)
 
 
 @given(angles, angles)

@@ -10,8 +10,9 @@ from lamlab import cli
 from lamlab.circle import angle
 from lamlab.cli import main
 from lamlab.docio import document_from_state, write_document, write_portrait
+from lamlab.fpp import FixedPointPortrait
 from lamlab.leaves import Lamination, Leaf
-from lamlab.pullback import CriticalPortrait, pullback
+from lamlab.pullback import CriticalPortrait, canonical_lamination, pullback
 
 
 def lf(a, b):
@@ -167,34 +168,66 @@ class TestFppCanonical:
         assert rc == 0
         assert json.loads(target.read_text())["fpp"] == []
 
-    def test_depth_cap_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("LAMLAB_MAX_DEPTH", raising=False)
-        rc, _, err = run(
-            capsys,
-            *("fpp canonical --degree 2 --fpp none --depth 13 --out".split()),
-            str(tmp_path / "x.json"),
-        )
-        assert rc == 2
-        assert "safety cap 12" in err
+    def test_empty_start_is_not_capped_by_depth(self, capsys, tmp_path):
+        # no initial leaves: the work is one unit per stage
+        target = tmp_path / "x.json"
+        argv = "fpp canonical --degree 2 --fpp none --depth 13 --out".split()
+        assert run(capsys, *argv, str(target))[0] == 0
+        assert json.loads(target.read_text())["leaves"] == []
 
-    def test_depth_cap_from_environment(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LAMLAB_MAX_DEPTH", "2")
-        argv = "fpp canonical --degree 2 --fpp none --depth 3 --out".split()
-        rc, _, err = run(capsys, *argv, str(tmp_path / "x.json"))
-        assert rc == 2
-        assert "safety cap 2" in err
-        argv = "fpp canonical --degree 2 --fpp none --depth 2 --out".split()
-        assert run(capsys, *argv, str(tmp_path / "y.json"))[0] == 0
+    @pytest.mark.parametrize(
+        "degree, blocks, depth, shown",
+        [
+            # 4 * (5^13 - 1)/4 = 1,220,703,124 leaves, about 1.2e9
+            ("5", "0-1-2-3", "12", "more than 500000"),
+            ("2", "none", str(10**9), "more than 500000"),
+            # (3^11 - 1)/2 = 88,573 leaves plus 11 stages
+            ("3", "0-1", "10", "88584"),
+        ],
+        ids=["quintic-depth-12", "empty-huge-depth", "cubic-depth-10"],
+    )
+    def test_leaf_work_is_capped_before_building(
+        self, capsys, tmp_path, monkeypatch, degree, blocks, depth, shown
+    ):
+        def refuse(*args):
+            raise AssertionError("pullback started")
 
-    def test_bad_environment_cap(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LAMLAB_MAX_DEPTH", "deep")
-        rc, _, err = run(
-            capsys,
-            *("fpp canonical --degree 2 --fpp none --depth 1 --out".split()),
-            str(tmp_path / "x.json"),
-        )
+        monkeypatch.setattr(cli, "canonical_lamination", refuse)
+        target = tmp_path / "x.json"
+        argv = ["fpp", "canonical", "--degree", degree, "--fpp", blocks, "--depth", depth]
+        rc, out, err = run(capsys, *argv, "--out", str(target))
         assert rc == 2
-        assert "LAMLAB_MAX_DEPTH" in err
+        assert out == ""
+        leaves = {"0-1-2-3": 4, "none": 0, "0-1": 1}[blocks]
+        assert err == (
+            f"lamlab: error: degree {degree}, depth {depth} and {leaves} initial leaves "
+            f"mean {shown} leaves and stages to build; the limit is {cli.MAX_LEAVES}\n"
+        )
+        assert not target.exists()
+
+    def test_leaf_work_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        # d=3, portrait 0-1: 1 + 3 + 9 leaves and 3 stages at depth 2
+        monkeypatch.setattr(cli, "MAX_LEAVES", 16)
+        argv = "fpp canonical --degree 3 --fpp 0-1 --depth 2 --out".split()
+        assert run(capsys, *argv, str(tmp_path / "x.json"))[0] == 0
+        argv = "fpp canonical --degree 3 --fpp 0-1 --depth 3 --out".split()
+        rc, _, err = run(capsys, *argv, str(tmp_path / "y.json"))
+        assert rc == 2
+        assert "mean 44 leaves and stages" in err
+
+    def test_leaf_work_counts_leaves_and_stages(self):
+        for d in range(2, 7):
+            for leaves in range(5):
+                for n in range(8):
+                    want = leaves * (d ** (n + 1) - 1) // (d - 1) + n + 1
+                    if want > 10 * cli.MAX_LEAVES:
+                        want = None
+                    assert cli._leaf_work(leaves, d, n) == want
+        # the bound holds the leaves the pullback actually builds
+        for d, blocks, n in [(3, (0, 1), 4), (5, (0, 1, 2, 3), 2), (5, (0, 1), 3)]:
+            state = canonical_lamination(FixedPointPortrait(d, (blocks,)), n)
+            work = cli._leaf_work(len(state.initial), d, n)
+            assert len(state.final) <= work - (n + 1)
 
     def test_single_index_block_rejected(self, capsys, tmp_path):
         rc, _, err = run(

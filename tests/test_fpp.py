@@ -1,4 +1,5 @@
 """Tests for fixed-point groupings, sectors, and canonical critical placements."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from lamlab.circle import angle, sigma
 from lamlab.fpp import (
     CanonicalPortraitChoice,
     FixedPointPortrait,
+    _blocks_cross,
     canonical_portraits,
     enumerate_fpps,
     fixed_polygons,
@@ -34,6 +36,24 @@ def catalan_oracle(n):
     return cs[n]
 
 
+def gap_walk_blocks_cross(b1, b2, n):
+    """Reference: the gap walk `_blocks_cross` used before it read hull sides."""
+    # b2 must sit inside a single gap between consecutive b1 members
+    gaps = sorted(b1)
+    positions = set()
+    for x in b2:
+        for i, g in enumerate(gaps):
+            nxt = gaps[(i + 1) % len(gaps)]
+            lo, hi = g, nxt
+            span = (hi - lo) % n or n
+            if 0 < (x - lo) % n < span:
+                positions.add(i)
+                break
+        else:
+            return True  # x coincides with a b1 member
+    return len(positions) > 1
+
+
 class TestPortraitValidation:
     def test_normalization(self):
         P = FixedPointPortrait(5, ((1, 0), (3, 2)))
@@ -57,6 +77,17 @@ class TestPortraitValidation:
 
     def test_nested_blocks_ok(self):
         FixedPointPortrait(8, ((0, 4), (1, 3)))
+
+    def test_blocks_cross_matches_gap_walk(self):
+        # every ordered pair of disjoint blocks on n <= 8 fixed points
+        pairs = 0
+        for n in range(2, 9):
+            blocks = [b for k in range(2, n + 1) for b in itertools.combinations(range(n), k)]
+            for b1, b2 in itertools.product(blocks, repeat=2):
+                if not set(b1) & set(b2):
+                    assert _blocks_cross(b1, b2) == gap_walk_blocks_cross(b1, b2, n)
+                    pairs += 1
+        assert pairs == 5482
 
     def test_hull_leaves(self):
         P = FixedPointPortrait(5, ((0, 1),))

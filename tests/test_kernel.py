@@ -35,7 +35,9 @@ from lamlab.leaves import (
 from lamlab.pullback import (
     FixedObject,
     _invariant_faces,
+    _leaves_recur,
     _pinched_off,
+    _recurring_face,
     _separates,
     canonical_lamination,
 )
@@ -103,6 +105,35 @@ def fraction_grand_orbit_truncated(d, L, seed, max_depth):
         targets.add(cur)
         cur = leaf_image(d, cur)
     return {m for m in L.leaves if fraction_iterates_onto(d, m, targets, max_depth)}
+
+
+def fraction_leaves_recur(d, leaves, cap):
+    """Reference: each leaf revisits an earlier image within cap steps, never collapsing."""
+    for b in leaves:
+        seen = {b}
+        cur = b
+        for _ in range(cap):
+            img = leaf_image(d, cur)
+            if isinstance(img, CirclePoint):
+                return False
+            if img in seen:
+                break
+            seen.add(img)
+            cur = img
+        else:
+            return False
+    return True
+
+
+def fraction_recurring_face(d, f, cap):
+    """Reference: within cap steps f's vertices map into themselves, and its leaves recur."""
+    vset = set(f.vertices)
+    image = vset
+    for _ in range(cap):
+        image = {sigma(d, v) for v in image}
+        if image <= vset:
+            return fraction_leaves_recur(d, f.leaves, cap)
+    return False
 
 
 def fraction_check_invariance(L_prev, L_next):
@@ -266,6 +297,25 @@ class TestIteratesOntoKernel:
         scaled_hull = {_scaled_pair(h, D) for h in hull}
         assert not _iterates_onto(d, D, L.scaled[1][0], scaled_hull, 3)
         assert not fraction_iterates_onto(d, L.sorted_leaves[0], hull, 3)
+
+
+class TestRecurrenceKernel:
+    # degree 2 has no portrait with a block, so no leaves to iterate
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_equals_fraction_oracle_on_canonical_stages(self, d):
+        outcomes = set()
+        for state in canonical_states(d):
+            L = state.final
+            D = L.scaled[0]
+            for f in half_edge_faces(L):
+                pairs = [_scaled_pair(l, D) for l in f.leaves]
+                for cap in (1, 4):
+                    got = _leaves_recur(d, D, pairs, cap)
+                    assert got == fraction_leaves_recur(d, f.leaves, cap)
+                    face = _recurring_face(d, D, f, cap)
+                    assert face == fraction_recurring_face(d, f, cap)
+                    outcomes.add((got, face))
+        assert len(outcomes) >= 2
 
 
 class TestCheckInvarianceKernel:

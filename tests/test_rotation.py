@@ -387,6 +387,20 @@ class TestUnicriticalAnchor:
         assert orbit.rotation == fr(1, 4)
         assert unicritical_anchor(3, orbit) is None
 
+    def test_tied_majors_have_no_anchor(self):
+        # the tie branch tries every tied side's endpoints; none of the 22
+        # tied orbits with d <= 5 and q <= 6 has a compatible placement
+        tied = []
+        for d in range(2, 6):
+            for q in range(2, 7):
+                for orbit in enumerate_rotational_orbits(d, q):
+                    try:
+                        major_minor(d, orbit.hull_sides())
+                    except MajorTieError:
+                        tied.append(orbit)
+        assert len(tied) == 22
+        assert all(unicritical_anchor(o.degree, o) is None for o in tied)
+
 
 class TestCentralGap:
     def test_rabbit_gap(self):
