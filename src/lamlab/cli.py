@@ -48,6 +48,10 @@ MAX_LEAVES = 50_000
 # 92,378 of degree 10, rotation 1/10 take about 3 s with their 12 MB of
 # output on a 2-CPU Xeon
 MAX_ORBIT_TUPLES = 100_000
+# `fpp enum` builds all Catalan(d - 1) portraits of degree d, also when it
+# prints them up to rotation; the 16,796 of degree 11 take about 2.3 s that
+# way on a 2-CPU Xeon, and degree 12 has 58,786
+MAX_PORTRAITS = 20_000
 
 
 class _CliError(Exception):
@@ -151,6 +155,12 @@ def _violation_rows(violations) -> list[dict]:
 
 def _cmd_fpp_enum(args: argparse.Namespace) -> int:
     d = _check_degree_arg(args.degree)
+    count = _portrait_count(d)
+    if count is None or count > MAX_PORTRAITS:
+        shown = f"more than {10 * MAX_PORTRAITS}" if count is None else str(count)
+        raise _usage(
+            f"degree {d} means {shown} portraits to enumerate; the limit is {MAX_PORTRAITS}"
+        )
     portraits = fpps_up_to_rotation(d) if args.up_to_rotation else enumerate_fpps(d)
     obj = {
         "status": "ok",
@@ -236,11 +246,28 @@ def _cmd_lam_check(args: argparse.Namespace) -> int:
     return rc
 
 
+def _portrait_count(d: int) -> int | None:
+    """The Catalan(d - 1) portraits of degree d.  None once the count exceeds
+    ten times MAX_PORTRAITS, so a huge degree never forms a huge number or a
+    long loop."""
+    count = 1
+    for k in range(d - 1):
+        # Catalan(k + 1) = Catalan(k) * 2(2k + 1)/(k + 2), which at least
+        # doubles it from k = 1 on
+        count = count * 2 * (2 * k + 1) // (k + 2)
+        if count > 10 * MAX_PORTRAITS:
+            return None
+    return count
+
+
 def _leaf_work(leaves: int, d: int, n: int) -> int | None:
     """The leaves n pullback stages of `leaves` initial ones can hold, leaves *
     (d^(n+1) - 1)/(d - 1), plus one per stage, so that an empty start still
     counts its stages.  None once the sum exceeds ten times MAX_LEAVES, so a
-    huge degree or depth never forms a huge number or a long loop."""
+    huge degree or depth never forms a huge number or a long loop.  Choosing
+    the sibling matching of one leaf takes time polynomial in d (an interval
+    DP over its 2d fibre points), so the leaf count is the only term the cap
+    needs."""
     total, stage = 0, leaves
     # each stage adds at least one, which bounds the loop
     for _ in range(n + 1):

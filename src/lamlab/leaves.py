@@ -177,6 +177,8 @@ def fibre_matchings(d: int) -> tuple[tuple[int, ...], ...]:
     circle, a_0 < b_0 < a_1 < ... < b_{d-1}, so the non-crossing matchings do
     not depend on the chord: they are the non-crossing pairings of 2d points
     in convex position.  Each tuple m joins a-preimage i to b-preimage m[i].
+    `sibling_collections` lists them; pullback and `check_invariance` pick
+    or find one matching with `_fibre_matching` instead.
     """
     check_degree(d)
 
@@ -196,6 +198,67 @@ def fibre_matchings(d: int) -> tuple[tuple[int, ...], ...]:
         m = dict((p // 2, q // 2) if p % 2 == 0 else (q // 2, p // 2) for p, q in pairing)
         out.append(tuple(m[i] for i in range(d)))
     return tuple(sorted(out))
+
+
+def _fibre_matching(
+    chords: list[list[tuple[int, int, int]]],
+) -> tuple[int, list[tuple[int, int]]] | None:
+    """The best non-crossing perfect matching of n = len(chords) points in convex position.
+
+    `chords[l]` lists the allowed chords from point l to later points m as
+    (m, cost, gain), ascending in m, with m - l odd.  The matching maximises
+    the total gain, then minimises its largest cost.  A matching of the
+    interval [l, r) joins l to some m and matches [l+1, m) and [m+1, r)
+    independently, and a gain sum and a largest cost compose over those
+    parts, so one bottom-up pass, from the last l down, fills flat tables
+    indexed by l*(n+1) + r with each interval's best gain (-1: no
+    matching), its cost and its m.  Among tied m the smallest wins: every
+    chord inside (l, m) sorts before every chord after m, so with zero
+    costs the result is the least sorted chord list of the matchings of
+    most gain.  Returns (largest cost, chords (l, m) in ascending order), or
+    None when no perfect matching uses only allowed chords.
+    """
+    n = len(chords)
+    w = n + 1
+    gain = [-1] * (w * w)
+    gain[:: w + 1] = [0] * w  # the empty intervals [l, l)
+    cost = [0] * (w * w)
+    pick = [0] * (w * w)
+    for l in range(n - 2, -1, -1):
+        row = l * w
+        inner = row + w  # the interval [l+1, m) sits at inner + m
+        for m, c, g in chords[l]:
+            gi = gain[inner + m]
+            if gi < 0:
+                continue
+            g += gi
+            ci = cost[inner + m]
+            if ci > c:
+                c = ci
+            # offer l-m with [l+1, m) to every [l, r) whose rest [m+1, r) has a matching
+            outer = (m + 1) * w
+            for r in range(m + 1, n + 1, 2):
+                go = gain[outer + r]
+                if go < 0:
+                    continue
+                tg, tc = g + go, cost[outer + r]
+                if c > tc:
+                    tc = c
+                bg = gain[row + r]
+                if tg > bg or (tg == bg and tc < cost[row + r]):
+                    gain[row + r], cost[row + r], pick[row + r] = tg, tc, m
+    if gain[n] < 0:
+        return None
+    out = []
+    stack = [(0, n)]
+    while stack:
+        l, r = stack.pop()
+        if l < r:
+            m = pick[l * w + r]
+            out.append((l, m))
+            stack.append((m + 1, r))
+            stack.append((l + 1, m))
+    return cost[n], out
 
 
 def sibling_collections(d: int, l: Leaf) -> list[SiblingCollection]:
@@ -380,7 +443,8 @@ def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation,
     Critical leaves are exempt from (c), having no leaf image.  One pass over
     L_next's integer view indexes each image leaf by the fibre positions
     (i, j) of its preimage leaves there: the i-th preimage of the image's a
-    joined to the j-th of its b.
+    joined to the j-th of its b.  (c) asks `_fibre_matching` whether those
+    chords hold a non-crossing perfect matching, once per image.
     """
     if L_prev.degree != L_next.degree:
         raise ValueError("degree mismatch between stages")
@@ -403,6 +467,7 @@ def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation,
             else:
                 over.setdefault((ib, ia), set()).add((j, i))
     out: list[Violation] = []
+    full: dict[tuple[int, int], bool] = {}  # whether an image has a full sibling collection
     for l, (x, y) in zip(L_prev.sorted_leaves, prev_pairs):
         x, y = x * up, y * up
         ia, ib = d * x % D, d * y % D
@@ -413,10 +478,16 @@ def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation,
             out.append(Violation("forward", detail, (l,)))
         if (x, y) not in over:
             out.append(Violation("backward", f"no preimage of {l} present", (l,)))
-        fibres = over.get(img, set())
-        if not critical and not any(
-            all(ij in fibres for ij in enumerate(m)) for m in fibre_matchings(d)
-        ):
+        if critical:
+            continue
+        if img not in full:
+            # a-preimage i sits at point 2i of the sorted fibres and b-preimage j at 2j + 1
+            chords: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * d)]
+            for i, j in sorted(over.get(img, ())):
+                p, q = (2 * i, 2 * j + 1) if i <= j else (2 * j + 1, 2 * i)
+                chords[p].append((q, 0, 0))
+            full[img] = _fibre_matching(chords) is not None
+        if not full[img]:
             detail = f"no full sibling collection over {_leaf(img, D)}"
             out.append(Violation("sibling", detail, (l,)))
     return tuple(out)

@@ -11,7 +11,6 @@ fixed objects carried by each sector.
 """
 from __future__ import annotations
 
-import itertools
 from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .leaves import (
     _crossers,
     _face,
     _face_sweep,
+    _fibre_matching,
     _image,
     _iterates_onto,
     _leaf,
@@ -36,7 +36,6 @@ from .leaves import (
     _scaled,
     _scaled_pair,
     faces,
-    fibre_matchings,
     is_critical,
     leaf_image,
     leaves_cross,
@@ -230,40 +229,52 @@ def _best_matching(
 ) -> tuple[tuple[int, int], ...]:
     """Pick the d disjoint preimage chords of the leaf pair/denom, as pairs over d*denom.
 
-    Candidate chord (i, j) joins the i-th preimage (x + i*denom)/(d*denom) of
-    the leaf's first endpoint x/denom to the j-th of its second.  It is valid
-    when it crosses nothing already placed: every placed endpoint strictly
-    inside it has its partner in the closed span, which the sorted endpoint
-    index `ends` answers.  The policy then ranks the Catalan(d)
-    non-crossing matchings of the two preimage fibers whose chords are all
-    valid.  The rank ends in the sorted chord pairs, so the winner does not
-    depend on enumeration order.
+    The preimages of the leaf's endpoints x < y alternate around the circle,
+    so point 2i of the sorted fibres is (x + i*denom)/(d*denom) and point
+    2i+1 is (y + i*denom)/(d*denom).  A chord between points of the two
+    fibres is valid when it crosses nothing already placed: every placed
+    endpoint strictly inside it has its partner in the closed span, which
+    the sorted endpoint index `ends` answers.  `_fibre_matching` runs at
+    most twice over the valid chords.  The first run finds the policy's
+    longest chord tau: the least bottleneck ("shortest", zero gains), or
+    the least bottleneck among the matchings that reuse the most placed
+    chords ("prefer-existing", reuse as the gain).  The second keeps the
+    chords no longer than tau and maximises reuse, taking the least sorted
+    chord pairs among ties.  So the winner is the least (maxlen, -reuse, pairs), or
+    (-reuse, maxlen, pairs), over every non-crossing matching of valid
+    chords, and does not depend on any enumeration order.
     """
-    fib_a = [pair[0] + i * denom for i in range(d)]
-    fib_b = [pair[1] + i * denom for i in range(d)]
+    pts = [p + i * denom for i in range(d) for p in pair]
     full = d * denom
-    valid: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, j in itertools.product(range(d), repeat=2):
-        x, y = sorted((fib_a[i], fib_b[j]))
-        if not any(_crossers(ends, x, y)):
-            valid[i, j] = (x, y)
-
-    ranks = []
-    for m in fibre_matchings(d):
-        if not all(ij in valid for ij in enumerate(m)):
-            continue
-        pairs = tuple(sorted(valid[ij] for ij in enumerate(m)))
-        maxlen = max(min(y - x, full - y + x) for x, y in pairs)
-        reuse = sum(p in acc_pairs for p in pairs)
-        if policy == "shortest":
-            ranks.append((maxlen, -reuse, pairs))
-        else:
-            ranks.append((-reuse, maxlen, pairs))
-    if not ranks:
+    reuse = policy == "prefer-existing"
+    valid: list[list[tuple[int, int, int]]] = []
+    for l, x in enumerate(pts):
+        row = []
+        for m in range(l + 1, 2 * d, 2):
+            y = pts[m]
+            crosser = next(_crossers(ends, x, y), None)
+            if crosser is None:
+                row.append((m, min(y - x, full - y + x), reuse and (x, y) in acc_pairs))
+            elif crosser[1] < x:
+                # that chord also crosses every longer chord from x
+                break
+        valid.append(row)
+    first = _fibre_matching(valid)
+    if first is None:
         raise ValueError(
             f"no compatible sibling matching exists for {_leaf(pair, denom)}"
         )
-    return min(ranks)[-1]
+    tau, chosen = first
+    # two perfect matchings of the 2d points differ in at least two chords
+    # each, so with at most d + 1 valid chords the first run found the only one
+    if sum(map(len, valid)) > d + 1:
+        _, chosen = _fibre_matching(
+            [
+                [(m, 0, (pts[l], pts[m]) in acc_pairs) for m, c, _ in row if c <= tau]
+                for l, row in enumerate(valid)
+            ]
+        )
+    return tuple((pts[l], pts[m]) for l, m in chosen)
 
 
 def pullback(

@@ -128,6 +128,44 @@ class TestFppEnum:
         _, out2, _ = run(capsys, "fpp", "enum", "--degree", "6")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["--degree", "12"], "58786"),
+            (["--degree", "12", "--up-to-rotation"], "58786"),
+            (["--degree", "14"], "more than 200000"),
+            (["--degree", str(10**12)], "more than 200000"),
+        ],
+    )
+    def test_portrait_count_is_capped_before_enumerating(self, capsys, monkeypatch, argv, shown):
+        def refuse(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(cli, "enumerate_fpps", refuse)
+        monkeypatch.setattr(cli, "fpps_up_to_rotation", refuse)
+        rc, out, err = run(capsys, "fpp", "enum", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            f"lamlab: error: degree {argv[1]} means {shown} portraits to enumerate; "
+            f"the limit is {cli.MAX_PORTRAITS}\n"
+        )
+
+    def test_portrait_limit_is_inclusive(self, capsys, monkeypatch):
+        # Catalan(4) = 14 portraits at degree 5, Catalan(5) = 42 at degree 6
+        monkeypatch.setattr(cli, "MAX_PORTRAITS", 14)
+        rc, out, _ = run(capsys, "fpp", "enum", "--degree", "5")
+        assert rc == 0
+        assert jline(out)["count"] == 14
+        rc, _, err = run(capsys, "fpp", "enum", "--degree", "6", "--up-to-rotation")
+        assert rc == 2
+        assert "means 42 portraits" in err
+
+    def test_portrait_count_is_catalan(self):
+        for d in range(2, 13):
+            assert cli._portrait_count(d) == math.comb(2 * d - 2, d - 1) // d
+        assert cli._portrait_count(11) == 16796 <= cli.MAX_PORTRAITS
+
 
 class TestFppCanonical:
     def test_build_writes_document(self, capsys, tmp_path):
@@ -228,6 +266,13 @@ class TestFppCanonical:
             state = canonical_lamination(FixedPointPortrait(d, (blocks,)), n)
             work = cli._leaf_work(len(state.initial), d, n)
             assert len(state.final) <= work - (n + 1)
+
+    def test_high_degree_is_not_capped_by_matchings(self, capsys, tmp_path):
+        # 157 leaves at degree 12, where Catalan(12) = 208,012 matchings per leaf
+        argv = "fpp canonical --degree 12 --fpp 0-1 --depth 2 --out".split()
+        rc, out, _ = run(capsys, *argv, str(tmp_path / "x.json"))
+        assert rc == 0
+        assert jline(out)["leaves"] == 157
 
     def test_single_index_block_rejected(self, capsys, tmp_path):
         rc, _, err = run(

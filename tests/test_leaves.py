@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamlab.circle import CirclePoint, angle, ccw_span, preimages, sigma
-from lamlab.fpp import enumerate_fpps
+from lamlab.fpp import FixedPointPortrait, enumerate_fpps
 from lamlab.leaves import (
     Arc,
     Face,
@@ -517,6 +517,46 @@ class TestCheckInvarianceIndex:
         kept = (l for i, l in enumerate(L_next.sorted_leaves) if mask >> i & 1)
         L_prev = Lamination(d, frozenset(kept))
         assert check_invariance(L_prev, L_next) == probing_check_invariance(L_prev, L_next)
+
+
+@cache
+def high_degree_state(d, blocks):
+    return canonical_lamination(FixedPointPortrait(d, blocks), 2)
+
+
+HIGH_DEGREE_PORTRAITS = [(P.degree, P.blocks) for d in (6, 7) for P in enumerate_fpps(d)]
+
+
+class TestCheckInvarianceHighDegree:
+    """The sibling test's matching search against the enumerating oracle, where fibres are large."""
+
+    @settings(max_examples=30)
+    @given(
+        st.sampled_from(HIGH_DEGREE_PORTRAITS),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(0, 2**20 - 1),
+    )
+    def test_equals_probing_oracle(self, portrait, k, j, mask):
+        # stage pairs k <= j, some leaves new at j dropped from the later stage
+        state = high_degree_state(*portrait)
+        k, j = min(k, j), max(k, j)
+        prev, nxt = state.stages[k], state.stages[j]
+        new = sorted(nxt.leaves - prev.leaves)
+        dropped = frozenset(l for i, l in enumerate(new) if mask >> (i % 20) & 1)
+        L_next = Lamination(nxt.degree, nxt.leaves - dropped)
+        assert check_invariance(prev, L_next) == probing_check_invariance(prev, L_next)
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_sibling_leaf_removed(self, d):
+        # without one stage-1 leaf, the hull leaf's image has no full collection
+        state = high_degree_state(d, ((0, 1),))
+        prev = state.stages[0]
+        L_next = Lamination(d, state.stages[1].leaves - {min(state.frontier(1))})
+        got = check_invariance(prev, L_next)
+        assert got == probing_check_invariance(prev, L_next)
+        assert [v.check for v in got] == ["sibling"]
+        assert check_invariance(prev, state.stages[1]) == ()
 
 
 class TestGrandOrbit:

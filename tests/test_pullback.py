@@ -1,5 +1,7 @@
 """Tests for critical portraits, inverse branches, and staged preimage growth."""
 import hashlib
+import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -8,14 +10,25 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lamlab
 from lamlab.circle import angle, preimages, sigma
 from lamlab.docio import document_from_state, write_document
-from lamlab.fpp import FixedPointPortrait, canonical_portraits, fixed_sectors
-from lamlab.leaves import Lamination, Leaf, Polygon, check_invariance, leaf_image
+from lamlab.fpp import FixedPointPortrait, canonical_portraits, enumerate_fpps, fixed_sectors
+from lamlab.leaves import (
+    Lamination,
+    Leaf,
+    Polygon,
+    _crossers,
+    _leaf,
+    check_invariance,
+    fibre_matchings,
+    leaf_image,
+    validate_prelamination,
+)
 from lamlab.pullback import (
+    _POLICIES,
     CriticalPortrait,
     InsufficientDepthError,
     branch_inverse,
@@ -575,7 +588,130 @@ class TestPreimageConsistency:
             assert leaf_image(5, l) == seed
 
 
-# SHA-256 of the written document for degree 6 and 7 pullbacks under the first
+def enumerating_best_matching(d, pair, denom, ends, acc_pairs, policy):
+    """Reference for `_best_matching`: rank all Catalan(d) non-crossing fibre matchings.
+
+    Candidate chord (i, j) joins the i-th preimage of the leaf's first
+    endpoint to the j-th of its second and is valid when it crosses nothing
+    in `ends`.  Every matching of valid chords is ranked by (maxlen, -reuse,
+    sorted pairs) under "shortest" and (-reuse, maxlen, sorted pairs)
+    otherwise; the least rank wins.
+    """
+    fib_a = [pair[0] + i * denom for i in range(d)]
+    fib_b = [pair[1] + i * denom for i in range(d)]
+    full = d * denom
+    valid = {}
+    for i, j in itertools.product(range(d), repeat=2):
+        x, y = sorted((fib_a[i], fib_b[j]))
+        if not any(_crossers(ends, x, y)):
+            valid[i, j] = (x, y)
+    ranks = []
+    for m in fibre_matchings(d):
+        if not all(ij in valid for ij in enumerate(m)):
+            continue
+        pairs = tuple(sorted(valid[ij] for ij in enumerate(m)))
+        maxlen = max(min(y - x, full - y + x) for x, y in pairs)
+        reuse = sum(p in acc_pairs for p in pairs)
+        if policy == "shortest":
+            ranks.append((maxlen, -reuse, pairs))
+        else:
+            ranks.append((-reuse, maxlen, pairs))
+    if not ranks:
+        raise ValueError(f"no compatible sibling matching exists for {_leaf(pair, denom)}")
+    return min(ranks)[-1]
+
+
+def outcome(call):
+    """repr of call(), or the ValueError it raises as text."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def matching_problems(draw):
+    """`_best_matching` arguments: a leaf x < y over denom and placed chords over d*denom.
+
+    The placed chords are arbitrary chords plus some chords between the
+    leaf's two preimage fibres, which a matching may reuse.
+    """
+    d = draw(st.integers(2, 6))
+    denom = draw(st.integers(2, 8))
+    x = draw(st.integers(0, denom - 2))
+    y = draw(st.integers(x + 1, denom - 1))
+    full = d * denom
+    pts = [p + i * denom for i in range(d) for p in (x, y)]
+    fibre = [(pts[l], pts[m]) for l in range(2 * d) for m in range(l + 1, 2 * d, 2)]
+    point = st.integers(0, full - 1)
+    placed = draw(
+        st.sets(
+            st.tuples(point, point).filter(lambda t: t[0] != t[1]).map(lambda t: tuple(sorted(t))),
+            max_size=2 * d,
+        )
+    )
+    placed |= draw(st.sets(st.sampled_from(fibre), max_size=d))
+    ends = sorted(e for u, v in placed for e in ((u, v), (v, u)))
+    return d, (x, y), denom, ends, placed, draw(st.sampled_from(_POLICIES))
+
+
+# d=3 portrait 0-1 at its first stage, over D = 6: the hull leaf (0, 3) and the
+# critical chords (0, 2), (0, 4), scaled to 18.  Under "shortest" its two
+# optimal matchings are mirror images of the same lengths, and only the sorted
+# pairs decide.
+_MIRROR_TIE = (3, (0, 3), 6, sorted([(0, 9), (9, 0), (0, 6), (6, 0), (0, 12), (12, 0)]))
+_MIRROR_PLACED = {(0, 9), (0, 6), (0, 12)}
+# d=2, leaf 0-1/2 over 4: the placed 1/8-3/8 crosses 0-1/4 and 1/4-1/2, so
+# each of the two fibre matchings has a blocked chord
+_BLOCKED = (2, (0, 2), 4, [(1, 3), (3, 1), (3, 5), (5, 3)], {(1, 3), (3, 5)}, "shortest")
+
+
+class TestMatchingOracle:
+    # canonical pullbacks of every portrait up to these depths, both policies
+    SHALLOW = {3: 4, 4: 3, 5: 3, 6: 2}
+
+    @pytest.mark.parametrize("d", sorted(SHALLOW))
+    def test_equals_enumerator_on_canonical_pullbacks(self, d, monkeypatch):
+        module = importlib.import_module("lamlab.pullback")
+        dp = module._best_matching
+        calls = []
+
+        def checked(*problem):
+            got = dp(*problem)
+            assert got == enumerating_best_matching(*problem)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(module, "_best_matching", checked)
+        for P in enumerate_fpps(d):
+            C = canonical_portraits(P)[0].as_critical_portrait()
+            for policy in _POLICIES:
+                pullback(Lamination(d, P.hull_leaves), C, self.SHALLOW[d], policy=policy)
+        assert calls
+
+    @settings(max_examples=300)
+    @given(matching_problems())
+    @example(_BLOCKED)
+    @example((*_MIRROR_TIE, _MIRROR_PLACED, "shortest"))
+    @example((*_MIRROR_TIE, _MIRROR_PLACED, "prefer-existing"))
+    def test_equals_enumerator_on_drawn_chord_sets(self, problem):
+        dp = importlib.import_module("lamlab.pullback")._best_matching
+        assert outcome(lambda: dp(*problem)) == outcome(
+            lambda: enumerating_best_matching(*problem)
+        )
+
+    def test_blocked_and_tied_examples(self):
+        dp = importlib.import_module("lamlab.pullback")._best_matching
+        with pytest.raises(ValueError, match=r"no compatible sibling matching exists for Leaf\(0, 1/2\)"):
+            dp(*_BLOCKED)
+        # 0-1/6, 1/3-1/2, 2/3-5/6 beat their mirror 0-5/6, 1/6-1/3, 1/2-2/3 on
+        # sorted pairs alone; reusing 0-1/2 wins outright under prefer-existing
+        tie = (*_MIRROR_TIE, _MIRROR_PLACED)
+        assert dp(*tie, "shortest") == ((0, 3), (6, 9), (12, 15))
+        assert dp(*tie, "prefer-existing") == ((0, 9), (3, 6), (12, 15))
+
+
+# SHA-256 of the written document for degree 6 to 12 pullbacks under the first
 # canonical placement.  The acceptance sweeps stop at degree 5, so these pin the
 # matchings chosen where the fibres are largest.
 GOLDEN_DOCUMENTS = [
@@ -595,6 +731,15 @@ GOLDEN_DOCUMENTS = [
     (7, ((1, 2), (3, 5)), 2, "prefer-existing", "7126b95543e6b5793591f385229985c6380611db4e417a53dedd8e2fa4886d43"),
     (7, ((0, 3),), 1, "shortest", "9082c3ff9a09ebadc2d8ed95383e1cc48fbfc472c6a0eca0549c3d397168559c"),
     (7, ((0, 3),), 1, "prefer-existing", "46d29ae079e4e2aed794131291dbb4de938a9eccbb9ecc0ea09987852d5b7f31"),
+    # recorded with the enumerating matcher (`enumerating_best_matching`)
+    (8, ((0, 3), (4, 6)), 2, "shortest", "031d147c5e0ff600c4903bf45d016fadb7df73c4a6b365751241c475ece6c8d8"),
+    (8, ((0, 3), (4, 6)), 2, "prefer-existing", "2eb52da1f941f1828b1bda09fda68c96c369abd9cbe2db5bceedeb5020218769"),
+    (8, ((0, 1, 3, 5),), 1, "shortest", "bd84b73edd3ce54b142e84a86fa1c33b174ba5296b8304db019b52f2fb0d997e"),
+    (8, ((0, 1, 3, 5),), 1, "prefer-existing", "933e6e5eb42bb6b6f53a411a8a89f5fff6ff528cd223b04e8bd363fd4db78b07"),
+    (10, ((0, 1),), 2, "shortest", "bd1fecefc4b01d4886012020eefc1da6078536e4bbda1530ab7ba3949ba17f23"),
+    (10, ((0, 1),), 2, "prefer-existing", "66be6b9461dac58a9f0d696a8f9854f3fc93d6b13e338ccc98456292331cb512"),
+    (12, ((0, 1),), 2, "shortest", "4affc2953ca49d07c555d15512d75ca3fd0d21237529b94fb0e93ce212743c81"),
+    (12, ((0, 1),), 2, "prefer-existing", "2e377bfce6615503baef1823671859fc8edcd266b3c16b4c9ddcedf65d82453a"),
 ]
 
 
@@ -607,6 +752,15 @@ def test_high_degree_documents_pinned(d, blocks, n, policy, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_degree_sixteen_pullback():
+    # Catalan(16) = 35,357,670 matchings per leaf would be out of reach to rank one by one
+    state = canonical_lamination(FixedPointPortrait(16, ((0, 1),)), 2)
+    assert [len(L) for L in state.stages] == [1, 17, 273]
+    assert validate_prelamination(state.final) == ()
+    for prev, nxt in zip(state.stages, state.stages[1:]):
+        assert check_invariance(prev, nxt) == ()
+
+
 def diagnostics_lines(state, sectors):
     """The per-sector diagnostics of a state, one line each, exceptions included.
 
@@ -614,12 +768,6 @@ def diagnostics_lines(state, sectors):
     report and each sector's gap report and `invariant_gap`; for every stage:
     `classify_sector` on each sector.
     """
-
-    def outcome(call):
-        try:
-            return repr(call())
-        except ValueError as exc:
-            return f"{type(exc).__name__}: {exc}"
 
     lines = []
     for n in range(1, state.depth + 1):
