@@ -1,167 +1,22 @@
-"""lamlab: invariant laminations of the unit disk under angle d-tupling."""
+"""lamlab: invariant laminations of the unit disk under angle d-tupling.
+
+Each module's `__all__` is its public surface; the package exports them all.
+"""
 
 __version__ = "0.1.0"
 
-from .circle import (
-    CirclePoint,
-    DnaryString,
-    angle,
-    fixed_points,
-    in_arc,
-    orbit,
-    parse_angle,
-    parse_dnary,
-    preimages,
-    render_dnary,
-    sigma,
-)
-from .leaves import (
-    Arc,
-    Face,
-    Lamination,
-    Leaf,
-    Polygon,
-    SiblingCollection,
-    Violation,
-    check_invariance,
-    faces,
-    is_critical,
-    leaf_image,
-    leaves_cross,
-    sibling_collections,
-    validate_prelamination,
-)
-from .fpp import (
-    CanonicalPortraitChoice,
-    FixedPointPortrait,
-    FixedSector,
-    canonical_portraits,
-    enumerate_fpps,
-    fixed_polygons,
-    fixed_sectors,
-    fpps_up_to_rotation,
-    sector_degree,
-)
-from .pullback import (
-    CriticalPortrait,
-    CriticalSector,
-    InsufficientDepthError,
-    PullbackState,
-    SectorClassification,
-    branch_inverse,
-    canonical_lamination,
-    classify_sector,
-    clp_checks,
-    cp_pullback_equality,
-    critical_sectors,
-    flower_like,
-    invariant_gap,
-    is_hyperbolic_approx,
-    pullback,
-)
-from .rotation import (
-    CoRootSet,
-    CorrespondencePair,
-    MajorMinor,
-    MajorTieError,
-    NotRotational,
-    RotationalOrbit,
-    central_gap,
-    enumerate_rotational_orbits,
-    find_coroots,
-    major_length_bound_check,
-    major_minor,
-    max_to_uni,
-    rotation_number,
-    uni_to_max,
-    unicritical_anchor,
-    validate_rotational_placement,
-)
-from .docio import (
-    LaminationDocument,
-    RenderSpec,
-    document_from_state,
-    format_angle,
-    read_document,
-    read_portrait,
-    write_document,
-    write_portrait,
-    write_svg,
-)
+from . import circle, leaves, fpp, pullback, rotation, docio
 
 __all__ = [
-    "Arc",
-    "CanonicalPortraitChoice",
-    "CirclePoint",
-    "CoRootSet",
-    "CorrespondencePair",
-    "CriticalPortrait",
-    "CriticalSector",
-    "DnaryString",
-    "Face",
-    "FixedPointPortrait",
-    "FixedSector",
-    "InsufficientDepthError",
-    "Lamination",
-    "LaminationDocument",
-    "Leaf",
-    "MajorMinor",
-    "MajorTieError",
-    "NotRotational",
-    "Polygon",
-    "PullbackState",
-    "RenderSpec",
-    "RotationalOrbit",
-    "SectorClassification",
-    "SiblingCollection",
-    "Violation",
-    "angle",
-    "branch_inverse",
-    "canonical_lamination",
-    "canonical_portraits",
-    "central_gap",
-    "check_invariance",
-    "classify_sector",
-    "clp_checks",
-    "cp_pullback_equality",
-    "critical_sectors",
-    "document_from_state",
-    "enumerate_fpps",
-    "enumerate_rotational_orbits",
-    "faces",
-    "find_coroots",
-    "fixed_points",
-    "fixed_polygons",
-    "fixed_sectors",
-    "flower_like",
-    "format_angle",
-    "fpps_up_to_rotation",
-    "in_arc",
-    "invariant_gap",
-    "is_critical",
-    "is_hyperbolic_approx",
-    "leaf_image",
-    "leaves_cross",
-    "major_length_bound_check",
-    "major_minor",
-    "max_to_uni",
-    "orbit",
-    "parse_angle",
-    "parse_dnary",
-    "preimages",
-    "pullback",
-    "read_document",
-    "read_portrait",
-    "render_dnary",
-    "rotation_number",
-    "sector_degree",
-    "sibling_collections",
-    "sigma",
-    "uni_to_max",
-    "unicritical_anchor",
-    "validate_prelamination",
-    "validate_rotational_placement",
-    "write_document",
-    "write_portrait",
-    "write_svg",
+    name
+    for module in (circle, leaves, fpp, pullback, rotation, docio)
+    for name in module.__all__
 ]
+
+# the lists are read before the star imports rebind `pullback` to the function
+from .circle import *
+from .leaves import *
+from .fpp import *
+from .pullback import *
+from .rotation import *
+from .docio import *

@@ -15,11 +15,8 @@ __all__ = [
     "CirclePoint",
     "DnaryString",
     "angle",
-    "ccw_span",
-    "check_degree",
     "fixed_points",
     "in_arc",
-    "orbit",
     "parse_angle",
     "parse_dnary",
     "preimages",
@@ -170,24 +167,6 @@ def in_arc(t: CirclePoint, a: CirclePoint, b: CirclePoint) -> bool:
     rel_t = (_raw(t) - _raw(a)) % 1
     rel_b = (_raw(b) - _raw(a)) % 1
     return 0 < rel_t < rel_b
-
-
-def orbit(d: int, t: CirclePoint) -> tuple[int, list[CirclePoint]]:
-    """Forward orbit of t: (preperiod length, periodic cycle in orbit order).
-
-    Rational angles are eventually periodic under the d-tupling map, so the
-    iteration always terminates at the first repeated point.
-    """
-    check_degree(d)
-    seen: dict[CirclePoint, int] = {}
-    seq: list[CirclePoint] = []
-    x = angle(t)
-    while True:
-        start = seen.setdefault(x, len(seq))
-        if start < len(seq):
-            return start, seq[start:]
-        seq.append(x)
-        x = sigma(d, x)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ MAX_LEAVES = 50_000
 # output on a 2-CPU Xeon
 MAX_ORBIT_TUPLES = 100_000
 # `fpp enum` builds all Catalan(d - 1) portraits of degree d, also when it
-# prints them up to rotation; the 16,796 of degree 11 take about 2.3 s that
+# prints them up to rotation; the 16,796 of degree 11 take about 1 s either
 # way on a 2-CPU Xeon, and degree 12 has 58,786
 MAX_PORTRAITS = 20_000
 

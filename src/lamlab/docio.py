@@ -233,6 +233,11 @@ def read_document(text: str) -> LaminationDocument:
 
 
 def write_portrait(C: CriticalPortrait) -> str:
+    """Serialize a critical portrait as the JSON that `read_portrait` reads.
+
+    Python-only: the CLI reads portrait files but writes none; ROADMAP item 1
+    decides its route.
+    """
     return (
         "{\n"
         + f'  "degree": {C.degree},\n'
@@ -257,6 +262,11 @@ def read_portrait(text: str) -> CriticalPortrait:
 _STYLES = ("straight", "geodesic")
 _LABELS = (None, "dnary", "rational")
 
+_BACKGROUND = "#ffffff"
+_CIRCLE_COLOR = "#333333"
+_FIXED_POINT_COLOR = "#c0392b"
+_INITIAL_LEAF_COLOR = "#2c3e50"
+_CRITICAL_COLOR = "#8e44ad"
 _DEPTH_COLORS = (
     "#1f77b4",
     "#2ca02c",
@@ -269,7 +279,7 @@ _DEPTH_COLORS = (
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Look of an SVG rendering: canvas, chord style, colors, labels.
+    """Look of an SVG rendering: canvas size, chord style, labels.
 
     Chords are straight segments by default; `geodesic` draws each one as
     the circular arc meeting the unit circle at right angles.  Pullback
@@ -279,12 +289,6 @@ class RenderSpec:
     size: int = 600
     style: str = "straight"
     labels: str | None = None
-    background: str = "#ffffff"
-    circle_color: str = "#333333"
-    fixed_point_color: str = "#c0392b"
-    initial_leaf_color: str = "#2c3e50"
-    critical_color: str = "#8e44ad"
-    depth_colors: tuple[str, ...] = _DEPTH_COLORS
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -293,13 +297,6 @@ class RenderSpec:
             raise ValueError(f"style must be one of {_STYLES}, got {self.style!r}")
         if self.labels not in _LABELS:
             raise ValueError(f"labels must be one of {_LABELS[1:]} or omitted")
-        if not self.depth_colors:
-            raise ValueError("at least one depth color is required")
-
-    def leaf_color(self, depth: int) -> str:
-        if depth <= 0:
-            return self.initial_leaf_color
-        return self.depth_colors[(depth - 1) % len(self.depth_colors)]
 
 
 def _coord(x: float) -> str:
@@ -355,9 +352,9 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="{spec.background}"/>',
+        f'<rect width="{size}" height="{size}" fill="{_BACKGROUND}"/>',
         f'<circle cx="{_coord(cx)}" cy="{_coord(cy)}" r="{_coord(r)}" '
-        f'fill="none" stroke="{spec.circle_color}" stroke-width="1.5"/>',
+        f'fill="none" stroke="{_CIRCLE_COLOR}" stroke-width="1.5"/>',
     ]
 
     stages = doc.stages if doc.stages is not None else tuple(0 for _ in doc.leaves)
@@ -365,7 +362,10 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
     for l, s in zip(doc.leaves, stages):
         by_depth.setdefault(s, []).append(l)
     for depth in sorted(by_depth, reverse=True):
-        color = spec.leaf_color(depth)
+        if depth <= 0:
+            color = _INITIAL_LEAF_COLOR
+        else:
+            color = _DEPTH_COLORS[(depth - 1) % len(_DEPTH_COLORS)]
         # doc.leaves is sorted, so each depth's list is too
         for l in by_depth[depth]:
             lines.append(
@@ -377,7 +377,7 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         for c in doc.portrait.sorted_chords:
             lines.append(
                 f'<path d="{chord_path(c)}" fill="none" '
-                f'stroke="{spec.critical_color}" stroke-width="1.2" '
+                f'stroke="{_CRITICAL_COLOR}" stroke-width="1.2" '
                 f'stroke-dasharray="5 4"/>'
             )
 
@@ -386,7 +386,7 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         fx, fy = xy(i, d - 1)
         lines.append(
             f'<circle cx="{_coord(fx)}" cy="{_coord(fy)}" r="{_coord(dot)}" '
-            f'fill="{spec.fixed_point_color}"/>'
+            f'fill="{_FIXED_POINT_COLOR}"/>'
         )
 
     if spec.labels is not None:
@@ -402,7 +402,7 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
                 f'<text x="{_coord(lx)}" y="{_coord(ly)}" font-size="{fs}" '
                 f'font-family="monospace" text-anchor="middle" '
                 f'dominant-baseline="middle" '
-                f'fill="{spec.circle_color}">{text}</text>'
+                f'fill="{_CIRCLE_COLOR}">{text}</text>'
             )
 
     lines.append("</svg>")

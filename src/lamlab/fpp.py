@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .circle import CirclePoint, angle, ccw_span, check_degree, fixed_points
 from .leaves import Arc, Lamination, Leaf, Polygon, _cross, _sides, faces
@@ -22,10 +23,8 @@ __all__ = [
     "FixedSector",
     "canonical_portraits",
     "enumerate_fpps",
-    "fixed_polygons",
     "fixed_sectors",
     "fpps_up_to_rotation",
-    "sector_degree",
 ]
 
 
@@ -77,14 +76,6 @@ class FixedPointPortrait:
             Leaf(x, y) for b in self.blocks for x, y in _sides([self.point(i) for i in b])
         )
 
-    @property
-    def fixed_leaves(self) -> tuple[Leaf, ...]:
-        return tuple(
-            Leaf(self.point(b[0]), self.point(b[1]))
-            for b in self.blocks
-            if len(b) == 2
-        )
-
     def rotated(self, k: int = 1) -> "FixedPointPortrait":
         n = self.degree - 1
         return FixedPointPortrait(
@@ -96,60 +87,48 @@ class FixedPointPortrait:
         return "[" + inner + "]"
 
 
-def fixed_polygons(P: FixedPointPortrait) -> list[Polygon]:
-    """Hulls of the blocks with at least three fixed points."""
-    return [
-        Polygon(tuple(P.point(i) for i in b)) for b in P.blocks if len(b) >= 3
-    ]
+def _noncrossing_partitions(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The non-crossing partitions of elems in circular order, the block of elems[0] first.
+
+    elems[0] is alone, or its next block-mate is rest[i]: then rest[:i] lies
+    between the two and is partitioned on its own, and the block of rest[i]
+    in a partition of rest[i:] gains elems[0].
+    """
+    if not elems:
+        yield ()
+        return
+    x, rest = elems[0], elems[1:]
+    for p in _noncrossing_partitions(rest):
+        yield ((x,), *p)
+    for i in range(len(rest)):
+        for inner in _noncrossing_partitions(rest[:i]):
+            for outer in _noncrossing_partitions(rest[i:]):
+                yield ((x, *outer[0]), *inner, *outer[1:])
 
 
 def enumerate_fpps(d: int) -> list[FixedPointPortrait]:
     """All portraits for degree d: the non-crossing partitions of d-1 points."""
     check_degree(d)
-    n = d - 1
-
-    def partitions(elems: tuple[int, ...]):
-        if not elems:
-            yield ()
-            return
-        x = elems[0]
-        rest = elems[1:]
-        for k in range(len(rest) + 1):
-            for combo in itertools.combinations(range(len(rest)), k):
-                block = (x,) + tuple(rest[i] for i in combo)
-                segments = []
-                prev = -1
-                for i in combo:
-                    segments.append(rest[prev + 1 : i])
-                    prev = i
-                segments.append(rest[prev + 1 :])
-                for sub in _product_partitions(segments):
-                    yield (block,) + sub
-
-    def _product_partitions(segments):
-        if not segments:
-            yield ()
-            return
-        head, tail = segments[0], segments[1:]
-        for p1 in partitions(head):
-            for p2 in _product_partitions(tail):
-                yield p1 + p2
-
-    out = [FixedPointPortrait(d, p) for p in partitions(tuple(range(n)))]
-    unique = sorted(set(out), key=lambda P: (len(P.blocks), P.blocks))
-    return unique
+    out = [FixedPointPortrait(d, p) for p in _noncrossing_partitions(tuple(range(d - 1)))]
+    return sorted(out, key=lambda P: (len(P.blocks), P.blocks))
 
 
 def fpps_up_to_rotation(d: int) -> list[FixedPointPortrait]:
-    """One representative per rotation class, the least under block ordering."""
+    """One representative per rotation class, the least under block ordering.
+
+    Rotating by k fixed points keeps the block count, so the least rotation
+    is the least of the rotated block tuples, each sorted as a portrait
+    normalizes its blocks.
+    """
     n = d - 1
-    out = []
-    for P in enumerate_fpps(d):
-        orbit = [P.rotated(k) for k in range(n)]
-        least = min(orbit, key=lambda Q: (len(Q.blocks), Q.blocks))
-        if least == P:
-            out.append(P)
-    return out
+    return [
+        P
+        for P in enumerate_fpps(d)
+        if all(
+            P.blocks <= tuple(sorted(tuple(sorted((i + k) % n for i in b)) for b in P.blocks))
+            for k in range(1, n)
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -162,6 +141,7 @@ class FixedSector:
 
     @property
     def sector_degree(self) -> int:
+        """Covering degree of the d-tupling map on the sector: arc count plus one."""
         return len(self.arcs) + 1
 
     @cached_property
@@ -178,11 +158,6 @@ class FixedSector:
 
     def contains_leaf(self, l: Leaf, closed: bool = True) -> bool:
         return self.contains_point(l.a, closed) and self.contains_point(l.b, closed)
-
-
-def sector_degree(S: FixedSector) -> int:
-    """Covering degree of the d-tupling map on the sector: arc count plus one."""
-    return S.sector_degree
 
 
 def fixed_sectors(P: FixedPointPortrait) -> list[FixedSector]:

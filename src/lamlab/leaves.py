@@ -8,15 +8,14 @@ subdivision that the chords induce on the disk.
 """
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circle import CirclePoint, angle, ccw_span, check_degree, in_arc, preimages, sigma
+from .circle import CirclePoint, angle, ccw_span, check_degree, in_arc, sigma
 
 __all__ = [
     "Arc",
@@ -24,16 +23,12 @@ __all__ = [
     "Lamination",
     "Leaf",
     "Polygon",
-    "SiblingCollection",
     "Violation",
     "check_invariance",
     "faces",
-    "fibre_matchings",
-    "grand_orbit_truncated",
     "is_critical",
     "leaf_image",
     "leaves_cross",
-    "sibling_collections",
     "validate_prelamination",
 ]
 
@@ -136,70 +131,6 @@ def leaves_cross(l1: Leaf, l2: Leaf) -> bool:
     return in_arc(l2.a, l1.a, l1.b) != in_arc(l2.b, l1.a, l1.b)
 
 
-@dataclass(frozen=True)
-class SiblingCollection:
-    """Exactly d pairwise-disjoint leaves sharing one non-degenerate image."""
-
-    degree: int
-    leaves: frozenset[Leaf]
-
-    def __post_init__(self) -> None:
-        check_degree(self.degree)
-        leaves = frozenset(self.leaves)
-        object.__setattr__(self, "leaves", leaves)
-        if len(leaves) != self.degree:
-            raise ValueError(f"expected {self.degree} leaves, got {len(leaves)}")
-        images = {leaf_image(self.degree, l) for l in leaves}
-        if len(images) != 1 or not isinstance(next(iter(images)), Leaf):
-            raise ValueError("members must share a single non-degenerate image")
-        for l1, l2 in itertools.combinations(leaves, 2):
-            if l1.has_endpoint(l2.a) or l1.has_endpoint(l2.b):
-                raise ValueError(f"{l1} and {l2} share an endpoint")
-            if leaves_cross(l1, l2):
-                raise ValueError(f"{l1} and {l2} cross")
-
-    @property
-    def image(self) -> Leaf:
-        img = leaf_image(self.degree, next(iter(self.leaves)))
-        assert isinstance(img, Leaf)
-        return img
-
-    @property
-    def sorted_leaves(self) -> tuple[Leaf, ...]:
-        return tuple(sorted(self.leaves))
-
-
-@cache
-def fibre_matchings(d: int) -> tuple[tuple[int, ...], ...]:
-    """The Catalan(d) non-crossing perfect matchings between two preimage fibres.
-
-    For a chord a < b the fibres (a+i)/d and (b+j)/d alternate around the
-    circle, a_0 < b_0 < a_1 < ... < b_{d-1}, so the non-crossing matchings do
-    not depend on the chord: they are the non-crossing pairings of 2d points
-    in convex position.  Each tuple m joins a-preimage i to b-preimage m[i].
-    `sibling_collections` lists them; pullback and `check_invariance` pick
-    or find one matching with `_fibre_matching` instead.
-    """
-    check_degree(d)
-
-    def pairings(points: tuple[int, ...]):
-        if not points:
-            yield ()
-            return
-        # an even number of points lies between the two ends of any chord
-        for k in range(1, len(points), 2):
-            for inner in pairings(points[1:k]):
-                for outer in pairings(points[k + 1 :]):
-                    yield ((points[0], points[k]), *inner, *outer)
-
-    # position 2i holds a-preimage i and position 2j+1 holds b-preimage j
-    out = []
-    for pairing in pairings(tuple(range(2 * d))):
-        m = dict((p // 2, q // 2) if p % 2 == 0 else (q // 2, p // 2) for p, q in pairing)
-        out.append(tuple(m[i] for i in range(d)))
-    return tuple(sorted(out))
-
-
 def _fibre_matching(
     chords: list[list[tuple[int, int, int]]],
 ) -> tuple[int, list[tuple[int, int]]] | None:
@@ -259,27 +190,6 @@ def _fibre_matching(
             stack.append((m + 1, r))
             stack.append((l + 1, m))
     return cost[n], out
-
-
-def sibling_collections(d: int, l: Leaf) -> list[SiblingCollection]:
-    """All full collections of d disjoint preimage leaves of image(l) containing l.
-
-    Each member connects one preimage of each image endpoint; the two fibers
-    are disjoint point sets, so distinct members can never share endpoints and
-    the collections are exactly the non-crossing fibre matchings.
-    """
-    img = leaf_image(d, l)
-    if not isinstance(img, Leaf):
-        raise ValueError(f"{l} is critical; sibling collections are undefined")
-    xs = preimages(d, img.a)
-    ys = preimages(d, img.b)
-    found: list[SiblingCollection] = []
-    for m in fibre_matchings(d):
-        chosen = frozenset(Leaf(xs[i], ys[j]) for i, j in enumerate(m))
-        if l in chosen:
-            found.append(SiblingCollection(d, chosen))
-    found.sort(key=lambda c: c.sorted_leaves)
-    return found
 
 
 @dataclass(frozen=True)
@@ -664,23 +574,3 @@ def _iterates_onto(
             x, y = y, x
     return False
 
-
-def grand_orbit_truncated(
-    d: int, L: Lamination, seed: Leaf, max_depth: int
-) -> set[Leaf]:
-    """Leaves of L meeting the seed's forward orbit within max_depth steps each way."""
-    if seed not in L:
-        raise ValueError(f"seed {seed} is not a leaf of the lamination")
-    D, pairs = L.scaled
-    targets: set[tuple[int, int]] = set()
-    cur: tuple[int, int] | int = _scaled_pair(seed, D)
-    for _ in range(max_depth + 1):
-        if isinstance(cur, int) or cur in targets:
-            break
-        targets.add(cur)
-        cur = _image(d, D, cur)
-    return {
-        l
-        for l, pair in zip(L.sorted_leaves, pairs)
-        if _iterates_onto(d, D, pair, targets, max_depth)
-    }

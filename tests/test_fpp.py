@@ -12,10 +12,8 @@ from lamlab.fpp import (
     _blocks_cross,
     canonical_portraits,
     enumerate_fpps,
-    fixed_polygons,
     fixed_sectors,
     fpps_up_to_rotation,
-    sector_degree,
 )
 from lamlab.leaves import Leaf, Polygon
 
@@ -52,6 +50,50 @@ def gap_walk_blocks_cross(b1, b2, n):
         else:
             return True  # x coincides with a b1 member
     return len(positions) > 1
+
+
+def combination_fpps(d):
+    """Reference: the portrait enumeration that chose each first block by combinations."""
+
+    def partitions(elems):
+        if not elems:
+            yield ()
+            return
+        x = elems[0]
+        rest = elems[1:]
+        for k in range(len(rest) + 1):
+            for combo in itertools.combinations(range(len(rest)), k):
+                block = (x,) + tuple(rest[i] for i in combo)
+                segments = []
+                prev = -1
+                for i in combo:
+                    segments.append(rest[prev + 1 : i])
+                    prev = i
+                segments.append(rest[prev + 1 :])
+                for sub in product_partitions(segments):
+                    yield (block,) + sub
+
+    def product_partitions(segments):
+        if not segments:
+            yield ()
+            return
+        head, tail = segments[0], segments[1:]
+        for p1 in partitions(head):
+            for p2 in product_partitions(tail):
+                yield p1 + p2
+
+    out = [FixedPointPortrait(d, p) for p in partitions(tuple(range(d - 1)))]
+    return sorted(set(out), key=lambda P: (len(P.blocks), P.blocks))
+
+
+def rotating_fpps_up_to_rotation(d):
+    """Reference: the least of the d - 1 rotated, validated portraits per class."""
+    out = []
+    for P in enumerate_fpps(d):
+        orbit = [P.rotated(k) for k in range(d - 1)]
+        if min(orbit, key=lambda Q: (len(Q.blocks), Q.blocks)) == P:
+            out.append(P)
+    return out
 
 
 class TestPortraitValidation:
@@ -94,9 +136,8 @@ class TestPortraitValidation:
         assert P.hull_leaves == frozenset({lf(0, fr(1, 4))})
         T = FixedPointPortrait(5, ((0, 1, 2),))
         assert len(T.hull_leaves) == 3
-        assert fixed_polygons(T) == [
-            Polygon((angle(0), angle(fr(1, 4)), angle(fr(1, 2))))
-        ]
+        polygons = [Polygon(tuple(T.point(i) for i in b)) for b in T.blocks if len(b) >= 3]
+        assert polygons == [Polygon((angle(0), angle(fr(1, 4)), angle(fr(1, 2))))]
 
     def test_hulls_forward_invariant(self):
         for P in enumerate_fpps(6):
@@ -120,6 +161,14 @@ class TestEnumeration:
     def test_all_distinct(self):
         ps = enumerate_fpps(6)
         assert len(set(ps)) == len(ps)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_equals_combination_oracle(self, d):
+        assert enumerate_fpps(d) == combination_fpps(d)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_up_to_rotation_equals_rotating_oracle(self, d):
+        assert fpps_up_to_rotation(d) == rotating_fpps_up_to_rotation(d)
 
     def test_up_to_rotation_d5(self):
         assert len(fpps_up_to_rotation(5)) == 6
@@ -148,15 +197,15 @@ class TestSectors:
         ss = fixed_sectors(P)
         assert len(ss) == 2
         small, big = ss
-        assert len(small.arcs) == 1 and sector_degree(small) == 2
-        assert len(big.arcs) == 3 and sector_degree(big) == 4
+        assert len(small.arcs) == 1 and small.sector_degree == 2
+        assert len(big.arcs) == 3 and big.sector_degree == 4
         assert small.boundary_leaves == big.boundary_leaves == (lf(0, fr(1, 4)),)
 
     def test_degree_budget(self):
         for d in range(2, 7):
             for P in enumerate_fpps(d):
                 ss = fixed_sectors(P)
-                assert sum(sector_degree(S) - 1 for S in ss) == d - 1
+                assert sum(S.sector_degree - 1 for S in ss) == d - 1
 
     def test_arc_lengths_uniform(self):
         for P in enumerate_fpps(5):
@@ -168,7 +217,7 @@ class TestSectors:
         P = FixedPointPortrait(5, ((0, 1, 2),))
         ss = fixed_sectors(P)
         assert [len(S.arcs) for S in ss] == [1, 1, 2]
-        assert sector_degree(ss[2]) == 3
+        assert ss[2].sector_degree == 3
 
     def test_empty_portrait_one_sector(self):
         ss = fixed_sectors(FixedPointPortrait(5))
@@ -180,15 +229,15 @@ class TestSectors:
         (S,) = fixed_sectors(FixedPointPortrait(2))
         assert len(S.arcs) == 1
         assert S.arcs[0].length == 1
-        assert sector_degree(S) == 2
+        assert S.sector_degree == 2
         assert S.contains_point(angle(fr(1, 3)))
 
     def test_central_sector_of_double_leaf(self):
         P = FixedPointPortrait(5, ((0, 1), (2, 3)))
         ss = fixed_sectors(P)
-        degs = sorted(sector_degree(S) for S in ss)
+        degs = sorted(S.sector_degree for S in ss)
         assert degs == [2, 2, 3]
-        central = next(S for S in ss if sector_degree(S) == 3)
+        central = next(S for S in ss if S.sector_degree == 3)
         assert len(central.boundary_leaves) == 2
 
     def test_sector_membership(self):

@@ -27,8 +27,6 @@ from lamlab.leaves import (
     _scaled_pair,
     check_invariance,
     faces,
-    fibre_matchings,
-    grand_orbit_truncated,
     leaf_image,
     leaves_cross,
 )
@@ -41,7 +39,7 @@ from lamlab.pullback import (
     _separates,
     canonical_lamination,
 )
-from test_leaves import half_edge_faces
+from test_leaves import fibre_matchings, half_edge_faces
 
 
 def fraction_invariant_faces(d, subdivision, S):
@@ -94,17 +92,6 @@ def fraction_iterates_onto(d, l, targets, cap):
             return False
         cur = img
     return False
-
-
-def fraction_grand_orbit_truncated(d, L, seed, max_depth):
-    targets = set()
-    cur = seed
-    for _ in range(max_depth + 1):
-        if not isinstance(cur, Leaf) or cur in targets:
-            break
-        targets.add(cur)
-        cur = leaf_image(d, cur)
-    return {m for m in L.leaves if fraction_iterates_onto(d, m, targets, max_depth)}
 
 
 def fraction_leaves_recur(d, leaves, cap):
@@ -275,15 +262,6 @@ class TestIteratesOntoKernel:
         for l, pair in zip(L.sorted_leaves, pairs):
             got = _iterates_onto(d, D, pair, scaled_targets, cap)
             assert got == fraction_iterates_onto(d, l, targets, cap)
-
-    @settings(max_examples=100)
-    @given(mixed_laminations, st.integers(0, 4), st.data())
-    def test_grand_orbit_equals_fraction_oracle(self, L, depth, data):
-        if not L.leaves:
-            return
-        seed = data.draw(st.sampled_from(L.sorted_leaves))
-        got = grand_orbit_truncated(L.degree, L, seed, depth)
-        assert got == fraction_grand_orbit_truncated(L.degree, L, seed, depth)
 
     def test_fixed_hull_targets_on_grid(self):
         # the leaf alone has denominators 3 and 2; the hull leaf 0-1/4 lies on

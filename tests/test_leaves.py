@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamlab.circle import CirclePoint, angle, ccw_span, preimages, sigma
+from lamlab.circle import CirclePoint, angle, ccw_span, check_degree, preimages, sigma
 from lamlab.fpp import FixedPointPortrait, enumerate_fpps
 from lamlab.leaves import (
     Arc,
@@ -15,16 +15,12 @@ from lamlab.leaves import (
     Lamination,
     Leaf,
     Polygon,
-    SiblingCollection,
     Violation,
     check_invariance,
     faces,
-    fibre_matchings,
-    grand_orbit_truncated,
     is_critical,
     leaf_image,
     leaves_cross,
-    sibling_collections,
     validate_prelamination,
 )
 from lamlab.pullback import canonical_lamination
@@ -137,44 +133,34 @@ class TestCrossing:
         assert not leaves_cross(l, l)
 
 
-class TestSiblingCollections:
-    def test_rabbit_leaf_collections(self):
-        cols = sibling_collections(2, lf(fr(1, 7), fr(2, 7)))
-        assert len(cols) >= 1
-        for c in cols:
-            assert lf(fr(1, 7), fr(2, 7)) in c.leaves
-            assert len(c.leaves) == 2
-            assert c.image == lf(fr(2, 7), fr(4, 7))
+@cache
+def fibre_matchings(d: int) -> tuple[tuple[int, ...], ...]:
+    """Reference: the Catalan(d) non-crossing perfect matchings between two preimage fibres.
 
-    def test_degree_three(self):
-        l = lf(fr(1, 8), fr(3, 8))
-        cols = sibling_collections(3, l)
-        assert cols
-        for c in cols:
-            assert l in c.leaves
-            assert len(c.leaves) == 3
-            imgs = {leaf_image(3, m) for m in c.leaves}
-            assert imgs == {leaf_image(3, l)}
+    For a chord a < b the fibres (a+i)/d and (b+j)/d alternate around the
+    circle, a_0 < b_0 < a_1 < ... < b_{d-1}, so the non-crossing matchings do
+    not depend on the chord: they are the non-crossing pairings of 2d points
+    in convex position.  Each tuple m joins a-preimage i to b-preimage m[i].
+    The library picks or finds one matching with `leaves._fibre_matching`.
+    """
+    check_degree(d)
 
-    def test_critical_leaf_rejected(self):
-        with pytest.raises(ValueError):
-            sibling_collections(2, lf(0, fr(1, 2)))
-
-    def test_members_disjoint(self):
-        for c in sibling_collections(2, lf(fr(1, 7), fr(2, 7))):
-            pts = [p for m in c.leaves for p in m.endpoints]
-            assert len(pts) == len(set(pts))
-
-    def test_collection_validation(self):
-        with pytest.raises(ValueError):
-            SiblingCollection(2, frozenset({lf(0, fr(1, 4)), lf(fr(1, 8), fr(3, 8))}))
-
-    @given(leaf_strategy(), st.integers(2, 4))
-    def test_every_collection_contains_leaf(self, l, d):
-        if is_critical(d, l):
+    def pairings(points: tuple[int, ...]):
+        if not points:
+            yield ()
             return
-        for c in sibling_collections(d, l):
-            assert l in c.leaves
+        # an even number of points lies between the two ends of any chord
+        for k in range(1, len(points), 2):
+            for inner in pairings(points[1:k]):
+                for outer in pairings(points[k + 1 :]):
+                    yield ((points[0], points[k]), *inner, *outer)
+
+    # position 2i holds a-preimage i and position 2j+1 holds b-preimage j
+    out = []
+    for pairing in pairings(tuple(range(2 * d))):
+        m = dict((p // 2, q // 2) if p % 2 == 0 else (q // 2, p // 2) for p, q in pairing)
+        out.append(tuple(m[i] for i in range(d)))
+    return tuple(sorted(out))
 
 
 def permutation_matchings(d, l):
@@ -557,28 +543,6 @@ class TestCheckInvarianceHighDegree:
         assert got == probing_check_invariance(prev, L_next)
         assert [v.check for v in got] == ["sibling"]
         assert check_invariance(prev, state.stages[1]) == ()
-
-
-class TestGrandOrbit:
-    def test_seed_must_be_member(self):
-        with pytest.raises(ValueError):
-            grand_orbit_truncated(2, Lamination(2, RABBIT), lf(0, fr(1, 2)), 3)
-
-    def test_rabbit_cycle_all_related(self):
-        L = Lamination(2, RABBIT)
-        seed = lf(fr(1, 7), fr(2, 7))
-        assert grand_orbit_truncated(2, L, seed, 3) == set(RABBIT)
-
-    def test_unrelated_leaf_excluded(self):
-        extra = lf(fr(1, 5), fr(2, 5))  # 2-cycle {1/5,2/5} <-> {2/5,4/5}
-        L = Lamination(2, RABBIT | {extra})
-        seed = lf(fr(1, 7), fr(2, 7))
-        assert extra not in grand_orbit_truncated(2, L, seed, 4)
-
-    def test_depth_zero(self):
-        L = Lamination(2, RABBIT)
-        seed = lf(fr(1, 7), fr(2, 7))
-        assert grand_orbit_truncated(2, L, seed, 0) == {seed}
 
 
 class TestPolygon:

@@ -23,7 +23,6 @@ from lamlab.leaves import (
     _crossers,
     _leaf,
     check_invariance,
-    fibre_matchings,
     leaf_image,
     validate_prelamination,
 )
@@ -42,6 +41,7 @@ from lamlab.pullback import (
     is_hyperbolic_approx,
     pullback,
 )
+from test_leaves import fibre_matchings
 
 
 def fr(p, q=1):

@@ -10,7 +10,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamlab.circle import angle, orbit, sigma
+from lamlab.circle import angle, check_degree, sigma
 from lamlab.leaves import Lamination, Leaf, Polygon, leaf_image, leaves_cross
 from lamlab.pullback import CriticalPortrait, pullback
 from lamlab.rotation import (
@@ -22,7 +22,6 @@ from lamlab.rotation import (
     central_gap,
     enumerate_rotational_orbits,
     find_coroots,
-    major_length_bound_check,
     major_minor,
     max_to_uni,
     rotation_number,
@@ -30,6 +29,7 @@ from lamlab.rotation import (
     unicritical_anchor,
     validate_rotational_placement,
 )
+from test_circle import orbit
 from test_leaves import half_edge_faces
 
 
@@ -39,6 +39,12 @@ def fr(p, q=1):
 
 def lf(a, b):
     return Leaf(angle(a), angle(b))
+
+
+def major_length_bound_check(d: int, major: Leaf) -> bool:
+    """Whether the major's length is within 1/(d(d+1)) of 1/d; the acceptance gate asks it."""
+    check_degree(d)
+    return abs(Fraction(1, d) - major.length) <= Fraction(1, d * (d + 1))
 
 
 def pts(*xs):
