@@ -97,21 +97,16 @@ class LaminationDocument:
         """
         if self.portrait is None:
             raise ValueError("document has no critical portrait to rebuild a state from")
-        if self.stages is None:
-            lam = Lamination(self.degree, frozenset(self.leaves))
-            return PullbackState(
-                self.degree, lam, self.portrait, (lam,), "document", self.fpp
+        tags = self.stages or (0,) * len(self.leaves)
+        lams = [
+            Lamination(
+                self.degree,
+                frozenset(l for l, s in zip(self.leaves, tags) if s <= k),
+                depth=k,
             )
-        top = max(self.stages, default=0)
-        lams = []
-        for k in range(top + 1):
-            members = frozenset(
-                l for l, s in zip(self.leaves, self.stages) if s <= k
-            )
-            lams.append(Lamination(self.degree, members, depth=k))
-        return PullbackState(
-            self.degree, lams[0], self.portrait, tuple(lams), "document", self.fpp
-        )
+            for k in range(max(tags, default=0) + 1)
+        ]
+        return PullbackState(self.degree, self.portrait, tuple(lams), "document", self.fpp)
 
 
 def document_from_state(state: PullbackState, command: str = "") -> LaminationDocument:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from .circle import CirclePoint, angle, ccw_span, check_degree, fixed_points
-from .leaves import Arc, Lamination, Leaf, Polygon, _cross, _sides, faces
+from .circle import CirclePoint, check_degree
+from .leaves import Arc, Lamination, Leaf, Polygon, _cross, _face_sweep, _point, _sides
 
 __all__ = [
     "CanonicalPortraitChoice",
@@ -67,7 +66,7 @@ class FixedPointPortrait:
         object.__setattr__(self, "blocks", tuple(norm))
 
     def point(self, i: int) -> CirclePoint:
-        return angle(Fraction(i, self.degree - 1))
+        return _point(i, self.degree - 1)
 
     @cached_property
     def hull_leaves(self) -> frozenset[Leaf]:
@@ -160,35 +159,44 @@ class FixedSector:
         return self.contains_point(l.a, closed) and self.contains_point(l.b, closed)
 
 
+def _sectors(
+    P: FixedPointPortrait,
+) -> list[tuple[list[int], list[tuple[int, int]], tuple[Leaf, ...]]]:
+    """Each fixed sector as its unit arcs, its arc runs and its boundary leaves, in order.
+
+    Every hull endpoint is a fixed point i/n, n = d - 1, so the hull's
+    integer view has denominator n, and unit arc i runs from i/n to
+    (i + 1)/n.  A face arc from u to v holds the (v - u - 1) % n + 1 unit
+    arcs from u: all n of them, from 0, on the full circle u = v.  A leaf
+    separates any two arcs of one face, so each face arc is a maximal run,
+    kept as (start, length).  Per arc-bearing face of the hull: its sorted
+    unit arcs, its runs by start and its sorted leaves; the sectors are
+    sorted by least unit arc.
+    """
+    n = P.degree - 1
+    hull = Lamination(P.degree, P.hull_leaves)
+    ls = hull.sorted_leaves
+    out = []
+    for boundary in _face_sweep(hull):
+        runs = sorted((e[1], (e[2] - e[1] - 1) % n + 1) for e in boundary if e[0] == 1)
+        if runs:
+            units = sorted((u + k) % n for u, r in runs for k in range(r))
+            # leaves sort as their indices into sorted_leaves
+            leaves = tuple(ls[i] for i in sorted(e[3] for e in boundary if e[0] == 0))
+            out.append((units, runs, leaves))
+    # sectors share no unit arc, so the first units decide the order
+    out.sort(key=lambda s: s[0])
+    return out
+
+
 def fixed_sectors(P: FixedPointPortrait) -> list[FixedSector]:
     """The arc-bearing faces of the hull lamination, arcs split at every fixed point."""
-    d = P.degree
-    fps = [angle(x) for x in fixed_points(d)]
-    hull = Lamination(d, P.hull_leaves)
-    out = []
-    for f in faces(hull):
-        if not f.arcs:
-            continue
-        arcs: list[Arc] = []
-        for a in f.arcs:
-            if a.start == a.end:
-                # whole circle: cut at every fixed point
-                if len(fps) == 1:
-                    arcs.append(Arc(fps[0], fps[0]))
-                else:
-                    for i, p in enumerate(fps):
-                        arcs.append(Arc(p, fps[(i + 1) % len(fps)]))
-                continue
-            interior = sorted(
-                (p for p in fps if a.contains(p, closed=False)),
-                key=lambda p: ccw_span(a.start, p),
-            )
-            chain = [a.start, *interior, a.end]
-            arcs.extend(Arc(u, v) for u, v in zip(chain, chain[1:]))
-        arcs.sort()
-        out.append(FixedSector(d, tuple(arcs), tuple(sorted(f.leaves))))
-    out.sort(key=lambda s: s.arcs[0])
-    return out
+    n = P.degree - 1
+    pts = [_point(i, n) for i in range(n)]
+    return [
+        FixedSector(P.degree, tuple(Arc(pts[i], pts[(i + 1) % n]) for i in units), leaves)
+        for units, _, leaves in _sectors(P)
+    ]
 
 
 @dataclass(frozen=True)
@@ -214,56 +222,25 @@ class CanonicalPortraitChoice:
         return CriticalPortrait(self.portrait.degree, self.chords)
 
 
-def _arc_runs(arcs: tuple[Arc, ...]) -> list[list[Arc]]:
-    """Maximal chains of arcs sharing endpoints, joined across the circle seam."""
-    if len(arcs) == 1 and arcs[0].start == arcs[0].end:
-        return [list(arcs)]
-    by_start = {a.start: a for a in arcs}
-    ends = {a.end for a in arcs}
-    begins = [a for a in arcs if a.start not in ends]
-    if not begins:
-        # a single cycle covering the whole circle
-        chain = [arcs[0]]
-        while chain[-1].end != chain[0].start or len(chain) < len(arcs):
-            chain.append(by_start[chain[-1].end])
-            if len(chain) > len(arcs):
-                raise AssertionError("arc adjacency is not a single cycle")
-        return [chain]
-    runs = []
-    for b in sorted(begins):
-        chain = [b]
-        while chain[-1].end in by_start:
-            chain.append(by_start[chain[-1].end])
-        runs.append(chain)
-    runs.sort(key=lambda r: r[0])
-    return runs
+def _run_placements(d: int, s: int, r: int) -> list[Leaf | Polygon]:
+    """The all-critical placements in the run of r unit arcs from fixed point s, sorted.
 
-
-def _run_placements(d: int, run: list[Arc]) -> list[Leaf | Polygon]:
-    r = len(run)
-    full_circle = run[0].start == run[-1].end and sum(a.length for a in run) == 1
-    start = run[0].start
-    span = sum((a.length for a in run), Fraction(0))
-    anchors: list[CirclePoint] = [run[0].start]
-    for a in run:
-        if a.end not in anchors:
-            anchors.append(a.end)
-    found: dict[tuple, Leaf | Polygon] = {}
-    for f in anchors:
-        for j in range(r + 1):
-            t = f.value - Fraction(j, d)
-            verts = tuple(sorted(angle(t + Fraction(i, d)) for i in range(r + 1)))
-            if len(set(verts)) != r + 1:
-                continue
-            if not full_circle:
-                rel = ccw_span(start, angle(t))
-                if rel + Fraction(r, d) > span:
-                    continue
-            if verts not in found:
-                found[verts] = (
-                    Leaf(*verts) if r == 1 else Polygon(verts)
-                )
-    return [found[k] for k in sorted(found)]
+    Over G = d(d - 1) fixed point i is i*d and a step of 1/d is n = d - 1,
+    so the run spans r*d and r + 1 vertices 1/d apart span r*n = r*d - r.
+    The first vertex from the run's start can therefore sit at s*d + j for
+    j = 0..r; on the full circle, r = n, j = n gives the polygon of j = 0.
+    """
+    n = d - 1
+    G = d * n
+    verts = sorted(
+        tuple(sorted((s * d + j + i * n) % G for i in range(r + 1)))
+        for j in range(r + 1 if r < n else n)
+    )
+    out: list[Leaf | Polygon] = []
+    for v in verts:
+        pts = tuple(_point(x, G) for x in v)
+        out.append(Leaf(*pts) if r == 1 else Polygon(pts))
+    return out
 
 
 def canonical_portraits(P: FixedPointPortrait) -> list[CanonicalPortraitChoice]:
@@ -272,13 +249,7 @@ def canonical_portraits(P: FixedPointPortrait) -> list[CanonicalPortraitChoice]:
     The first choice anchors every placement at the least possible vertex and
     is the one the canonical pullback construction uses.
     """
-    d = P.degree
-    run_options: list[list[Leaf | Polygon]] = []
-    for S in fixed_sectors(P):
-        for run in _arc_runs(S.arcs):
-            run_options.append(_run_placements(d, run))
-    out = [
-        CanonicalPortraitChoice(P, combo)
-        for combo in itertools.product(*run_options)
+    run_options = [
+        _run_placements(P.degree, s, r) for _, runs, _ in _sectors(P) for s, r in runs
     ]
-    return out
+    return [CanonicalPortraitChoice(P, combo) for combo in itertools.product(*run_options)]

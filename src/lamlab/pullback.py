@@ -207,7 +207,6 @@ class PullbackState:
     """
 
     degree: int
-    initial: Lamination
     portrait: CriticalPortrait
     stages: tuple[Lamination, ...]
     policy: str
@@ -216,8 +215,6 @@ class PullbackState:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ValueError("a state needs at least stage 0")
-        if self.stages[0].leaves != self.initial.leaves:
-            raise ValueError("stage 0 must equal the initial lamination")
         prev: frozenset[Leaf] = frozenset()
         for lam in self.stages:
             if lam.degree != self.degree:
@@ -225,6 +222,10 @@ class PullbackState:
             if not prev <= lam.leaves:
                 raise ValueError("stages must be nested")
             prev = lam.leaves
+
+    @property
+    def initial(self) -> Lamination:
+        return self.stages[0]
 
     @property
     def final(self) -> Lamination:
@@ -235,7 +236,9 @@ class PullbackState:
         return len(self.stages) - 1
 
     def frontier(self, k: int) -> frozenset[Leaf]:
-        """Leaves first appearing at stage k."""
+        """Leaves first appearing at stage k, for 0 <= k <= depth."""
+        if not 0 <= k <= self.depth:
+            raise ValueError(f"stage {k} outside 0..{self.depth}")
         if k == 0:
             return self.stages[0].leaves
         return self.stages[k].leaves - self.stages[k - 1].leaves
@@ -363,7 +366,7 @@ def pullback(
         denom *= d
         frontier = sorted(new)
         stages.append(Lamination(d, frozenset(acc), depth=k))
-    return PullbackState(d, stages[0], C, tuple(stages), policy)
+    return PullbackState(d, C, tuple(stages), policy)
 
 
 def canonical_lamination(P: FixedPointPortrait, n: int) -> PullbackState:

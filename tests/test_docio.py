@@ -120,6 +120,7 @@ class TestStateRoundTrip:
         st_out = doc.pullback_state()
         assert st_out.depth == 0
         assert st_out.final.leaves == {lf("1/7", "2/7")}
+        assert replace(doc, stages=(0,)).pullback_state() == st_out
 
 
 class TestJsonCodec:

@@ -5,17 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lamlab.circle import angle, sigma
+from lamlab.circle import angle, ccw_span, fixed_points, sigma
 from lamlab.fpp import (
     CanonicalPortraitChoice,
     FixedPointPortrait,
+    FixedSector,
     _blocks_cross,
     canonical_portraits,
     enumerate_fpps,
     fixed_sectors,
     fpps_up_to_rotation,
 )
-from lamlab.leaves import Leaf, Polygon
+from lamlab.leaves import Arc, Lamination, Leaf, Polygon, faces
 
 
 def fr(p, q=1):
@@ -94,6 +95,98 @@ def rotating_fpps_up_to_rotation(d):
         if min(orbit, key=lambda Q: (len(Q.blocks), Q.blocks)) == P:
             out.append(P)
     return out
+
+
+def fraction_fixed_sectors(P):
+    """Reference: the sectors split from the hull's Fraction faces at every fixed point."""
+    d = P.degree
+    fps = [angle(x) for x in fixed_points(d)]
+    out = []
+    for f in faces(Lamination(d, P.hull_leaves)):
+        if not f.arcs:
+            continue
+        arcs = []
+        for a in f.arcs:
+            if a.start == a.end:
+                # whole circle: cut at every fixed point
+                if len(fps) == 1:
+                    arcs.append(Arc(fps[0], fps[0]))
+                else:
+                    for i, p in enumerate(fps):
+                        arcs.append(Arc(p, fps[(i + 1) % len(fps)]))
+                continue
+            interior = sorted(
+                (p for p in fps if a.contains(p, closed=False)),
+                key=lambda p: ccw_span(a.start, p),
+            )
+            chain = [a.start, *interior, a.end]
+            arcs.extend(Arc(u, v) for u, v in zip(chain, chain[1:]))
+        arcs.sort()
+        out.append(FixedSector(d, tuple(arcs), tuple(sorted(f.leaves))))
+    out.sort(key=lambda s: s.arcs[0])
+    return out
+
+
+def fraction_arc_runs(arcs):
+    """Reference: maximal chains of arcs sharing endpoints, joined across the circle seam."""
+    if len(arcs) == 1 and arcs[0].start == arcs[0].end:
+        return [list(arcs)]
+    by_start = {a.start: a for a in arcs}
+    ends = {a.end for a in arcs}
+    begins = [a for a in arcs if a.start not in ends]
+    if not begins:
+        # a single cycle covering the whole circle
+        chain = [arcs[0]]
+        while chain[-1].end != chain[0].start or len(chain) < len(arcs):
+            chain.append(by_start[chain[-1].end])
+            if len(chain) > len(arcs):
+                raise AssertionError("arc adjacency is not a single cycle")
+        return [chain]
+    runs = []
+    for b in sorted(begins):
+        chain = [b]
+        while chain[-1].end in by_start:
+            chain.append(by_start[chain[-1].end])
+        runs.append(chain)
+    runs.sort(key=lambda r: r[0])
+    return runs
+
+
+def fraction_run_placements(d, run):
+    """Reference: the placements found by trying every anchor and Fraction offset."""
+    r = len(run)
+    full_circle = run[0].start == run[-1].end and sum(a.length for a in run) == 1
+    start = run[0].start
+    span = sum((a.length for a in run), Fraction(0))
+    anchors = [run[0].start]
+    for a in run:
+        if a.end not in anchors:
+            anchors.append(a.end)
+    found = {}
+    for f in anchors:
+        for j in range(r + 1):
+            t = f.value - Fraction(j, d)
+            verts = tuple(sorted(angle(t + Fraction(i, d)) for i in range(r + 1)))
+            if len(set(verts)) != r + 1:
+                continue
+            if not full_circle:
+                rel = ccw_span(start, angle(t))
+                if rel + Fraction(r, d) > span:
+                    continue
+            if verts not in found:
+                found[verts] = Leaf(*verts) if r == 1 else Polygon(verts)
+    return [found[k] for k in sorted(found)]
+
+
+def fraction_canonical_placements(P):
+    """Reference: every combination of the Fraction per-run placements, in order."""
+    sectors = fraction_fixed_sectors(P)
+    options = [
+        fraction_run_placements(P.degree, run)
+        for S in sectors
+        for run in fraction_arc_runs(S.arcs)
+    ]
+    return list(itertools.product(*options))
 
 
 class TestPortraitValidation:
@@ -240,6 +333,14 @@ class TestSectors:
         central = next(S for S in ss if S.sector_degree == 3)
         assert len(central.boundary_leaves) == 2
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equals_fraction_oracle(self, d):
+        for P in enumerate_fpps(d):
+            got, want = fixed_sectors(P), fraction_fixed_sectors(P)
+            assert [(S.arcs, S.boundary_leaves, S.sector_degree) for S in got] == [
+                (S.arcs, S.boundary_leaves, S.sector_degree) for S in want
+            ]
+
     def test_sector_membership(self):
         P = FixedPointPortrait(5, ((0, 1),))
         small, big = fixed_sectors(P)
@@ -251,6 +352,12 @@ class TestSectors:
 
 
 class TestCanonicalPlacements:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equals_fraction_oracle(self, d):
+        for P in enumerate_fpps(d):
+            got = [c.placements for c in canonical_portraits(P)]
+            assert got == fraction_canonical_placements(P)
+
     def test_quarter_small_sector(self):
         P = FixedPointPortrait(5, ((0, 1),))
         choices = canonical_portraits(P)

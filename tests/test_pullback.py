@@ -275,6 +275,12 @@ class TestPullbackStages:
         state = quintic_canonical(2)
         assert [len(state.frontier(k)) for k in range(3)] == [1, 5, 25]
 
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_frontier_outside_stages_rejected(self, k):
+        state = quintic_canonical(2)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            state.frontier(k)
+
     def test_second_stage_members(self):
         state = quintic_canonical(2)
         expected = pairs(
