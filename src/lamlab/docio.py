@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable
+from fractions import Fraction
+from itertools import chain, compress
+from operator import lt
+from typing import Iterable, Iterator
 
 from . import __version__
-from .circle import CirclePoint, check_degree, parse_angle, render_dnary
+from .circle import CirclePoint, _rational, check_degree, parse_angle, render_dnary
 from .fpp import FixedPointPortrait
-from .leaves import Lamination, Leaf
+from .leaves import Lamination, Leaf, _leaf, _numerators, _point, _reduce
 from .pullback import CriticalPortrait, PullbackState
 
 __all__ = [
@@ -45,6 +48,47 @@ def format_angle(t: CirclePoint) -> str:
 _fmt = format_angle
 
 
+class _GridLeaves(Sequence):
+    """A document's sorted leaves, stored as integer pairs x < y over one denominator D.
+
+    Length and equality come from the pairs; the `Leaf` forms are built on
+    first use, and the sequence equals the tuple of them.
+    """
+
+    __slots__ = ("D", "pairs", "_leaves")
+
+    def __init__(self, D: int, pairs: tuple[tuple[int, int], ...], leaves=None) -> None:
+        self.D, self.pairs, self._leaves = D, pairs, leaves
+
+    def _tuple(self) -> tuple[Leaf, ...]:
+        if self._leaves is None:
+            D = self.D
+            self._leaves = tuple(_leaf(p, D) for p in self.pairs)
+        return self._leaves
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _GridLeaves):
+            return self.D == other.D and self.pairs == other.pairs
+        if isinstance(other, tuple):
+            return self._tuple() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
 @dataclass(frozen=True)
 class LaminationDocument:
     """A lamination with its construction data, ready for disk.
@@ -52,7 +96,9 @@ class LaminationDocument:
     Leaves are kept sorted by (smaller endpoint, larger endpoint), so two
     documents with the same content compare equal and serialize identically.
     `stages`, when present, runs parallel to `leaves` and records the first
-    construction depth at which each leaf appeared.
+    construction depth at which each leaf appeared.  The leaves are stored on
+    their integer grid, as `Lamination.scaled` gives it; `leaves` reads as a
+    tuple of `Leaf`s, built on first use.
     """
 
     degree: int
@@ -64,22 +110,37 @@ class LaminationDocument:
     command: str = ""
 
     def __post_init__(self) -> None:
-        check_degree(self.degree)
-        ls = tuple(self.leaves)
-        if len(set(ls)) != len(ls):
-            raise ValueError("document contains a duplicate leaf")
-        if self.stages is None:
-            object.__setattr__(self, "leaves", tuple(sorted(ls)))
+        n = check_degree(self.degree) - 1
+        ls = self.leaves
+        if isinstance(ls, _GridLeaves):
+            D, pairs = _reduce(n, ls.D, ls.pairs)
+            # the Leaf forms, if built, still hold when the grid stays
+            ls = ls._leaves if D == ls.D else None
         else:
-            st = tuple(int(s) for s in self.stages)
-            if len(st) != len(ls):
+            ls = tuple(ls)
+            D, nums = _numerators([t.value for l in ls for t in (l.a, l.b)], n)
+            pairs = tuple(zip(nums[::2], nums[1::2]))
+        # pairs in strictly increasing order are sorted and distinct
+        ordered = all(map(lt, pairs, pairs[1:]))
+        if not ordered and len(set(pairs)) != len(pairs):
+            raise ValueError("document contains a duplicate leaf")
+        st = self.stages
+        if st is not None:
+            st = tuple(map(int, st))
+            if len(st) != len(pairs):
                 raise ValueError("stage annotations must cover the leaves exactly")
-            if any(s < 0 for s in st):
+            if min(st, default=0) < 0:
                 raise ValueError("stage annotations must be >= 0")
-            # leaves are distinct, so the stages never break a tie
-            order = sorted(zip(ls, st), key=itemgetter(0))
-            object.__setattr__(self, "leaves", tuple(l for l, _ in order))
-            object.__setattr__(self, "stages", tuple(s for _, s in order))
+        if not ordered:
+            # pairs order as their leaves do, and are distinct, so the rest never breaks a tie
+            order = sorted(range(len(pairs)), key=pairs.__getitem__)
+            pairs = tuple(pairs[i] for i in order)
+            if ls is not None:
+                ls = tuple(ls[i] for i in order)
+            if st is not None:
+                st = tuple(st[i] for i in order)
+        object.__setattr__(self, "leaves", _GridLeaves(D, pairs, ls))
+        object.__setattr__(self, "stages", st)
         if self.portrait is not None and self.portrait.degree != self.degree:
             raise ValueError("portrait degree disagrees with the document")
         if self.fpp is not None and self.fpp.degree != self.degree:
@@ -87,7 +148,7 @@ class LaminationDocument:
 
     def lamination(self) -> Lamination:
         depth = max(self.stages, default=0) if self.stages is not None else 0
-        return Lamination(self.degree, frozenset(self.leaves), depth)
+        return Lamination._on_grid(self.degree, self.leaves.D, self.leaves.pairs, depth)
 
     def pullback_state(self) -> PullbackState:
         """Rebuild the staged construction recorded in this document.
@@ -97,13 +158,10 @@ class LaminationDocument:
         """
         if self.portrait is None:
             raise ValueError("document has no critical portrait to rebuild a state from")
-        tags = self.stages or (0,) * len(self.leaves)
+        D, pairs = self.leaves.D, self.leaves.pairs
+        tags = self.stages or (0,) * len(pairs)
         lams = [
-            Lamination(
-                self.degree,
-                frozenset(l for l, s in zip(self.leaves, tags) if s <= k),
-                depth=k,
-            )
+            Lamination._on_grid(self.degree, D, compress(pairs, [s <= k for s in tags]), k)
             for k in range(max(tags, default=0) + 1)
         ]
         return PullbackState(self.degree, self.portrait, tuple(lams), "document", self.fpp)
@@ -111,34 +169,47 @@ class LaminationDocument:
 
 def document_from_state(state: PullbackState, command: str = "") -> LaminationDocument:
     """Package a pullback state, tagging each leaf with its first stage."""
-    first: dict[Leaf, int] = {}
-    for k in range(state.depth + 1):
-        # fromkeys and update reuse the hashes the frontier sets hold
-        first.update(dict.fromkeys(state.frontier(k), k))
-    leaves = state.final.sorted_leaves
+    D, pairs = state.final.scaled
+    first: dict[tuple[int, int], int] = {}
+    # deepest stage first, so each leaf keeps the least stage holding it;
+    # the stages nest, so each stage's denominator divides D
+    for k in range(state.depth, -1, -1):
+        D_k, pairs_k = state.stages[k].scaled
+        up = D // D_k
+        if up > 1:
+            pairs_k = [(x * up, y * up) for x, y in pairs_k]
+        first.update(dict.fromkeys(pairs_k, k))
     return LaminationDocument(
         degree=state.degree,
-        leaves=leaves,
+        leaves=_GridLeaves(D, pairs),
         portrait=state.portrait,
         fpp=state.fpp,
-        stages=tuple(first[l] for l in leaves),
+        stages=tuple(map(first.__getitem__, pairs)),
         command=command,
     )
 
 
-def _pair_block(leaves: Iterable[Leaf]) -> str:
+def _pair_block(D: int, pairs: tuple[tuple[int, int], ...]) -> str:
+    """The pairs over D as a JSON list of `p/q` pairs in lowest terms."""
+    names = {
+        x: f"{x // (g := math.gcd(x, D))}/{D // g}" for x in set(chain.from_iterable(pairs))
+    }
     # one pair per line, as json.dumps would write it: `p/q` needs no escaping
-    body = ",\n".join(f'    ["{_fmt(l.a)}", "{_fmt(l.b)}"]' for l in leaves)
+    body = ",\n".join(f'    ["{names[x]}", "{names[y]}"]' for x, y in pairs)
     return "[\n" + body + "\n  ]" if body else "[]"
+
+
+def _chords_block(C: CriticalPortrait) -> str:
+    return _pair_block(*Lamination(C.degree, C.chords).scaled)
 
 
 def write_document(doc: LaminationDocument) -> str:
     out = ["{"]
     out.append(f'  "degree": {doc.degree},')
-    out.append(f'  "leaves": {_pair_block(doc.leaves)},')
+    out.append(f'  "leaves": {_pair_block(doc.leaves.D, doc.leaves.pairs)},')
     out.append(
         '  "portrait": '
-        + ("null" if doc.portrait is None else _pair_block(doc.portrait.sorted_chords))
+        + ("null" if doc.portrait is None else _chords_block(doc.portrait))
         + ","
     )
     out.append(
@@ -157,13 +228,59 @@ def write_document(doc: LaminationDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_pair(entry: object, degree: int, what: str) -> Leaf:
+def _pair_strings(entry: object, what: str) -> tuple[str, str]:
     if not isinstance(entry, list) or len(entry) != 2:
         raise ValueError(f"each {what} must be a pair of angle strings")
     a, b = entry
     if not isinstance(a, str) or not isinstance(b, str):
         raise ValueError(f"{what} endpoints must be angle strings, got {entry!r}")
+    return a, b
+
+
+def _parse_pair(entry: object, degree: int, what: str) -> Leaf:
+    a, b = _pair_strings(entry, what)
     return Leaf(parse_angle(a, degree), parse_angle(b, degree))
+
+
+def _terms(text: str, degree: int) -> tuple[int, int]:
+    """The lowest terms (p, q) of the angle `parse_angle(text, degree)`, with 0 <= p < q."""
+    terms = None if "_" in text else _rational(text.strip())
+    if terms is None:
+        # digit strings, and the errors of malformed literals
+        v = parse_angle(text, degree).value
+        return v.numerator, v.denominator
+    p, q = terms
+    p %= q
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _parse_leaves(raw: list, degree: int) -> list[tuple[int, int]]:
+    """The lowest terms of the leaf endpoints, two per leaf, in document order.
+
+    Reads the literals as `parse_angle` does and refuses what `Leaf` refuses.
+    """
+    terms: list[tuple[int, int]] = []
+    seen: dict[str, tuple[int, int]] = {}  # an endpoint is often shared by several leaves
+    for entry in raw:
+        a, b = _pair_strings(entry, "leaf")
+        ta = seen.get(a)
+        if ta is None:
+            ta = seen[a] = _terms(a, degree)
+        tb = seen.get(b)
+        if tb is None:
+            tb = seen[b] = _terms(b, degree)
+        if ta == tb:
+            raise ValueError(f"degenerate leaf at {CirclePoint(Fraction(*ta))}")
+        terms += (ta, tb)
+    return terms
+
+
+def _grid_leaves(degree: int, terms: list[tuple[int, int]]) -> _GridLeaves:
+    """The leaves of `_parse_leaves` on their grid, D = lcm(d - 1, every denominator)."""
+    D = math.lcm(check_degree(degree) - 1, *{q for _, q in terms})
+    xs = [p * (D // q) for p, q in terms]
+    return _GridLeaves(D, tuple((x, y) if x < y else (y, x) for x, y in zip(xs[::2], xs[1::2])))
 
 
 def _parse_chords(raw: object, degree: int, what: str) -> CriticalPortrait:
@@ -192,7 +309,7 @@ def read_document(text: str) -> LaminationDocument:
     raw_leaves = payload["leaves"]
     if not isinstance(raw_leaves, list):
         raise ValueError("'leaves' must be a list of angle pairs")
-    leaves = tuple(_parse_pair(e, degree, "leaf") for e in raw_leaves)
+    terms = _parse_leaves(raw_leaves, degree)
     portrait = None
     if payload.get("portrait") is not None:
         portrait = _parse_chords(payload["portrait"], degree, "'portrait'")
@@ -218,7 +335,7 @@ def read_document(text: str) -> LaminationDocument:
         raise ValueError("'metadata' must be an object")
     return LaminationDocument(
         degree=degree,
-        leaves=leaves,
+        leaves=_grid_leaves(degree, terms),
         portrait=portrait,
         fpp=fpp,
         stages=stages,
@@ -236,7 +353,7 @@ def write_portrait(C: CriticalPortrait) -> str:
     return (
         "{\n"
         + f'  "degree": {C.degree},\n'
-        + f'  "chords": {_pair_block(C.sorted_chords)}\n'
+        + f'  "chords": {_chords_block(C)}\n'
         + "}\n"
     )
 
@@ -320,29 +437,31 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         theta = 2 * math.pi * (n / q)
         return cx + r * math.cos(theta), cy - r * math.sin(theta)
 
-    def chord_path(l: Leaf) -> str:
-        u, v = l.a.value, l.b.value
-        na, qa, nb, qb = u.numerator, u.denominator, v.numerator, v.denominator
-        x1, y1 = xy(na, qa)
-        x2, y2 = xy(nb, qb)
-        # the span b - a = num/den lies in (0, 1) because a < b
-        num, den = nb * qa - na * qb, qa * qb
-        if spec.style == "straight" or 2 * num == den:
-            return (
-                f'M {_coord(x1)} {_coord(y1)} L {_coord(x2)} {_coord(y2)}'
-            )
-        # run along the short side so the arc formula sees span <= 1/2
-        if 2 * num > den:
-            (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
-            num = den - num
-        # circle through both endpoints orthogonal to the main circle:
-        # radius r*tan(pi*span), always the minor arc, sweeping clockwise
-        # on screen when the start-to-end walk is the short way around
-        rho = r * math.tan(math.pi * (num / den))
-        return (
-            f'M {_coord(x1)} {_coord(y1)} '
-            f'A {_coord(rho)} {_coord(rho)} 0 0 1 {_coord(x2)} {_coord(y2)}'
-        )
+    def chord_paths(D: int, pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
+        """The path data of each chord a < b over D; endpoints shared by chords are placed once."""
+        placed: dict[int, str] = {}
+
+        def at(x: int) -> str:
+            s = placed.get(x)
+            if s is None:
+                px, py = xy(x, D)
+                s = placed[x] = f"{_coord(px)} {_coord(py)}"
+            return s
+
+        for a, b in pairs:
+            # the span (b - a)/D lies in (0, 1) because a < b
+            num = b - a
+            if spec.style == "straight" or 2 * num == D:
+                yield f"M {at(a)} L {at(b)}"
+                continue
+            # run along the short side so the arc formula sees span <= 1/2
+            if 2 * num > D:
+                a, b, num = b, a, D - num
+            # circle through both endpoints orthogonal to the main circle:
+            # radius r*tan(pi*span), always the minor arc, sweeping clockwise
+            # on screen when the start-to-end walk is the short way around
+            rho = _coord(r * math.tan(math.pi * (num / D)))
+            yield f"M {at(a)} A {rho} {rho} 0 0 1 {at(b)}"
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -352,29 +471,29 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         f'fill="none" stroke="{_CIRCLE_COLOR}" stroke-width="1.5"/>',
     ]
 
-    stages = doc.stages if doc.stages is not None else tuple(0 for _ in doc.leaves)
-    by_depth: dict[int, list[Leaf]] = {}
-    for l, s in zip(doc.leaves, stages):
-        by_depth.setdefault(s, []).append(l)
+    D, pairs = doc.leaves.D, doc.leaves.pairs
+    stages = doc.stages if doc.stages is not None else (0,) * len(pairs)
+    by_depth: dict[int, list[str]] = {}
+    for path, s in zip(chord_paths(D, pairs), stages):
+        by_depth.setdefault(s, []).append(path)
     for depth in sorted(by_depth, reverse=True):
         if depth <= 0:
             color = _INITIAL_LEAF_COLOR
         else:
             color = _DEPTH_COLORS[(depth - 1) % len(_DEPTH_COLORS)]
-        # doc.leaves is sorted, so each depth's list is too
-        for l in by_depth[depth]:
-            lines.append(
-                f'<path d="{chord_path(l)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.2"/>'
-            )
+        # the pairs are sorted, so each depth's list is too
+        lines.extend(
+            f'<path d="{path}" fill="none" stroke="{color}" stroke-width="1.2"/>'
+            for path in by_depth[depth]
+        )
 
     if doc.portrait is not None:
-        for c in doc.portrait.sorted_chords:
-            lines.append(
-                f'<path d="{chord_path(c)}" fill="none" '
-                f'stroke="{_CRITICAL_COLOR}" stroke-width="1.2" '
-                f'stroke-dasharray="5 4"/>'
-            )
+        lines.extend(
+            f'<path d="{path}" fill="none" '
+            f'stroke="{_CRITICAL_COLOR}" stroke-width="1.2" '
+            f'stroke-dasharray="5 4"/>'
+            for path in chord_paths(*Lamination(d, doc.portrait.chords).scaled)
+        )
 
     dot = max(2.0, size / 200)
     for i in range(d - 1):
@@ -385,13 +504,13 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         )
 
     if spec.labels is not None:
-        pts = sorted({p for l in doc.leaves for p in (l.a, l.b)})
         rr = r * 1.07
         fs = max(8, size // 55)
-        for p in pts:
-            theta = 2 * math.pi * (p.value.numerator / p.value.denominator)
+        for x in sorted(set(chain.from_iterable(pairs))):
+            theta = 2 * math.pi * (x / D)
             lx = cx + rr * math.cos(theta)
             ly = cy - rr * math.sin(theta)
+            p = _point(x, D)
             text = _fmt(p) if spec.labels == "rational" else str(render_dnary(p, d))
             lines.append(
                 f'<text x="{_coord(lx)}" y="{_coord(ly)}" font-size="{fs}" '

@@ -105,10 +105,21 @@ def _noncrossing_partitions(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int,
                 yield ((x, *outer[0]), *inner, *outer[1:])
 
 
+def _portrait(d: int, partition: tuple[tuple[int, ...], ...]) -> FixedPointPortrait:
+    """The portrait of a non-crossing partition into sorted blocks, built without re-checking it.
+
+    FixedPointPortrait drops the singletons and sorts the blocks; so does this.
+    """
+    P = object.__new__(FixedPointPortrait)
+    object.__setattr__(P, "degree", d)
+    object.__setattr__(P, "blocks", tuple(sorted(b for b in partition if len(b) > 1)))
+    return P
+
+
 def enumerate_fpps(d: int) -> list[FixedPointPortrait]:
     """All portraits for degree d: the non-crossing partitions of d-1 points."""
     check_degree(d)
-    out = [FixedPointPortrait(d, p) for p in _noncrossing_partitions(tuple(range(d - 1)))]
+    out = [_portrait(d, p) for p in _noncrossing_partitions(tuple(range(d - 1)))]
     return sorted(out, key=lambda P: (len(P.blocks), P.blocks))
 
 

@@ -9,10 +9,11 @@ subdivision that the chords induce on the disk.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .circle import CirclePoint, angle, ccw_span, check_degree, in_arc, sigma
@@ -192,23 +193,52 @@ def _fibre_matching(
     return cost[n], out
 
 
-@dataclass(frozen=True)
 class Lamination:
-    """A finite non-crossing-intended leaf set with a degree and a stage tag."""
+    """A finite non-crossing-intended leaf set with a degree and a stage tag.
+
+    Stored as its integer view `scaled`, which answers `len`, `in`, `==` and
+    `hash`; the `Leaf` forms `leaves` and `sorted_leaves` are built on first
+    use.  Immutable, like the frozen dataclasses around it.
+    """
 
     degree: int
-    leaves: frozenset[Leaf]
-    depth: int = 0
+    depth: int
 
-    def __post_init__(self) -> None:
-        check_degree(self.degree)
-        object.__setattr__(self, "leaves", frozenset(self.leaves))
-        if self.depth < 0:
+    def __init__(self, degree: int, leaves: Iterable[Leaf], depth: int = 0) -> None:
+        n = check_degree(degree) - 1
+        ls = frozenset(leaves)
+        D, nums = _numerators([t.value for l in ls for t in (l.a, l.b)], n)
+        # scaling by D > 0 keeps every comparison, so sorting by the integer
+        # pairs orders the leaves as Leaf comparison does, without Fractions
+        keyed = sorted(zip(zip(nums[::2], nums[1::2]), ls))
+        self._init(degree, D, tuple(p for p, _ in keyed), depth)
+        self.__dict__["leaves"] = ls
+        self.__dict__["sorted_leaves"] = tuple(l for _, l in keyed)
+
+    @classmethod
+    def _on_grid(
+        cls, degree: int, E: int, pairs: Iterable[tuple[int, int]], depth: int = 0
+    ) -> Lamination:
+        """The lamination of the sorted distinct pairs x < y over E; the caller vouches for them."""
+        D, pairs = _reduce(check_degree(degree) - 1, E, tuple(pairs))
+        L = object.__new__(cls)
+        L._init(degree, D, pairs, depth)
+        return L
+
+    def _init(self, degree: int, D: int, pairs: tuple[tuple[int, int], ...], depth: int) -> None:
+        if depth < 0:
             raise ValueError("depth must be >= 0")
+        set_ = object.__setattr__
+        set_(self, "degree", degree)
+        set_(self, "depth", depth)
+        set_(self, "_D", D)
+        set_(self, "_pairs", pairs)
 
-    @property
-    def sorted_leaves(self) -> tuple[Leaf, ...]:
-        return self._view[2]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -218,25 +248,52 @@ class Lamination:
         D = lcm(d - 1, every endpoint denominator), so the fixed points
         i/(d - 1) lie on the grid too, and the d-tupling map is x -> d*x mod D.
         """
-        return self._view[:2]
+        return self._D, self._pairs
 
     @cached_property
-    def _view(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[Leaf, ...]]:
-        # scaling by D > 0 keeps every comparison, so sorting by the integer
-        # pairs orders the leaves as Leaf comparison does, without Fractions
-        ls = list(self.leaves)
-        D, nums = _numerators([t.value for l in ls for t in l.endpoints], self.degree - 1)
-        keyed = sorted(zip(zip(nums[::2], nums[1::2]), ls))
-        return D, tuple(p for p, _ in keyed), tuple(l for _, l in keyed)
+    def sorted_leaves(self) -> tuple[Leaf, ...]:
+        D = self._D
+        return tuple(_leaf(p, D) for p in self._pairs)
 
-    def __contains__(self, l: Leaf) -> bool:
-        return l in self.leaves
+    @cached_property
+    def leaves(self) -> frozenset[Leaf]:
+        return frozenset(self.sorted_leaves)
+
+    def _leaf_at(self, i: int) -> Leaf:
+        """`sorted_leaves[i]`, built alone unless the Leaf forms exist already."""
+        ls = self.__dict__.get("sorted_leaves")
+        return _leaf(self._pairs[i], self._D) if ls is None else ls[i]
+
+    def __contains__(self, l: object) -> bool:
+        if not isinstance(l, Leaf):
+            return False
+        u, v, D = l.a.value, l.b.value, self._D
+        x, y = _regrid(u.numerator, u.denominator, D), _regrid(v.numerator, v.denominator, D)
+        if x is None or y is None:
+            return False  # an endpoint off the grid
+        pairs = self._pairs
+        i = bisect_left(pairs, (x, y))
+        return i < len(pairs) and pairs[i] == (x, y)
 
     def __len__(self) -> int:
-        return len(self.leaves)
+        return len(self._pairs)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Leaf]:
         return iter(self.sorted_leaves)
+
+    def _key(self) -> tuple:
+        return self.degree, self.depth, self._D, self._pairs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Lamination(degree={self.degree!r}, leaves={self.leaves!r}, depth={self.depth!r})"
 
 
 @dataclass(frozen=True)
@@ -265,6 +322,23 @@ def _numerators(values: Sequence[Fraction], base: int = 1) -> tuple[int, list[in
     """The least common denominator D of base and the values, and each value's numerator over D."""
     D = lcm(base, *(v.denominator for v in values))
     return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def _reduce(
+    n: int, E: int, pairs: tuple[tuple[int, int], ...]
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The least grid D = lcm(n, every endpoint denominator) of the pairs over E, and the pairs over D.
+
+    A point x/E has reduced denominator E/gcd(x, E), so once n divides E the
+    least D is E/g for g = gcd(E/n, every x): one division reduces the grid.
+    """
+    up = n // gcd(E, n)
+    if up > 1:
+        E, pairs = E * up, tuple((x * up, y * up) for x, y in pairs)
+    g = gcd(E // n, *chain.from_iterable(pairs))
+    if g > 1:
+        E, pairs = E // g, tuple((x // g, y // g) for x, y in pairs)
+    return E, pairs
 
 
 def _regrid(x: int, D: int, E: int) -> int | None:
@@ -332,7 +406,6 @@ def validate_prelamination(L: Lamination) -> tuple[Violation, ...]:
 
     One sorted index of the integer endpoints finds each leaf's crossers.
     """
-    ls = L.sorted_leaves
     _, chords = L.scaled
     ends = sorted(e for i, (x, y) in enumerate(chords) for e in ((x, y, i), (y, x, i)))
     out = []
@@ -340,7 +413,8 @@ def validate_prelamination(L: Lamination) -> tuple[Violation, ...]:
         # a crosser j > i has its first endpoint inside (x, y) and its second
         # beyond y, so the index yields those in leaf order
         for j in (e[2] for e in _crossers(ends, x, y) if e[2] > i):
-            out.append(Violation("crossing", f"{ls[i]} crosses {ls[j]}", (ls[i], ls[j])))
+            li, lj = L._leaf_at(i), L._leaf_at(j)
+            out.append(Violation("crossing", f"{li} crosses {lj}", (li, lj)))
     return tuple(out)
 
 
@@ -378,15 +452,17 @@ def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation,
                 over.setdefault((ib, ia), set()).add((j, i))
     out: list[Violation] = []
     full: dict[tuple[int, int], bool] = {}  # whether an image has a full sibling collection
-    for l, (x, y) in zip(L_prev.sorted_leaves, prev_pairs):
+    for k, (x, y) in enumerate(prev_pairs):
         x, y = x * up, y * up
         ia, ib = d * x % D, d * y % D
         img = (ia, ib) if ia < ib else (ib, ia)
         critical = ia == ib
         if not critical and img not in present:
+            l = L_prev._leaf_at(k)
             detail = f"image {_leaf(img, D)} of {l} missing"
             out.append(Violation("forward", detail, (l,)))
         if (x, y) not in over:
+            l = L_prev._leaf_at(k)
             out.append(Violation("backward", f"no preimage of {l} present", (l,)))
         if critical:
             continue
@@ -399,7 +475,7 @@ def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation,
             full[img] = _fibre_matching(chords) is not None
         if not full[img]:
             detail = f"no full sibling collection over {_leaf(img, D)}"
-            out.append(Violation("sibling", detail, (l,)))
+            out.append(Violation("sibling", detail, (L_prev._leaf_at(k),)))
     return tuple(out)
 
 
@@ -478,6 +554,7 @@ def faces(L: Lamination) -> list[Face]:
     face starts at its least element (leaves before arcs, then by endpoints)
     and the faces are sorted by boundary.
     """
+    L.sorted_leaves  # every leaf bounds a face: build the Leaf forms once
     return [_face(L, b) for b in _face_sweep(L)]
 
 
@@ -530,10 +607,9 @@ def _face_sweep(L: Lamination) -> list[list[tuple[int, ...]]]:
 def _face(L: Lamination, boundary: list[tuple[int, ...]]) -> Face:
     """The Face of one `_face_sweep(L)` boundary."""
     D = L.scaled[0]
-    ls = L.sorted_leaves
     return Face(
         tuple(
-            ls[e[3]] if e[0] == 0 else Arc(_point(e[1], D), _point(e[2], D))
+            L._leaf_at(e[3]) if e[0] == 0 else Arc(_point(e[1], D), _point(e[2], D))
             for e in boundary
         )
     )

@@ -15,6 +15,7 @@ from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Collection, Iterable, Iterator
 
 from .circle import CirclePoint, check_degree, preimages, sigma
@@ -215,13 +216,12 @@ class PullbackState:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ValueError("a state needs at least stage 0")
-        prev: frozenset[Leaf] = frozenset()
         for lam in self.stages:
             if lam.degree != self.degree:
                 raise ValueError("all stages must share the state's degree")
-            if not prev <= lam.leaves:
+        for lo, hi in zip(self.stages, self.stages[1:]):
+            if _new_pairs(lo, hi) is None:
                 raise ValueError("stages must be nested")
-            prev = lam.leaves
 
     @property
     def initial(self) -> Lamination:
@@ -241,7 +241,25 @@ class PullbackState:
             raise ValueError(f"stage {k} outside 0..{self.depth}")
         if k == 0:
             return self.stages[0].leaves
-        return self.stages[k].leaves - self.stages[k - 1].leaves
+        D = self.stages[k].scaled[0]
+        return frozenset(_leaf(p, D) for p in _new_pairs(self.stages[k - 1], self.stages[k]))
+
+
+def _new_pairs(lo: Lamination, hi: Lamination) -> list[tuple[int, int]] | None:
+    """hi's pairs that lo lacks, in order; None unless lo's leaves all lie in hi.
+
+    A leaf of lo lies in hi only if its endpoint denominators divide hi's D,
+    so lo's D divides hi's whenever lo has a leaf.
+    """
+    (D_lo, lo_pairs), (D_hi, hi_pairs) = lo.scaled, hi.scaled
+    if not lo_pairs:
+        return list(hi_pairs)
+    if D_hi % D_lo:
+        return None
+    up = D_hi // D_lo
+    old = set(lo_pairs) if up == 1 else {(x * up, y * up) for x, y in lo_pairs}
+    new = [p for p in hi_pairs if p not in old]
+    return new if len(hi_pairs) - len(new) == len(old) else None
 
 
 _POLICIES = ("prefer-existing", "shortest")
@@ -327,29 +345,36 @@ def pullback(
     d = F0.degree
     if d != C.degree:
         raise ValueError("degree mismatch between initial set and portrait")
-    with_chords = Lamination(d, F0.leaves | C.chords)
+    # the initial leaves and the chords on one grid over denom
+    D0, initial = F0.scaled
+    Dc, chords = Lamination(d, C.chords).scaled
+    denom = lcm(D0, Dc)
+    up, upc = denom // D0, denom // Dc
+    frontier = [(x * up, y * up) for x, y in initial]
+    acc_pairs = set(frontier)
+    acc_pairs.update((x * upc, y * upc) for x, y in chords)
+    with_chords = Lamination._on_grid(d, denom, sorted(acc_pairs))
     bad = validate_prelamination(with_chords)
-    inner = [v for v in bad if F0.leaves.issuperset(v.leaves)]
+    inner = [v for v in bad if all(l in F0 for l in v.leaves)]
     if inner:
         raise ValueError(f"initial set is not a pre-lamination: {inner[0].detail}")
     if bad:
         l1, l2 = bad[0].leaves
-        c, l = (l2, l1) if l1 in F0.leaves else (l1, l2)
+        c, l = (l2, l1) if l1 in F0 else (l1, l2)
         raise ValueError(f"critical chord {c} crosses initial leaf {l}")
-    for l in F0.leaves:
-        if is_critical(d, l):
-            continue
-        img = leaf_image(d, l)
-        if img not in F0.leaves:
-            raise ValueError(f"initial leaf {l} maps to {img} outside the initial set")
+    present = set(initial)
+    for i, pair in enumerate(initial):
+        img = _image(d, D0, pair)
+        if isinstance(img, tuple) and img not in present:
+            l = F0._leaf_at(i)
+            raise ValueError(
+                f"initial leaf {l} maps to {leaf_image(d, l)} outside the initial set"
+            )
 
-    # placed chords as integer pairs over denom = D * d^k, D from the integer
-    # view; the frontier holds the leaves new at the previous stage, sorted
-    denom, acc_pairs = with_chords.scaled
-    acc_pairs = set(acc_pairs)
-    frontier = sorted(_scaled_pair(l, denom) for l in F0.leaves)
-    stages = [Lamination(d, F0.leaves, depth=0)]
-    acc: set[Leaf] = set(F0.leaves)
+    # placed chords as integer pairs over denom = D * d^k; the frontier holds
+    # the leaves new at the previous stage and `stage` every leaf, both sorted
+    stage = frontier
+    stages = [Lamination._on_grid(d, D0, initial)]
     for k in range(1, n + 1):
         acc_pairs = {(x * d, y * d) for x, y in acc_pairs}
         ends = sorted(e for x, y in acc_pairs for e in ((x, y), (y, x)))
@@ -362,10 +387,11 @@ def pullback(
                 insort(ends, (x, y))
                 insort(ends, (y, x))
                 new.append((x, y))
-                acc.add(_leaf((x, y), denom * d))
         denom *= d
         frontier = sorted(new)
-        stages.append(Lamination(d, frozenset(acc), depth=k))
+        # the scaled old stage stays sorted, so sorting merges two runs
+        stage = sorted([(x * d, y * d) for x, y in stage] + frontier)
+        stages.append(Lamination._on_grid(d, denom, stage, depth=k))
     return PullbackState(d, C, tuple(stages), policy)
 
 
@@ -469,8 +495,10 @@ def _gap_candidates(
     ]
 
 
-def _walk_back_gap(state: PullbackState, S: FixedSector) -> tuple[Face, int] | None:
-    """Deepest stage carrying exactly one invariant gap face inside S.
+def _walk_back_gap(
+    state: PullbackState, S: FixedSector
+) -> tuple[list[tuple[int, ...]], int] | None:
+    """Deepest stage k carrying exactly one invariant gap face inside S, as (boundary, k).
 
     Refined stages can temporarily lose boundary-vertex invariance (preimages
     of other sectors' leaves land on the gap arcs), so shallower stages are
@@ -480,7 +508,7 @@ def _walk_back_gap(state: PullbackState, S: FixedSector) -> tuple[Face, int] | N
     for k in range(state.depth, 0, -1):
         cands = _gap_candidates(state.stages[k], S, sector_chords)
         if len(cands) == 1:
-            return _face(state.stages[k], cands[0]), k
+            return cands[0], k
     return None
 
 
@@ -497,7 +525,8 @@ def invariant_gap(state: PullbackState, S: FixedSector) -> Face:
     found = _walk_back_gap(state, S)
     if found is None:
         raise ValueError("no invariant gap face in this sector")
-    return found[0]
+    boundary, k = found
+    return _face(state.stages[k], boundary)
 
 
 @dataclass(frozen=True)
@@ -571,15 +600,15 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
         pairs = stage_pairs(lam)
         stage_max = 0
         scale = 2 * d**k  # length/D > 1/(2 d^k) iff scale * length > D
-        for l, (x, y) in zip(lam.sorted_leaves, pairs):
+        for i, (x, y) in enumerate(pairs):
             if (x, y) in prev:
                 continue
             length = min(y - x, D - y + x)
             if scale * length > D:
-                too_long.append((k, l))
+                too_long.append((k, lam._leaf_at(i)))
             stage_max = max(stage_max, length)
             if not _iterates_onto(d, D, (x, y), initial, k):
-                escapes.append((k, l))
+                escapes.append((k, lam._leaf_at(i)))
         worst.append(Fraction(stage_max, D))
         prev = set(pairs)
     sector_reports: list[SectorGapReport] = []
@@ -589,18 +618,18 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
             if found is None:
                 sector_reports.append(SectorGapReport(S, 0, 0, ()))
                 continue
-            face, gap_depth = found
+            boundary, gap_depth = found
+            # the boundary is over stage gap_depth's grid, which divides D
+            up = D // state.stages[gap_depth].scaled[0]
             hull = {_scaled_pair(l, D) for l in S.boundary_leaves}
             unresolved = tuple(
-                sorted(
-                    l
-                    for l in face.leaves
-                    if not _iterates_onto(d, D, _scaled_pair(l, D), hull, state.depth)
-                )
+                _leaf((x, y), D)
+                for x, y in sorted((e[1] * up, e[2] * up) for e in boundary if e[0] == 0)
+                if not _iterates_onto(d, D, (x, y), hull, state.depth)
             )
-            sector_reports.append(
-                SectorGapReport(S, gap_depth, len(face.vertices), unresolved)
-            )
+            # a face's vertices are its leaves' endpoints and its arcs' ends
+            verts = {v for e in boundary if e[0] == 0 or e[1] != e[2] for v in e[1:3]}
+            sector_reports.append(SectorGapReport(S, gap_depth, len(verts), unresolved))
     return CanonicalReport(
         d,
         state.depth,
@@ -640,13 +669,13 @@ def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool
     """
     if L.degree != C.degree:
         raise ValueError("degree mismatch")
-    if not L.leaves:
+    if not len(L):
         return True
     cap = max(2 * depth + 2, 4)
     D = L.scaled[0]
     subdivision = faces(L)
     for chord in C.sorted_chords:
-        if chord in L.leaves:
+        if chord in L:
             return False
         carriers = [
             f

@@ -1,14 +1,15 @@
 """Tests for document serialization and SVG rendering."""
 import hashlib
+import json
 import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lamlab.circle import angle
+from lamlab.circle import angle, parse_angle
 from lamlab.docio import (
     _DEPTH_COLORS,
     _INITIAL_LEAF_COLOR,
@@ -23,8 +24,8 @@ from lamlab.docio import (
     write_svg,
 )
 from lamlab.fpp import FixedPointPortrait, canonical_portraits
-from lamlab.leaves import Lamination, Leaf
-from lamlab.pullback import CriticalPortrait, canonical_lamination, pullback
+from lamlab.leaves import Lamination, Leaf, check_invariance, validate_prelamination
+from lamlab.pullback import CriticalPortrait, canonical_lamination, clp_checks, pullback
 
 
 def lf(a, b):
@@ -237,6 +238,212 @@ class TestJsonCodec:
         text = write_document(doc)
         assert read_document(text) == doc
         assert write_document(read_document(text)) == text
+
+
+def leaf_read_document(text):
+    """Reference: the reader that built a Leaf per leaf, before documents read onto the grid."""
+
+    def parse_pair(entry, degree, what):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"each {what} must be a pair of angle strings")
+        a, b = entry
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise ValueError(f"{what} endpoints must be angle strings, got {entry!r}")
+        return Leaf(parse_angle(a, degree), parse_angle(b, degree))
+
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"document is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError("document must be a JSON object")
+    unknown = set(payload) - {"degree", "leaves", "portrait", "fpp", "stages", "metadata"}
+    if unknown:
+        raise ValueError(f"unknown document keys: {sorted(unknown)}")
+    if "degree" not in payload or "leaves" not in payload:
+        raise ValueError("document needs 'degree' and 'leaves'")
+    degree = payload["degree"]
+    if not isinstance(degree, int):
+        raise ValueError("'degree' must be an integer")
+    raw_leaves = payload["leaves"]
+    if not isinstance(raw_leaves, list):
+        raise ValueError("'leaves' must be a list of angle pairs")
+    leaves = tuple(parse_pair(e, degree, "leaf") for e in raw_leaves)
+    portrait = None
+    if payload.get("portrait") is not None:
+        raw = payload["portrait"]
+        if not isinstance(raw, list):
+            raise ValueError("'portrait' must be a list of angle pairs")
+        portrait = CriticalPortrait(
+            degree, frozenset(parse_pair(e, degree, "portrait chord") for e in raw)
+        )
+    fpp = None
+    if payload.get("fpp") is not None:
+        raw_fpp = payload["fpp"]
+        if not isinstance(raw_fpp, list) or not all(
+            isinstance(b, list) and all(type(i) is int for i in b) for b in raw_fpp
+        ):
+            raise ValueError("'fpp' must be a list of index blocks")
+        fpp = FixedPointPortrait(degree, tuple(tuple(b) for b in raw_fpp))
+    stages = None
+    if payload.get("stages") is not None:
+        raw_stages = payload["stages"]
+        if not isinstance(raw_stages, list) or not all(type(s) is int for s in raw_stages):
+            raise ValueError("'stages' must be a list of integers")
+        stages = tuple(raw_stages)
+    meta = payload.get("metadata") or {}
+    if not isinstance(meta, dict):
+        raise ValueError("'metadata' must be an object")
+    return LaminationDocument(
+        degree=degree,
+        leaves=leaves,
+        portrait=portrait,
+        fpp=fpp,
+        stages=stages,
+        tool_version=str(meta.get("tool_version", "")),
+        command=str(meta.get("command", "")),
+    )
+
+
+def read_outcome(reader, text):
+    """The document a reader returns, as its fields with the leaves as Leafs, or its error."""
+    try:
+        doc = reader(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    fields = (doc.degree, tuple(doc.leaves), doc.portrait, doc.fpp, doc.stages)
+    return "ok", fields + (doc.tool_version, doc.command)
+
+
+def angle_literals(degree):
+    """Well-formed angle literals, as a document may hold them."""
+    base = degree if type(degree) is int and 2 <= degree <= 10 else 3
+    digits = st.lists(st.integers(0, base - 1).map(str), max_size=3)
+    # unreduced, signed and shifted by whole turns
+    rational = st.sampled_from([12, 2, 3, 4, 6, 8, 9, 15]).flatmap(
+        lambda q: st.integers(1, 6 * q).map(lambda p: f"{p - 3 * q}/{q}")
+    )
+    return st.one_of(
+        rational,
+        rational,
+        st.sampled_from(["1/2", "2/4", "-1/2", "3/6", "5/2", "1", "-2"]),
+        st.tuples(digits, digits.filter(bool)).map(lambda t: "".join(t[0]) + "_" + "".join(t[1])),
+        st.integers(0, 6).map(lambda p: f" {p}/7 "),
+    )
+
+
+@st.composite
+def document_texts(draw):
+    """JSON documents near the valid ones, each with at most one flaw."""
+    degree = draw(st.sampled_from([5, 2, 3, 4, 5, 3, 11, 1, True]))
+    pair = st.lists(angle_literals(degree), min_size=2, max_size=2, unique=True)
+    leaves = draw(st.lists(pair, max_size=8, unique_by=json.dumps))
+    flaw = draw(
+        st.sampled_from(
+            ["none", "none", "none", "pair", "literal", "short", "bool", "negative", "fpp"]
+        )
+    )
+    if flaw == "pair" and leaves:
+        leaves[draw(st.integers(0, len(leaves) - 1))] = draw(
+            st.sampled_from([["1/3"], ["1/3", 1], 7])
+        )
+    if flaw == "literal" and leaves:
+        bad = draw(st.sampled_from(["x", "1.5", "1/0", "1e3", "/3", "", "1/-3", "12_9"]))
+        leaves[draw(st.integers(0, len(leaves) - 1))][draw(st.integers(0, 1))] = bad
+    payload = {"degree": degree, "leaves": leaves}
+    if draw(st.booleans()) or flaw in ("short", "bool", "negative"):
+        tags = draw(st.lists(st.integers(0, 3), min_size=len(leaves), max_size=len(leaves)))
+        if flaw == "short":
+            tags = tags[1:] if tags else [0]
+        elif flaw == "bool" and tags:
+            tags[0] = True
+        elif flaw == "negative" and tags:
+            tags[-1] = -1
+        payload["stages"] = tags
+    if flaw == "fpp" or draw(st.booleans()):
+        payload["fpp"] = [[True]] if flaw == "fpp" else [[0, 1]]
+    payload["metadata"] = {"tool_version": "t", "command": "c"}
+    return json.dumps(payload)
+
+
+class TestGridReader:
+    """read_document parses straight onto the integer grid; the Leaf reader is its oracle."""
+
+    @settings(max_examples=300)
+    @given(document_texts())
+    def test_equals_leaf_reader(self, text):
+        got = read_outcome(read_document, text)
+        assert got == read_outcome(leaf_read_document, text)
+        if got[0] == "ok":
+            assert read_document(text) == leaf_read_document(text)
+
+    @pytest.mark.parametrize("d, blocks", [(3, ((0, 1),)), (5, ((0, 1, 2, 3),))])
+    def test_equals_leaf_reader_on_built_documents(self, d, blocks):
+        text = write_document(
+            document_from_state(canonical_lamination(FixedPointPortrait(d, blocks), 3), "b")
+        )
+        doc = read_document(text)
+        assert doc == leaf_read_document(text)
+        assert doc.lamination().scaled == Lamination(d, doc.leaves).scaled
+
+    def test_reduced_duplicate_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            read_document('{"degree": 3, "leaves": [["0/1", "1/2"], ["2/2", "2/4"]]}')
+
+    def test_degenerate_after_reduction_rejected(self):
+        with pytest.raises(ValueError, match="degenerate leaf at 1/2"):
+            read_document('{"degree": 3, "leaves": [["1/2", "-2/4"]]}')
+
+
+class TestNoLeafOnJobPaths:
+    """The job paths run on the integer grid: the Leafs they build do not grow with depth."""
+
+    @staticmethod
+    def count_leaves(monkeypatch, run):
+        built = [0]
+        post_init = Leaf.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(Leaf, "__post_init__", counting)
+            run()
+        return built[0]
+
+    @staticmethod
+    def build_and_render(n):
+        P = FixedPointPortrait(3, ((0, 1),))
+        doc = document_from_state(canonical_lamination(P, n), "build")
+        assert len(doc.leaves) == len(replace(doc, command="again").leaves) > 0
+        write_svg(read_document(write_document(doc)), RenderSpec(style="geodesic"))
+
+    @staticmethod
+    def read_and_check(text):
+        def run():
+            doc = read_document(text)
+            L = doc.lamination()
+            assert validate_prelamination(L) == ()
+            state = doc.pullback_state()
+            assert check_invariance(state.stages[-2], L) == ()
+            assert clp_checks(state).ok
+
+        return run
+
+    def test_build_path(self, monkeypatch):
+        counts = [
+            self.count_leaves(monkeypatch, lambda: self.build_and_render(n)) for n in (2, 4)
+        ]
+        assert counts[1] <= counts[0], counts
+
+    def test_check_path(self, monkeypatch):
+        P = FixedPointPortrait(3, ((0, 1),))
+        texts = [
+            write_document(document_from_state(canonical_lamination(P, n), "b")) for n in (2, 4)
+        ]
+        counts = [self.count_leaves(monkeypatch, self.read_and_check(t)) for t in texts]
+        assert counts[1] <= counts[0], counts
 
 
 class TestPortraitCodec:

@@ -255,7 +255,7 @@ class TestEnumeration:
         ps = enumerate_fpps(6)
         assert len(set(ps)) == len(ps)
 
-    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("d", range(2, 12))
     def test_equals_combination_oracle(self, d):
         assert enumerate_fpps(d) == combination_fpps(d)
 

@@ -9,6 +9,7 @@ oracle does not read the integer view at all.
 """
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,54 @@ class TestIntegerView:
         assert D % (L.degree - 1) == 0
         for l, (x, y) in zip(L.sorted_leaves, pairs):
             assert (Fraction(x, D), Fraction(y, D)) == (l.a.value, l.b.value)
+
+
+# leaves whose endpoints mostly lie off the grids of mixed_leaves
+probe_leaves = st.lists(
+    st.sampled_from([3, 9, 11, 24, 60]).flatmap(
+        lambda q: st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+        .filter(lambda t: t[0] != t[1])
+        .map(lambda t: Leaf(angle(Fraction(t[0], q)), angle(Fraction(t[1], q))))
+    ),
+    max_size=6,
+)
+
+
+class TestGridLamination:
+    """A Lamination stored as its integer view answers as the Leaf set it was built from."""
+
+    @settings(max_examples=150)
+    @given(st.integers(2, 6), mixed_leaves, st.integers(1, 12), st.integers(0, 3), probe_leaves)
+    def test_grid_built_equals_leaf_built(self, d, leaves, m, depth, probes):
+        L = Lamination(d, frozenset(leaves), depth)
+        # the pairs on a grid E that need not be the least one, nor a multiple of d - 1
+        E = m * lcm(*(t.value.denominator for l in leaves for t in l.endpoints))
+        pairs = sorted(
+            (int(l.a.value * E), int(l.b.value * E)) for l in frozenset(leaves)
+        )
+        G = Lamination._on_grid(d, E, pairs, depth)
+        assert G == L and hash(G) == hash(L)
+        assert G.scaled == L.scaled
+        D = G.scaled[0]
+        assert D == lcm(d - 1, *(t.value.denominator for l in leaves for t in l.endpoints))
+        assert G.sorted_leaves == L.sorted_leaves == tuple(sorted(set(leaves)))
+        assert G.leaves == L.leaves == frozenset(leaves)
+        assert len(G) == len(L) == len(set(leaves))
+        assert list(G) == list(L.sorted_leaves)
+        for probe in leaves + probes:
+            assert (probe in G) == (probe in L) == (probe in frozenset(leaves))
+        assert "1/2" not in G and (0, 1) not in G
+
+    def test_unequal_degree_or_depth(self):
+        L = Lamination(3, frozenset({Leaf(angle(0), angle("1/2"))}))
+        assert L != Lamination._on_grid(5, 2, [(0, 1)])
+        assert L != Lamination._on_grid(3, 2, [(0, 1)], depth=1)
+        assert L == Lamination._on_grid(3, 8, [(0, 4)])
+
+    def test_is_immutable(self):
+        L = Lamination(3, frozenset())
+        with pytest.raises(AttributeError):
+            L.depth = 1
 
 
 class TestInvariantFacesKernel:

@@ -30,6 +30,7 @@ from lamlab.pullback import (
     _POLICIES,
     CriticalPortrait,
     InsufficientDepthError,
+    PullbackState,
     branch_inverse,
     canonical_lamination,
     classify_sector,
@@ -270,6 +271,17 @@ class TestPullbackStages:
         state = quintic_canonical(3)
         for prev, nxt in zip(state.stages, state.stages[1:]):
             assert prev.leaves <= nxt.leaves
+
+    def test_non_nested_stages_rejected(self):
+        state = quintic_canonical(2)
+        s0, s1, s2 = state.stages
+        # a later stage short of one earlier leaf, on the same grid and on a coarser one
+        thinned = Lamination(5, s2.leaves - {min(state.frontier(1))}, depth=2)
+        assert thinned.scaled[0] == s2.scaled[0]
+        for stages in ((s0, s1, thinned), (s0, s2, s1), (s1, s0)):
+            with pytest.raises(ValueError, match="stages must be nested"):
+                PullbackState(5, state.portrait, stages, "shortest")
+        assert PullbackState(5, state.portrait, (s0, s0, s2), "shortest").frontier(1) == set()
 
     def test_frontier_sizes(self):
         state = quintic_canonical(2)
