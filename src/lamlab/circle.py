@@ -19,7 +19,6 @@ __all__ = [
     "in_arc",
     "parse_angle",
     "parse_dnary",
-    "preimages",
     "render_dnary",
     "sigma",
 ]
@@ -145,13 +144,6 @@ def sigma(d: int, t: CirclePoint) -> CirclePoint:
     """Apply the angle d-tupling map t -> d*t mod 1."""
     check_degree(d)
     return CirclePoint(_raw(t) * d)
-
-
-def preimages(d: int, t: CirclePoint) -> list[CirclePoint]:
-    """The d preimages (t + i)/d, i = 0..d-1, in increasing circular order."""
-    check_degree(d)
-    v = _raw(t)
-    return [CirclePoint((v + i) / d) for i in range(d)]
 
 
 def fixed_points(d: int) -> list[CirclePoint]:

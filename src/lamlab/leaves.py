@@ -27,7 +27,6 @@ __all__ = [
     "Violation",
     "check_invariance",
     "faces",
-    "is_critical",
     "leaf_image",
     "leaves_cross",
     "validate_prelamination",
@@ -117,12 +116,6 @@ def leaf_image(d: int, l: Leaf) -> Leaf | CirclePoint:
     if ia == ib:
         return ia
     return Leaf(ia, ib)
-
-
-def is_critical(d: int, l: Leaf) -> bool:
-    """Whether both endpoints share an image, i.e. they differ by some k/d."""
-    check_degree(d)
-    return ((l.b.value - l.a.value) * d).denominator == 1
 
 
 def leaves_cross(l1: Leaf, l2: Leaf) -> bool:

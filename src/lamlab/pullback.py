@@ -11,14 +11,14 @@ fixed objects carried by each sector.
 """
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Collection, Iterable, Iterator
 
-from .circle import CirclePoint, check_degree, preimages, sigma
+from .circle import CirclePoint, check_degree, sigma
 from .fpp import FixedPointPortrait, FixedSector, canonical_portraits, fixed_sectors
 from .leaves import (
     Arc,
@@ -34,10 +34,10 @@ from .leaves import (
     _iterates_onto,
     _leaf,
     _on_closure,
+    _point,
     _scaled,
     _scaled_pair,
     faces,
-    is_critical,
     leaf_image,
     leaves_cross,
     validate_prelamination,
@@ -49,7 +49,6 @@ __all__ = [
     "InsufficientDepthError",
     "PullbackState",
     "SectorClassification",
-    "branch_inverse",
     "canonical_lamination",
     "classify_sector",
     "clp_checks",
@@ -107,14 +106,16 @@ class CriticalPortrait:
     def __post_init__(self) -> None:
         check_degree(self.degree)
         object.__setattr__(self, "chords", frozenset(self.chords))
-        for c in self.chords:
-            if not is_critical(self.degree, c):
-                raise ValueError(f"chord {c} is not critical for degree {self.degree}")
-        bad = validate_prelamination(Lamination(self.degree, self.chords))
+        L = Lamination(self.degree, self.chords)
+        D, pairs = L.scaled
+        for i, (x, y) in enumerate(pairs):
+            if self.degree * (y - x) % D:
+                raise ValueError(f"chord {L._leaf_at(i)} is not critical for degree {self.degree}")
+        bad = validate_prelamination(L)
         if bad:
             c1, c2 = bad[0].leaves
             raise ValueError(f"critical chords {c1} and {c2} cross")
-        total = self.criticality
+        total = _criticality(pairs)
         if total != self.degree - 1:
             raise ValueError(
                 f"criticality {total} does not match degree - 1 = {self.degree - 1}"
@@ -132,7 +133,30 @@ class CriticalPortrait:
     @cached_property
     def criticality(self) -> int:
         """Sum over endpoint-connected chord groups of (vertex count - 1)."""
-        return sum(len(g) - 1 for g in self.vertex_groups)
+        return _criticality(Lamination(self.degree, self.chords).scaled[1])
+
+
+def _criticality(pairs: Iterable[tuple[int, int]]) -> int:
+    """Sum over the endpoint-connected groups of integer chords of (vertex count - 1).
+
+    That is the vertex count less the group count: the number of chords
+    whose union-find merge joins two groups.
+    """
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = 0
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+            merges += 1
+    return merges
 
 
 @dataclass(frozen=True)
@@ -142,8 +166,8 @@ class CriticalSector:
     The boundary arcs total 1/d, so the sector boundary maps onto the circle
     with degree one and carries a branch of the inverse.
 
-    No library caller yet: ROADMAP item 6 has `pullback` pair preimages by
-    these sectors.
+    A Python-only diagnostic until ROADMAP item 1 routes
+    `validate_rotational_placement`, which reads it, through `lam diagnose`.
     """
 
     degree: int
@@ -162,41 +186,38 @@ class CriticalSector:
         return any(a.contains(t, closed=closed) for a in self.arcs)
 
 
-def critical_sectors(C: CriticalPortrait) -> list[CriticalSector]:
-    """The d sectors cut out by the portrait, each spanning arc length 1/d.
+def _sector_faces(L: Lamination) -> list[list[tuple[int, ...]]]:
+    """The critical sectors of a portrait's chord lamination L, as `_face_sweep` boundaries.
 
-    No library caller yet: ROADMAP item 6 has `pullback` pair preimages by
-    these sectors.
+    They are the arc-bearing faces, sorted by least arc start; the interior
+    of an all-critical polygon bears no arc and is no sector.  Every chord
+    endpoint starts exactly one face arc, which runs to the next endpoint.
     """
-    d = C.degree
-    out = []
-    for f in faces(Lamination(d, C.chords)):
-        if not f.arcs:
-            continue  # interior of an all-critical polygon, not a sector
-        out.append(CriticalSector(d, tuple(sorted(f.leaves)), tuple(sorted(f.arcs))))
-    out.sort(key=lambda s: s.arcs[0])
-    if len(out) != d or any(s.arc_total != Fraction(1, d) for s in out):
-        raise ValueError("portrait does not cut the circle into d unit-degree sectors")
+    out = [b for b in _face_sweep(L) if any(e[0] == 1 for e in b)]
+    out.sort(key=lambda b: min(e[1] for e in b if e[0] == 1))
     return out
 
 
-def branch_inverse(S: CriticalSector, t: CirclePoint) -> CirclePoint:
-    """The unique preimage of t on the closure of S's arcs.
+def critical_sectors(C: CriticalPortrait) -> list[CriticalSector]:
+    """The d sectors cut out by the portrait, each spanning arc length 1/d.
 
-    At a shared chord endpoint two preimages lie on the closed boundary; the
-    arc start is preferred so adjacent sectors agree at the seam.
-
-    No library caller yet: ROADMAP item 6 has `pullback` pair preimages by
-    these sectors.
+    Read from one face sweep of the chords on their integer grid, the one
+    `pullback` locates fibre points on.  A Python-only diagnostic until
+    ROADMAP item 1 routes `validate_rotational_placement`, its one caller,
+    through `lam diagnose`.
     """
-    cands = [x for x in preimages(S.degree, t) if S.contains_point(x, closed=True)]
-    if not cands:
-        raise ValueError(f"no preimage of {t} lies on the sector closure")
-    if len(cands) == 1:
-        return cands[0]
-    starts = {a.start for a in S.arcs}
-    anchored = [x for x in cands if x in starts]
-    return anchored[0] if anchored else cands[0]
+    L = Lamination(C.degree, C.chords)
+    D = L.scaled[0]
+    ls = L.sorted_leaves
+    return [
+        CriticalSector(
+            C.degree,
+            # leaves sort as their indices into sorted_leaves
+            tuple(ls[i] for i in sorted(e[3] for e in b if e[0] == 0)),
+            tuple(Arc(_point(u, D), _point(v, D)) for _, u, v in sorted(e for e in b if e[0] == 1)),
+        )
+        for b in _sector_faces(L)
+    ]
 
 
 @dataclass(frozen=True)
@@ -272,8 +293,60 @@ def _best_matching(
     ends: list[tuple[int, int]],
     acc_pairs: set[tuple[int, int]],
     policy: str,
+    sectors: tuple[list[int], list[int]],
 ) -> tuple[tuple[int, int], ...]:
-    """Pick the d disjoint preimage chords of the leaf pair/denom, as pairs over d*denom.
+    """Pick the d disjoint preimage chords of the leaf pair/denom, as sorted pairs over d*denom.
+
+    `sectors` holds the portrait's sorted critical endpoints over d*denom
+    and, per endpoint, the critical sector of the arc it starts.  Each
+    sector's open arcs total 1/d and map one-to-one onto the circle less
+    the images of the sector's endpoints, which are critical values.  When
+    no fibre point is a critical endpoint, neither leaf endpoint is a
+    critical value, so each sector holds exactly two fibre points, one per
+    fibre, and exactly one matching is valid, the one joining the two
+    points of each sector:
+
+    - a chord between points in different open sectors leaves its sector
+      through a critical chord, which is placed, so it crosses that chord;
+    - a chord inside one sector, and a placed chord on the sector's closure,
+      map order-preservingly onto the frontier leaf and a leaf of the
+      previous stage (or a point), so they cross only if those two leaves
+      cross, and the previous stage had no crossing.
+
+    Both policies then return that matching, read off by one bisect per
+    fibre point with no crossing scan.  Only when a fibre point is a
+    critical endpoint does `_dp_matching` choose among the valid chords.
+    """
+    cut, arc_sector = sectors
+    n = len(cut)
+    waiting: dict[int, int] = {}
+    forced = []
+    j = 0
+    # the fibre points ascend, so each bisect starts where the last one ended
+    for t in (p + i * denom for i in range(d) for p in pair):
+        j = bisect_left(cut, t, j)
+        if j < n and cut[j] == t:
+            return _dp_matching(d, pair, denom, ends, acc_pairs, policy)
+        # the arc before cut[0] is the one that cut[-1] starts
+        s = arc_sector[j - 1]
+        u = waiting.pop(s, None)
+        if u is None:
+            waiting[s] = t
+        else:
+            forced.append((u, t))
+    forced.sort()
+    return tuple(forced)
+
+
+def _dp_matching(
+    d: int,
+    pair: tuple[int, int],
+    denom: int,
+    ends: list[tuple[int, int]],
+    acc_pairs: set[tuple[int, int]],
+    policy: str,
+) -> tuple[tuple[int, int], ...]:
+    """The policy's matching of the leaf pair/denom among the valid chords, as sorted pairs over d*denom.
 
     The preimages of the leaf's endpoints x < y alternate around the circle,
     so point 2i of the sorted fibres is (x + i*denom)/(d*denom) and point
@@ -347,7 +420,8 @@ def pullback(
         raise ValueError("degree mismatch between initial set and portrait")
     # the initial leaves and the chords on one grid over denom
     D0, initial = F0.scaled
-    Dc, chords = Lamination(d, C.chords).scaled
+    chord_lam = Lamination(d, C.chords)
+    Dc, chords = chord_lam.scaled
     denom = lcm(D0, Dc)
     up, upc = denom // D0, denom // Dc
     frontier = [(x * up, y * up) for x, y in initial]
@@ -371,6 +445,13 @@ def pullback(
                 f"initial leaf {l} maps to {leaf_image(d, l)} outside the initial set"
             )
 
+    # each critical endpoint starts one arc; the endpoints go onto the
+    # stage's grid with the placed chords
+    arc_starts = {e[1]: s for s, b in enumerate(_sector_faces(chord_lam)) for e in b if e[0] == 1}
+    cut = sorted(arc_starts)
+    arc_sector = [arc_starts[u] for u in cut]
+    cut = [u * upc for u in cut]
+
     # placed chords as integer pairs over denom = D * d^k; the frontier holds
     # the leaves new at the previous stage and `stage` every leaf, both sorted
     stage = frontier
@@ -378,9 +459,11 @@ def pullback(
     for k in range(1, n + 1):
         acc_pairs = {(x * d, y * d) for x, y in acc_pairs}
         ends = sorted(e for x, y in acc_pairs for e in ((x, y), (y, x)))
+        cut = [u * d for u in cut]
+        sectors = (cut, arc_sector)
         new = []
         for pair in frontier:
-            for x, y in _best_matching(d, pair, denom, ends, acc_pairs, policy):
+            for x, y in _best_matching(d, pair, denom, ends, acc_pairs, policy, sectors):
                 if (x, y) in acc_pairs:
                     continue
                 acc_pairs.add((x, y))

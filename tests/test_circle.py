@@ -15,7 +15,6 @@ from lamlab.circle import (
     in_arc,
     parse_angle,
     parse_dnary,
-    preimages,
     render_dnary,
     sigma,
 )
@@ -26,6 +25,16 @@ F = Fraction
 
 def fr(p, q=1):
     return CirclePoint(F(p, q))
+
+
+def preimages(d, t):
+    """The d preimages (t + i)/d, i = 0..d-1, in increasing circular order.
+
+    The reference inverse of `sigma` for the tests; the library pulls back
+    on integer grids instead.
+    """
+    check_degree(d)
+    return [CirclePoint((angle(t).value + i) / d) for i in range(d)]
 
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=10**4).map(CirclePoint)

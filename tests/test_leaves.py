@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamlab.circle import CirclePoint, angle, ccw_span, check_degree, preimages, sigma
+from lamlab.circle import CirclePoint, angle, ccw_span, check_degree, sigma
 from lamlab.fpp import FixedPointPortrait, enumerate_fpps
 from lamlab.leaves import (
     Arc,
@@ -18,16 +18,25 @@ from lamlab.leaves import (
     Violation,
     check_invariance,
     faces,
-    is_critical,
     leaf_image,
     leaves_cross,
     validate_prelamination,
 )
-from lamlab.pullback import canonical_lamination
+from lamlab.pullback import CriticalPortrait, canonical_lamination
+from test_circle import preimages
 
 
 def fr(p, q=1):
     return Fraction(p, q)
+
+
+def is_critical(d, l):
+    """Whether both endpoints share an image, i.e. they differ by some k/d.
+
+    The reference for `CriticalPortrait`'s integer test d*(y - x) % D == 0.
+    """
+    check_degree(d)
+    return ((l.b.value - l.a.value) * d).denominator == 1
 
 
 def lf(a, b):
@@ -100,6 +109,16 @@ class TestLeafImage:
     @given(leaf_strategy(), degrees)
     def test_critical_iff_collapse(self, l, d):
         assert is_critical(d, l) == (not isinstance(leaf_image(d, l), Leaf))
+
+    @given(leaf_strategy(), degrees)
+    def test_portrait_grid_test_agrees(self, l, d):
+        # CriticalPortrait tests d*(y - x) % D == 0 on its integer grid
+        try:
+            CriticalPortrait(d, frozenset({l}))
+            refused = ""
+        except ValueError as exc:
+            refused = str(exc)
+        assert ("is not critical" in refused) == (not is_critical(d, l))
 
     @given(leaf_strategy(), degrees)
     def test_length_law(self, l, d):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lamlab
-from lamlab.circle import angle, preimages, sigma
+from lamlab.circle import angle, sigma
 from lamlab.docio import document_from_state, write_document
 from lamlab.fpp import FixedPointPortrait, canonical_portraits, enumerate_fpps, fixed_sectors
 from lamlab.leaves import (
@@ -22,16 +22,18 @@ from lamlab.leaves import (
     Polygon,
     _crossers,
     _leaf,
+    _scaled,
     check_invariance,
+    faces,
     leaf_image,
     validate_prelamination,
 )
 from lamlab.pullback import (
     _POLICIES,
     CriticalPortrait,
+    CriticalSector,
     InsufficientDepthError,
     PullbackState,
-    branch_inverse,
     canonical_lamination,
     classify_sector,
     clp_checks,
@@ -42,6 +44,8 @@ from lamlab.pullback import (
     is_hyperbolic_approx,
     pullback,
 )
+from lamlab.rotation import enumerate_rotational_orbits, unicritical_anchor
+from test_circle import preimages
 from test_leaves import fibre_matchings
 
 
@@ -143,6 +147,16 @@ class TestPortraitValidation:
         with pytest.raises(ValueError, match="criticality 1"):
             CriticalPortrait(3, frozenset({lf(0, "1/3")}))
 
+    def test_least_non_critical_chord_reported(self):
+        chords = frozenset({lf(0, "1/3"), lf("1/2", "5/8"), lf("1/8", "1/4")})
+        with pytest.raises(ValueError, match=r"chord Leaf\(1/8, 1/4\) is not critical for degree 3"):
+            CriticalPortrait(3, chords)
+
+    def test_criticality_counts_vertex_groups(self):
+        # the integer union-find against the CirclePoint groups rotation.py reads
+        for _, C in itertools.chain(canonical_critical_portraits(6), unicritical_portraits(CORR_GRID)):
+            assert C.criticality == sum(len(g) - 1 for g in C.vertex_groups) == C.degree - 1
+
     def test_budget_accepts_shared_endpoint_paths(self):
         # two chords joined at 0 give criticality 2 without a closed polygon
         C = CriticalPortrait(3, frozenset({lf(0, "1/3"), lf(0, "2/3")}))
@@ -162,7 +176,79 @@ class TestPortraitValidation:
         assert list(C.sorted_chords) == sorted(C.chords)
 
 
+def reference_critical_sectors(C):
+    """Reference for `critical_sectors`: the arc-bearing `Fraction` faces of the chords.
+
+    Each sector's arcs must total 1/d.
+    """
+    d = C.degree
+    out = []
+    for f in faces(Lamination(d, C.chords)):
+        if not f.arcs:
+            continue  # interior of an all-critical polygon, not a sector
+        out.append(CriticalSector(d, tuple(sorted(f.leaves)), tuple(sorted(f.arcs))))
+    out.sort(key=lambda s: s.arcs[0])
+    if len(out) != d or any(s.arc_total != Fraction(1, d) for s in out):
+        raise ValueError("portrait does not cut the circle into d unit-degree sectors")
+    return out
+
+
+def branch_inverse(S, t):
+    """The unique preimage of t on the closure of S's arcs.
+
+    At a shared chord endpoint two preimages lie on the closed boundary; the
+    arc start is preferred so adjacent sectors agree at the seam.  The
+    reference for `_best_matching`'s forced matchings: the chord of sector S
+    joins the branch preimages of the frontier leaf's two endpoints.
+    """
+    cands = [x for x in preimages(S.degree, t) if S.contains_point(x, closed=True)]
+    if not cands:
+        raise ValueError(f"no preimage of {t} lies on the sector closure")
+    if len(cands) == 1:
+        return cands[0]
+    starts = {a.start for a in S.arcs}
+    anchored = [x for x in cands if x in starts]
+    return anchored[0] if anchored else cands[0]
+
+
+def canonical_critical_portraits(max_degree):
+    """Every canonical placement of every portrait of degree 2..max_degree, as (hull, portrait)."""
+    for d in range(2, max_degree + 1):
+        for P in enumerate_fpps(d):
+            for choice in canonical_portraits(P):
+                yield Lamination(d, P.hull_leaves), choice.as_critical_portrait()
+
+
+# the (degree, period) grid of perfbench's correspondence jobs
+CORR_GRID = ((2, 7), (2, 9), (3, 5), (3, 6), (4, 4), (4, 5), (4, 6), (5, 3), (5, 4), (5, 5), (6, 3), (6, 4))
+
+
+def unicritical_portraits(grid):
+    """The rotational hull and unicritical polygon portrait of every anchored orbit, as (hull, portrait)."""
+    for d, q in grid:
+        for o in enumerate_rotational_orbits(d, q):
+            verts = unicritical_anchor(d, o)
+            if o.rotation == 0 or verts is None:
+                continue
+            sides = (Leaf(*verts),) if d == 2 else Polygon(verts).sides
+            yield Lamination(d, frozenset(o.hull_sides())), CriticalPortrait(d, frozenset(sides))
+
+
 class TestCriticalSectors:
+    def test_equal_to_reference_on_canonical_placements(self):
+        n = 0
+        for _, C in canonical_critical_portraits(7):
+            assert critical_sectors(C) == reference_critical_sectors(C), C
+            n += 1
+        assert n == 5937
+
+    def test_equal_to_reference_on_unicritical_portraits(self):
+        n = 0
+        for _, C in unicritical_portraits(CORR_GRID):
+            assert critical_sectors(C) == reference_critical_sectors(C), C
+            n += 1
+        assert n == 100
+
     def test_quintic_sector_layout(self):
         secs = critical_sectors(quintic_portrait())
         flags = [S.terminal for S in secs]
@@ -606,6 +692,12 @@ class TestPreimageConsistency:
             assert leaf_image(5, l) == seed
 
 
+@lru_cache(maxsize=None)
+def indexed_matchings(d):
+    """Each of `fibre_matchings(d)` as the set of its chords (i, j)."""
+    return [frozenset(enumerate(m)) for m in fibre_matchings(d)]
+
+
 def enumerating_best_matching(d, pair, denom, ends, acc_pairs, policy):
     """Reference for `_best_matching`: rank all Catalan(d) non-crossing fibre matchings.
 
@@ -624,10 +716,10 @@ def enumerating_best_matching(d, pair, denom, ends, acc_pairs, policy):
         if not any(_crossers(ends, x, y)):
             valid[i, j] = (x, y)
     ranks = []
-    for m in fibre_matchings(d):
-        if not all(ij in valid for ij in enumerate(m)):
+    for chords in indexed_matchings(d):
+        if not chords <= valid.keys():
             continue
-        pairs = tuple(sorted(valid[ij] for ij in enumerate(m)))
+        pairs = tuple(sorted(valid[ij] for ij in chords))
         maxlen = max(min(y - x, full - y + x) for x, y in pairs)
         reuse = sum(p in acc_pairs for p in pairs)
         if policy == "shortest":
@@ -649,7 +741,7 @@ def outcome(call):
 
 @st.composite
 def matching_problems(draw):
-    """`_best_matching` arguments: a leaf x < y over denom and placed chords over d*denom.
+    """`_dp_matching` arguments: a leaf x < y over denom and placed chords over d*denom.
 
     The placed chords are arbitrary chords plus some chords between the
     leaf's two preimage fibres, which a matching may reuse.
@@ -684,28 +776,104 @@ _MIRROR_PLACED = {(0, 9), (0, 6), (0, 12)}
 _BLOCKED = (2, (0, 2), 4, [(1, 3), (3, 1), (3, 5), (5, 3)], {(1, 3), (3, 5)}, "shortest")
 
 
+def recorded_matchings(monkeypatch, runs):
+    """The `_best_matching` calls of each pullback (F0, C, n), under both policies.
+
+    Every answer is compared with the enumerator as it is made.  Per run, a
+    list of (problem, answer, whether the DP ran).
+    """
+    module = importlib.import_module("lamlab.pullback")
+    best, dp = module._best_matching, module._dp_matching
+    calls, ran = [], []
+
+    def checked(*problem):
+        ran.clear()
+        got = best(*problem)
+        assert got == enumerating_best_matching(*problem[:6])
+        calls[-1].append((problem, got, bool(ran)))
+        return got
+
+    def dp_spy(*problem):
+        ran.append(True)
+        return dp(*problem)
+
+    monkeypatch.setattr(module, "_best_matching", checked)
+    monkeypatch.setattr(module, "_dp_matching", dp_spy)
+    for F0, C, n in runs:
+        calls.append([])
+        for policy in _POLICIES:
+            pullback(F0, C, n, policy=policy)
+    return calls
+
+
 class TestMatchingOracle:
-    # canonical pullbacks of every portrait up to these depths, both policies
+    # canonical pullbacks of every placement of every portrait up to these
+    # depths, both policies
     SHALLOW = {3: 4, 4: 3, 5: 3, 6: 2}
 
     @pytest.mark.parametrize("d", sorted(SHALLOW))
     def test_equals_enumerator_on_canonical_pullbacks(self, d, monkeypatch):
+        runs = [
+            (Lamination(d, P.hull_leaves), choice.as_critical_portrait(), self.SHALLOW[d])
+            for P in enumerate_fpps(d)
+            for choice in canonical_portraits(P)
+        ]
+        calls = recorded_matchings(monkeypatch, runs)
+        # both the forced matchings and the DP's choices were compared
+        assert {ran for run in calls for _, _, ran in run} == {False, True}
+
+    def test_equals_enumerator_on_unicritical_pullbacks(self, monkeypatch):
+        runs = [(F0, C, 3) for F0, C in unicritical_portraits(((2, 7), (3, 5), (4, 4), (5, 3)))]
+        calls = recorded_matchings(monkeypatch, runs)
+        assert {ran for run in calls for _, _, ran in run} == {False, True}
+
+    def test_forced_matchings_join_branch_preimages(self, monkeypatch):
+        # where the DP did not run, the chord of each sector S joins the
+        # branch_inverse preimages of the frontier leaf's two endpoints
+        runs = [(F0, C, 2) for F0, C in canonical_critical_portraits(4)]
+        runs.append((quintic_canonical(0).initial, quintic_portrait(), 2))
+        forced = 0
+        for (_, C, _), calls in zip(runs, recorded_matchings(monkeypatch, runs)):
+            secs = critical_sectors(C)
+            for (d, pair, denom, *_), got, ran in calls:
+                if ran:
+                    continue
+                l = _leaf(pair, denom)
+                chords = [sorted(_scaled(branch_inverse(S, t), d * denom) for t in l.endpoints) for S in secs]
+                assert list(got) == sorted(map(tuple, chords))
+                forced += 1
+        assert forced > 100
+
+    def test_dp_runs_only_at_critical_endpoints(self, monkeypatch):
+        # d=3 `0-1` at depth 6: exactly the frontier leaves with a fibre point
+        # on a critical chord endpoint reach `_fibre_matching`
         module = importlib.import_module("lamlab.pullback")
-        dp = module._best_matching
-        calls = []
+        best, fibre = module._best_matching, module._fibre_matching
+        current, dp_leaves = [], []
 
-        def checked(*problem):
-            got = dp(*problem)
-            assert got == enumerating_best_matching(*problem)
-            calls.append(got)
-            return got
+        def best_spy(d, pair, denom, *rest):
+            current[:] = [_leaf(pair, denom)]
+            return best(d, pair, denom, *rest)
 
-        monkeypatch.setattr(module, "_best_matching", checked)
-        for P in enumerate_fpps(d):
-            C = canonical_portraits(P)[0].as_critical_portrait()
-            for policy in _POLICIES:
-                pullback(Lamination(d, P.hull_leaves), C, self.SHALLOW[d], policy=policy)
-        assert calls
+        def fibre_spy(chords):
+            dp_leaves.append(current[0])
+            return fibre(chords)
+
+        monkeypatch.setattr(module, "_best_matching", best_spy)
+        monkeypatch.setattr(module, "_fibre_matching", fibre_spy)
+        state = canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 6)
+        critical = {t for c in state.portrait.chords for t in c.endpoints}
+        boundary = {
+            l
+            for k in range(state.depth)
+            for l in state.frontier(k)
+            if critical.intersection(x for t in l.endpoints for x in preimages(3, t))
+        }
+        assert sum(len(state.frontier(k)) for k in range(state.depth)) == 364
+        assert len(boundary) == 6
+        assert set(dp_leaves) == boundary
+        # the second DP run, over the chords within the bottleneck, is the only repeat
+        assert len(dp_leaves) <= 2 * len(boundary)
 
     @settings(max_examples=300)
     @given(matching_problems())
@@ -713,13 +881,13 @@ class TestMatchingOracle:
     @example((*_MIRROR_TIE, _MIRROR_PLACED, "shortest"))
     @example((*_MIRROR_TIE, _MIRROR_PLACED, "prefer-existing"))
     def test_equals_enumerator_on_drawn_chord_sets(self, problem):
-        dp = importlib.import_module("lamlab.pullback")._best_matching
+        dp = importlib.import_module("lamlab.pullback")._dp_matching
         assert outcome(lambda: dp(*problem)) == outcome(
             lambda: enumerating_best_matching(*problem)
         )
 
     def test_blocked_and_tied_examples(self):
-        dp = importlib.import_module("lamlab.pullback")._best_matching
+        dp = importlib.import_module("lamlab.pullback")._dp_matching
         with pytest.raises(ValueError, match=r"no compatible sibling matching exists for Leaf\(0, 1/2\)"):
             dp(*_BLOCKED)
         # 0-1/6, 1/3-1/2, 2/3-5/6 beat their mirror 0-5/6, 1/6-1/3, 1/2-2/3 on
