@@ -155,19 +155,13 @@ class FixedSector:
         return len(self.arcs) + 1
 
     @cached_property
-    def sector_fixed_points(self) -> tuple[CirclePoint, ...]:
-        pts: set[CirclePoint] = set()
-        for a in self.arcs:
-            pts.add(a.start)
-            if a.end != a.start:
-                pts.add(a.end)
-        return tuple(sorted(pts))
+    def _units(self) -> frozenset[int]:
+        """The sector's unit arcs: i for the arc from i/n to (i + 1)/n, n = d - 1."""
+        n = self.degree - 1
+        return frozenset(int(a.start.value * n) for a in self.arcs)
 
     def contains_point(self, t: CirclePoint, closed: bool = True) -> bool:
         return any(a.contains(t, closed=closed) for a in self.arcs)
-
-    def contains_leaf(self, l: Leaf, closed: bool = True) -> bool:
-        return self.contains_point(l.a, closed) and self.contains_point(l.b, closed)
 
 
 def _sectors(

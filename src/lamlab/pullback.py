@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Collection, Iterable, Iterator
+from typing import Iterable
 
 from .circle import CirclePoint, check_degree, sigma
 from .fpp import FixedPointPortrait, FixedSector, canonical_portraits, fixed_sectors
@@ -65,33 +65,6 @@ class InsufficientDepthError(ValueError):
     """The available stages are too shallow to certify the requested structure."""
 
 
-def _components(
-    leaves: Collection[Leaf],
-) -> list[tuple[tuple[CirclePoint, ...], tuple[Leaf, ...]]]:
-    """Endpoint-connected groups of leaves as (sorted vertices, sorted leaves), sorted."""
-    parent: dict[CirclePoint, CirclePoint] = {}
-
-    def find(x: CirclePoint) -> CirclePoint:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for l in leaves:
-        parent.setdefault(l.a, l.a)
-        parent.setdefault(l.b, l.b)
-    for l in leaves:
-        ra, rb = find(l.a), find(l.b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[CirclePoint, tuple[set[CirclePoint], list[Leaf]]] = {}
-    for l in leaves:
-        pts, lvs = groups.setdefault(find(l.a), (set(), []))
-        pts.update(l.endpoints)
-        lvs.append(l)
-    return sorted((tuple(sorted(pts)), tuple(sorted(lvs))) for pts, lvs in groups.values())
-
-
 @dataclass(frozen=True)
 class CriticalPortrait:
     """A maximal collection of pairwise non-crossing critical chords.
@@ -128,7 +101,8 @@ class CriticalPortrait:
     @cached_property
     def vertex_groups(self) -> tuple[tuple[CirclePoint, ...], ...]:
         """Endpoint-connected chord groups as sorted vertex tuples."""
-        return tuple(pts for pts, _ in _components(self.chords))
+        D, pairs = Lamination(self.degree, self.chords).scaled
+        return tuple(tuple(_point(x, D) for x in g) for g in _grouped(_groups(pairs)))
 
     @cached_property
     def criticality(self) -> int:
@@ -136,27 +110,35 @@ class CriticalPortrait:
         return _criticality(Lamination(self.degree, self.chords).scaled[1])
 
 
-def _criticality(pairs: Iterable[tuple[int, int]]) -> int:
-    """Sum over the endpoint-connected groups of integer chords of (vertex count - 1).
+def _groups(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """The endpoint-connected groups of integer chords: each endpoint mapped to its group.
 
-    That is the vertex count less the group count: the number of chords
-    whose union-find merge joins two groups.
+    A union-find that relabels the smaller group on each merge.  The
+    members of a group share one list, whose first member stays first, so
+    each group is listed once as the entry x: g with x == g[0].
     """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merges = 0
+    group: dict[int, list[int]] = {}
     for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-            merges += 1
-    return merges
+        gx = group.get(x) or group.setdefault(x, [x])
+        gy = group.get(y) or group.setdefault(y, [y])
+        if gx is not gy:
+            if len(gx) < len(gy):
+                gx, gy = gy, gx
+            gx += gy
+            for v in gy:
+                group[v] = gx
+    return group
+
+
+def _grouped(group: dict[int, list[int]]) -> list[list[int]]:
+    """The groups of a `_groups` map as sorted vertex lists, sorted."""
+    return sorted(sorted(g) for x, g in group.items() if g[0] == x)
+
+
+def _criticality(pairs: Iterable[tuple[int, int]]) -> int:
+    """Sum over the groups of (vertex count - 1): the vertex count less the group count."""
+    group = _groups(pairs)
+    return len(group) - sum(g[0] == x for x, g in group.items())
 
 
 @dataclass(frozen=True)
@@ -240,6 +222,10 @@ class PullbackState:
         for lam in self.stages:
             if lam.degree != self.degree:
                 raise ValueError("all stages must share the state's degree")
+        if self.portrait.degree != self.degree:
+            raise ValueError("portrait degree disagrees with the state")
+        if self.fpp is not None and self.fpp.degree != self.degree:
+            raise ValueError("fixed point portrait degree disagrees with the state")
         for lo, hi in zip(self.stages, self.stages[1:]):
             if _new_pairs(lo, hi) is None:
                 raise ValueError("stages must be nested")
@@ -529,70 +515,78 @@ def cp_pullback_equality(P: FixedPointPortrait, n: int) -> PortraitPullbackRepor
     return PortraitPullbackReport(P, n, len(runs), not mismatches, tuple(mismatches))
 
 
-def _sector_arcs(S: FixedSector, D: int) -> list[tuple[int, int]]:
-    """S's arcs over the denominator D as (start, length); the full circle has length D."""
+def _within(S: FixedSector, points: Iterable[int], D: int) -> bool:
+    """Whether every point x/D lies on one of S's closed unit arcs.
+
+    x/D lies on unit arc q = floor(x*n / D), n = d - 1, and when it is the
+    fixed point q/n also on arc q - 1, which ends there.
+    """
+    n = S.degree - 1
+    units = S._units
+    for x in points:
+        q, r = divmod(x * n, D)
+        if q not in units and (r or (q - 1) % n not in units):
+            return False
+    return True
+
+
+def _invariant_faces(L: Lamination) -> list[tuple[list[tuple[int, ...]], set[int]]]:
+    """The faces of L whose vertices map into the face's vertices, each with that vertex set.
+
+    Gives `_face_sweep` boundaries from one sweep: the vertex tests run on
+    L's integer view, where sigma is x -> d*x mod D, and callers build a
+    Face only for what they return.
+    """
+    d = L.degree
+    D = L.scaled[0]
     out = []
-    for a in S.arcs:
-        s = _scaled(a.start, D)
-        out.append((s, (_scaled(a.end, D) - s) % D or D))
+    for boundary in _face_sweep(L):
+        verts = {v for e in boundary if e[0] == 0 for v in (e[1], e[2])}
+        if all(d * x % D in verts for x in verts):
+            out.append((boundary, verts))
     return out
 
 
-def _in_sector(x: int, arcs: list[tuple[int, int]], D: int) -> bool:
-    """Whether x/D lies on one of the closed `_sector_arcs`."""
-    return any((x - s) % D <= n for s, n in arcs)
-
-
-def _invariant_faces(L: Lamination, S: FixedSector) -> Iterator[list[tuple[int, ...]]]:
-    """Faces of L with every vertex inside S and mapped into the face's vertices.
-
-    Yields `_face_sweep` boundaries: the tests run on L's integer view, where
-    sigma is x -> d*x mod D, and callers build a Face only for what they return.
-    """
-    if S.degree != L.degree:
-        # the sector's fixed points lie on L's grid only for L's own degree
-        raise ValueError("degree mismatch between lamination and sector")
-    d = L.degree
+def _sector_candidates(L: Lamination, sectors: list[FixedSector]) -> list[list[list[tuple[int, ...]]]]:
+    """Per sector, the invariant faces of L with every vertex inside it, from one sweep."""
     D = L.scaled[0]
-    arcs = _sector_arcs(S, D)
-    for boundary in _face_sweep(L):
-        verts = {v for e in boundary if e[0] == 0 for v in (e[1], e[2])}
-        if all(d * x % D in verts for x in verts) and all(
-            _in_sector(x, arcs, D) for x in verts
-        ):
-            yield boundary
+    invariant = _invariant_faces(L)
+    return [[b for b, verts in invariant if _within(S, verts, D)] for S in sectors]
 
 
 def _is_polygon(boundary: list[tuple[int, ...]]) -> bool:
     return all(e[0] == 0 for e in boundary)
 
 
-def _gap_candidates(
-    lam: Lamination, S: FixedSector, chords: list[Leaf]
-) -> list[list[tuple[int, ...]]]:
-    D = lam.scaled[0]
-    return [
-        b
-        for b in _invariant_faces(lam, S)
-        if all(_on_closure(b, D, t) for c in chords for t in c.endpoints)
-    ]
+def _walk_back_gaps(
+    state: PullbackState, sectors: list[FixedSector]
+) -> list[tuple[list[tuple[int, ...]], int] | None]:
+    """Per sector, the deepest stage k carrying exactly one invariant gap face inside it, as (boundary, k).
 
-
-def _walk_back_gap(
-    state: PullbackState, S: FixedSector
-) -> tuple[list[tuple[int, ...]], int] | None:
-    """Deepest stage k carrying exactly one invariant gap face inside S, as (boundary, k).
-
-    Refined stages can temporarily lose boundary-vertex invariance (preimages
-    of other sectors' leaves land on the gap arcs), so shallower stages are
-    consulted when a stage offers no unique candidate.
+    A gap carries on its closure every portrait chord with both endpoints
+    in the sector.  Refined stages can temporarily lose boundary-vertex
+    invariance (preimages of other sectors' leaves land on the gap arcs),
+    so shallower stages are consulted, each swept once for every sector
+    that has no unique candidate yet.
     """
-    sector_chords = [c for c in state.portrait.sorted_chords if S.contains_leaf(c)]
+    chord_lam = Lamination(state.degree, state.portrait.chords)
+    Dc, chords = chord_lam.scaled
+    needed = [
+        [t for c, p in zip(chord_lam.sorted_leaves, chords) if _within(S, p, Dc) for t in c.endpoints]
+        for S in sectors
+    ]
+    found: list[tuple[list[tuple[int, ...]], int] | None] = [None] * len(sectors)
     for k in range(state.depth, 0, -1):
-        cands = _gap_candidates(state.stages[k], S, sector_chords)
-        if len(cands) == 1:
-            return cands[0], k
-    return None
+        looking = [i for i, f in enumerate(found) if f is None]
+        if not looking:
+            break
+        lam = state.stages[k]
+        D = lam.scaled[0]
+        for i, cands in zip(looking, _sector_candidates(lam, [sectors[i] for i in looking])):
+            gaps = [b for b in cands if all(_on_closure(b, D, t) for t in needed[i])]
+            if len(gaps) == 1:
+                found[i] = (gaps[0], k)
+    return found
 
 
 def invariant_gap(state: PullbackState, S: FixedSector) -> Face:
@@ -605,7 +599,10 @@ def invariant_gap(state: PullbackState, S: FixedSector) -> Face:
     """
     if state.depth < 1:
         raise ValueError("need at least one pullback stage")
-    found = _walk_back_gap(state, S)
+    if S.degree != state.degree:
+        # the sector's unit arcs are arcs of the stages' own degree
+        raise ValueError("degree mismatch between lamination and sector")
+    (found,) = _walk_back_gaps(state, [S])
     if found is None:
         raise ValueError("no invariant gap face in this sector")
     boundary, k = found
@@ -696,8 +693,8 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
         prev = set(pairs)
     sector_reports: list[SectorGapReport] = []
     if state.depth >= 1:
-        for S in fixed_sectors(state.fpp):
-            found = _walk_back_gap(state, S)
+        sectors = fixed_sectors(state.fpp)
+        for S, found in zip(sectors, _walk_back_gaps(state, sectors)):
             if found is None:
                 sector_reports.append(SectorGapReport(S, 0, 0, ()))
                 continue
@@ -800,13 +797,22 @@ class SectorClassification:
 
 
 def _boundary_objects(S: FixedSector) -> list[tuple[tuple[CirclePoint, ...], tuple[Leaf, ...]]]:
-    objects = _components(S.boundary_leaves)
-    covered = {p for pts, _ in objects for p in pts}
-    for p in S.sector_fixed_points:
-        if p not in covered:
-            objects.append(((p,), ()))
-    objects.sort()
-    return objects
+    """S's hull components and lone fixed points as (sorted points, sorted leaves), sorted.
+
+    Every point is a fixed point i/n, n = d - 1: the union-find runs on the hull's grid.
+    """
+    n = S.degree - 1
+    leaves = sorted(S.boundary_leaves)
+    pairs = [_scaled_pair(l, n) for l in leaves]
+    # a fixed point of S starts one of its unit arcs or, past a run's end, a leaf
+    group = _groups(pairs + [(i, i) for i in S._units])
+    return [
+        (
+            tuple(_point(x, n) for x in g),
+            tuple(l for l, (x, _) in zip(leaves, pairs) if group[x] is group[g[0]]),
+        )
+        for g in _grouped(group)
+    ]
 
 
 def _separates(pair: tuple[int, int], pts: list[int], others: set[int], D: int) -> bool:
@@ -837,13 +843,8 @@ def classify_sector(L: Lamination, C: CriticalPortrait, S: FixedSector) -> Secto
         raise InsufficientDepthError("insufficient depth: need at least stage 1 leaves")
     raw = _boundary_objects(S)
     D, pairs = L.scaled
-    arcs = _sector_arcs(S, D)
     boundary = {_scaled_pair(l, D) for l in S.boundary_leaves}
-    inside = [
-        p
-        for p in pairs
-        if p not in boundary and _in_sector(p[0], arcs, D) and _in_sector(p[1], arcs, D)
-    ]
+    inside = [p for p in pairs if p not in boundary and _within(S, p, D)]
     points = [[_scaled(p, D) for p in pts] for pts, _ in raw]
     flags: list[bool] = []
     for i, pts in enumerate(points):
@@ -864,7 +865,7 @@ def _rotational_polygon_witness(L: Lamination, S: FixedSector) -> tuple[Face, Fr
     from .rotation import NotRotational, rotation_number
 
     cands: list[tuple[Face, Fraction]] = []
-    for b in _invariant_faces(L, S):
+    for b in _sector_candidates(L, [S])[0]:
         if not _is_polygon(b):
             continue
         f = _face(L, b)
@@ -889,7 +890,7 @@ def _gap_witness(
     required = [p for o in objects if not o.subtended for p in o.points]
     cands = [
         b
-        for b in _invariant_faces(L, S)
+        for b in _sector_candidates(L, [S])[0]
         if not _is_polygon(b) and all(_on_closure(b, D, p) for p in required)
     ]
     subtended = [_scaled(p, D) for o in objects if o.subtended for p in o.points]

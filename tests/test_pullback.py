@@ -153,9 +153,14 @@ class TestPortraitValidation:
             CriticalPortrait(3, chords)
 
     def test_criticality_counts_vertex_groups(self):
-        # the integer union-find against the CirclePoint groups rotation.py reads
-        for _, C in itertools.chain(canonical_critical_portraits(6), unicritical_portraits(CORR_GRID)):
-            assert C.criticality == sum(len(g) - 1 for g in C.vertex_groups) == C.degree - 1
+        # the integer union-find against the CirclePoint groups it replaced, which rotation.py reads
+        n = 0
+        for _, C in itertools.chain(canonical_critical_portraits(7), unicritical_portraits(CORR_GRID)):
+            groups = components(C.chords)
+            assert C.vertex_groups == tuple(pts for pts, _ in groups), C
+            assert C.criticality == sum(len(pts) - 1 for pts, _ in groups) == C.degree - 1
+            n += 1
+        assert n == 5937 + 100
 
     def test_budget_accepts_shared_endpoint_paths(self):
         # two chords joined at 0 give criticality 2 without a closed polygon
@@ -174,6 +179,46 @@ class TestPortraitValidation:
     def test_sorted_chords_deterministic(self):
         C = quintic_portrait()
         assert list(C.sorted_chords) == sorted(C.chords)
+
+
+def components(leaves):
+    """Reference for the integer union-find `_groups`: the CirclePoint groups it replaced.
+
+    Endpoint-connected groups of leaves as (sorted vertices, sorted leaves), sorted.
+    """
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for l in leaves:
+        parent.setdefault(l.a, l.a)
+        parent.setdefault(l.b, l.b)
+    for l in leaves:
+        ra, rb = find(l.a), find(l.b)
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for l in leaves:
+        pts, lvs = groups.setdefault(find(l.a), (set(), []))
+        pts.update(l.endpoints)
+        lvs.append(l)
+    return sorted((tuple(sorted(pts)), tuple(sorted(lvs))) for pts, lvs in groups.values())
+
+
+def reference_boundary_objects(S):
+    """Reference for `_boundary_objects`: the `components` of S's boundary leaves.
+
+    Each fixed point of S on no boundary leaf is an object of its own.
+    """
+    objects = components(S.boundary_leaves)
+    covered = {p for pts, _ in objects for p in pts}
+    ends = {a.start for a in S.arcs} | {a.end for a in S.arcs}
+    objects += [((p,), ()) for p in ends - covered]
+    return sorted(objects)
 
 
 def reference_critical_sectors(C):
@@ -440,6 +485,21 @@ class TestPullbackStages:
         with pytest.raises(ValueError, match="degree mismatch"):
             pullback(lam(3, []), diameter_portrait(), 1)
 
+    def test_portrait_of_another_degree_rejected(self):
+        state = canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 2)
+        quartic = canonical_portraits(FixedPointPortrait(4, ()))[0].as_critical_portrait()
+        with pytest.raises(ValueError, match="portrait degree disagrees with the state"):
+            replace(state, portrait=quartic)
+        with pytest.raises(ValueError, match="portrait degree disagrees with the state"):
+            PullbackState(3, quartic, state.stages, "shortest")
+
+    def test_fpp_of_another_degree_rejected(self):
+        state = canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 2)
+        with pytest.raises(ValueError, match="fixed point portrait degree disagrees with the state"):
+            replace(state, fpp=FixedPointPortrait(4, ((0, 1),)))
+        with pytest.raises(ValueError, match="fixed point portrait degree disagrees with the state"):
+            PullbackState(3, state.portrait, state.stages, "shortest", FixedPointPortrait(4, ()))
+
 
 class TestPortraitChoiceIndependence:
     def test_quintic_choices_agree(self):
@@ -527,6 +587,24 @@ class TestStageDiagnostics:
     def test_cubic_report_clean(self):
         report = clp_checks(canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 2))
         assert report.ok
+
+    @pytest.mark.parametrize("blocks", [((0, 1, 2, 3),), ((0, 1), (2, 3))])
+    def test_each_stage_swept_at_most_once(self, blocks, monkeypatch):
+        # the gap walk answers every sector from one face sweep per stage
+        swept = []
+
+        def sweep_spy(L):
+            swept.append(L)
+            return face_sweep(L)
+
+        module = importlib.import_module("lamlab.pullback")
+        face_sweep = module._face_sweep
+        state = canonical_lamination(FixedPointPortrait(5, blocks), 3)
+        monkeypatch.setattr(module, "_face_sweep", sweep_spy)
+        clp_checks(state)
+        assert len(swept) <= 3
+        assert len(set(map(id, swept))) == len(swept)
+        assert all(any(L is stage for stage in state.stages[1:]) for L in swept)
 
     def test_length_bound_fails_at_degree_six(self):
         # the 1/(2 d^k) bound holds through d = 5 only: here 1/10 > 1/12
@@ -647,6 +725,21 @@ class TestSectorClassification:
         c = classify_sector(state.final, state.portrait, S)
         verts = {v.value for v in c.witness.vertices}
         assert {sigma(4, angle(v)).value for v in verts} <= verts
+
+    def test_objects_equal_reference(self, monkeypatch):
+        # the witnesses come after the objects: stubbed, every sector returns its objects
+        module = importlib.import_module("lamlab.pullback")
+        monkeypatch.setattr(module, "_gap_witness", lambda *_: None)
+        monkeypatch.setattr(module, "_rotational_polygon_witness", lambda *_: (None, None))
+        n = 0
+        for d in range(2, 9):
+            for P in enumerate_fpps(d):
+                state = canonical_lamination(P, 1)
+                for S in fixed_sectors(P):
+                    c = classify_sector(state.final, state.portrait, S)
+                    assert [(o.points, o.leaves) for o in c.objects] == reference_boundary_objects(S)
+                    n += 1
+        assert n == 2353
 
     def test_depth_zero_insufficient(self):
         state = mixed_quartic_state(0)
@@ -975,7 +1068,7 @@ def diagnostics_lines(state, sectors):
 
 def diagnosed_state(key):
     if key[0] == "canonical":
-        return canonical_lamination(FixedPointPortrait(key[1], key[2]), 3)
+        return canonical_lamination(FixedPointPortrait(key[1], key[2]), 3 if key[1] <= 5 else 2)
     if key[0] == "mixed-quartic":
         return replace(mixed_quartic_state(2), fpp=FixedPointPortrait(4, ()))
     return replace(triangle_quartic_state(), fpp=FixedPointPortrait(4, ((0, 1),)))
@@ -985,6 +1078,8 @@ def diagnosed_state(key):
 # checkers that the integer endpoint kernel replaced: every canonical state for
 # d <= 5 at depth 3, and the two hand-built quartic states with a portrait
 # attached, whose sectors reach the pinched-face filter of `_gap_witness`.
+# The d = 6 states, at depth 2, have up to five sectors each and were recorded
+# with the per-sector gap walk that one walk for all sectors replaced.
 GOLDEN_DIAGNOSTICS = {
     ('canonical', 2, ()): '460e9d8d2a6525a3',
     ('canonical', 3, ()): '5c3e0f84373ec495',
@@ -1008,6 +1103,48 @@ GOLDEN_DIAGNOSTICS = {
     ('canonical', 5, ((2, 3),)): 'e48d276b6b6a45a7',
     ('canonical', 5, ((0, 1), (2, 3))): '9b1f62d8dbfff314',
     ('canonical', 5, ((0, 3), (1, 2))): '9f12056cb19923c7',
+    ('canonical', 6, ()): 'ce719c02e2985faa',
+    ('canonical', 6, ((0, 1),)): 'ac0f7cca7e501fe6',
+    ('canonical', 6, ((0, 1, 2),)): 'a8dbc2e776f47a46',
+    ('canonical', 6, ((0, 1, 2, 3),)): 'bd6fa45b8340a619',
+    ('canonical', 6, ((0, 1, 2, 3, 4),)): 'ccad39dc0ad807d4',
+    ('canonical', 6, ((0, 1, 2, 4),)): 'aa4dbccfe7f190b2',
+    ('canonical', 6, ((0, 1, 3),)): '1ee73e1c4c4c3e0b',
+    ('canonical', 6, ((0, 1, 3, 4),)): 'f66862d52859d8bb',
+    ('canonical', 6, ((0, 1, 4),)): '923dcd55198c9448',
+    ('canonical', 6, ((0, 2),)): 'eca9fe1adb2471e0',
+    ('canonical', 6, ((0, 2, 3),)): 'e9bbfd084ab692d7',
+    ('canonical', 6, ((0, 2, 3, 4),)): '7cee77777cd5d7dd',
+    ('canonical', 6, ((0, 2, 4),)): '2fad01b8222cff14',
+    ('canonical', 6, ((0, 3),)): '9a623f2468a200a6',
+    ('canonical', 6, ((0, 3, 4),)): 'e4c1230c8338ad1d',
+    ('canonical', 6, ((0, 4),)): '2a2e8ca9513db076',
+    ('canonical', 6, ((1, 2),)): '65e2e1f031a4c9b7',
+    ('canonical', 6, ((1, 2, 3),)): '99e5f1b1e85a3d06',
+    ('canonical', 6, ((1, 2, 3, 4),)): '74e04d18cd3bf917',
+    ('canonical', 6, ((1, 2, 4),)): 'bbb182dcc53e6bde',
+    ('canonical', 6, ((1, 3),)): '3d90cd07f43ca36f',
+    ('canonical', 6, ((1, 3, 4),)): 'fdb9e3d0f945a840',
+    ('canonical', 6, ((1, 4),)): 'db556797f0cbfa91',
+    ('canonical', 6, ((2, 3),)): '44f964899d86c15d',
+    ('canonical', 6, ((2, 3, 4),)): '608b97120788d84f',
+    ('canonical', 6, ((2, 4),)): 'bdbf34daa794b1cd',
+    ('canonical', 6, ((3, 4),)): '282b32d97270a6a6',
+    ('canonical', 6, ((0, 1), (2, 3))): '8f9ef7e20ccb786b',
+    ('canonical', 6, ((0, 1), (2, 3, 4))): '9c63f43912c0a53d',
+    ('canonical', 6, ((0, 1), (2, 4))): '5a4d30e56a5dc999',
+    ('canonical', 6, ((0, 1), (3, 4))): '98cc07f9b147157e',
+    ('canonical', 6, ((0, 1, 2), (3, 4))): 'bef4fe4efcd472e8',
+    ('canonical', 6, ((0, 1, 4), (2, 3))): 'f5544caf55fbade9',
+    ('canonical', 6, ((0, 2), (3, 4))): '8c11a7cbd61d417f',
+    ('canonical', 6, ((0, 3), (1, 2))): '0eed46659aa32573',
+    ('canonical', 6, ((0, 3, 4), (1, 2))): '84deb447708023d3',
+    ('canonical', 6, ((0, 4), (1, 2))): '162adbc472fb871c',
+    ('canonical', 6, ((0, 4), (1, 2, 3))): 'dece509e0f66f044',
+    ('canonical', 6, ((0, 4), (1, 3))): 'cc3e89942833b918',
+    ('canonical', 6, ((0, 4), (2, 3))): '33894b6dd6597e91',
+    ('canonical', 6, ((1, 2), (3, 4))): '9f952813cc3c5f2f',
+    ('canonical', 6, ((1, 4), (2, 3))): '6f3b0396ede5d78a',
     ('mixed-quartic',): 'e87240efbadbc633',
     ('triangle-quartic',): '2620fdc773009b07',
 }
