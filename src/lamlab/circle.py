@@ -15,8 +15,6 @@ __all__ = [
     "CirclePoint",
     "DnaryString",
     "angle",
-    "fixed_points",
-    "in_arc",
     "parse_angle",
     "parse_dnary",
     "render_dnary",
@@ -135,30 +133,10 @@ def angle(x: CirclePoint | Fraction | int | str) -> CirclePoint:
     return CirclePoint(x)
 
 
-def ccw_span(a: CirclePoint, b: CirclePoint) -> Fraction:
-    """Length of the counterclockwise arc from a to b, in [0, 1)."""
-    return (_raw(b) - _raw(a)) % 1
-
-
 def sigma(d: int, t: CirclePoint) -> CirclePoint:
     """Apply the angle d-tupling map t -> d*t mod 1."""
     check_degree(d)
     return CirclePoint(_raw(t) * d)
-
-
-def fixed_points(d: int) -> list[CirclePoint]:
-    """The d-1 fixed points i/(d-1) of the d-tupling map, sorted."""
-    check_degree(d)
-    return [CirclePoint(Fraction(i, d - 1)) for i in range(d - 1)]
-
-
-def in_arc(t: CirclePoint, a: CirclePoint, b: CirclePoint) -> bool:
-    """Whether t lies strictly inside the open arc running counterclockwise from a to b."""
-    if a == b:
-        raise ValueError("arc endpoints must be distinct")
-    rel_t = (_raw(t) - _raw(a)) % 1
-    rel_b = (_raw(b) - _raw(a)) % 1
-    return 0 < rel_t < rel_b
 
 
 @dataclass(frozen=True)

@@ -160,9 +160,6 @@ class FixedSector:
         n = self.degree - 1
         return frozenset(int(a.start.value * n) for a in self.arcs)
 
-    def contains_point(self, t: CirclePoint, closed: bool = True) -> bool:
-        return any(a.contains(t, closed=closed) for a in self.arcs)
-
 
 def _sectors(
     P: FixedPointPortrait,

@@ -2,9 +2,10 @@
 
 A leaf is an unordered pair of distinct circle points.  Finite leaf sets with
 pairwise non-crossing leaves approximate invariant laminations; the checkers
-here verify the non-crossing condition, forward/backward/sibling invariance
-between successive approximation stages, and compute the planar face
-subdivision that the chords induce on the disk.
+here verify the non-crossing condition and forward/backward/sibling
+invariance between successive approximation stages.  One private sweep of
+the integer view lists the faces the chords cut the disk into, for the
+sector and gap diagnostics built on top.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circle import CirclePoint, angle, ccw_span, check_degree, in_arc, sigma
+from .circle import CirclePoint, angle, check_degree, sigma
 
 __all__ = [
     "Arc",
@@ -26,9 +27,7 @@ __all__ = [
     "Polygon",
     "Violation",
     "check_invariance",
-    "faces",
     "leaf_image",
-    "leaves_cross",
     "validate_prelamination",
 ]
 
@@ -66,27 +65,6 @@ class Leaf:
         span = self.b.value - self.a.value
         return min(span, 1 - span)
 
-    def has_endpoint(self, t: CirclePoint) -> bool:
-        return t == self.a or t == self.b
-
-    def other(self, t: CirclePoint) -> CirclePoint:
-        if t == self.a:
-            return self.b
-        if t == self.b:
-            return self.a
-        raise ValueError(f"{t} is not an endpoint of {self}")
-
-    def short_arcs(self) -> tuple[tuple[CirclePoint, CirclePoint], ...]:
-        """The subtended arc(s) on the shorter side, as (start, end) pairs.
-
-        For a leaf of length exactly 1/2 both arcs tie and both are returned.
-        """
-        if 2 * self.length == 1:
-            return ((self.a, self.b), (self.b, self.a))
-        if self.b.value - self.a.value <= Fraction(1, 2):
-            return ((self.a, self.b),)
-        return ((self.b, self.a),)
-
     def __repr__(self) -> str:
         return f"Leaf({self.a}, {self.b})"
 
@@ -116,13 +94,6 @@ def leaf_image(d: int, l: Leaf) -> Leaf | CirclePoint:
     if ia == ib:
         return ia
     return Leaf(ia, ib)
-
-
-def leaves_cross(l1: Leaf, l2: Leaf) -> bool:
-    """Strict interleaving of endpoints; sharing an endpoint never crosses."""
-    if l1.has_endpoint(l2.a) or l1.has_endpoint(l2.b):
-        return False
-    return in_arc(l2.a, l1.a, l1.b) != in_arc(l2.b, l1.a, l1.b)
 
 
 def _fibre_matching(
@@ -257,16 +228,18 @@ class Lamination:
         ls = self.__dict__.get("sorted_leaves")
         return _leaf(self._pairs[i], self._D) if ls is None else ls[i]
 
-    def __contains__(self, l: object) -> bool:
-        if not isinstance(l, Leaf):
-            return False
+    def _index(self, l: Leaf) -> int | None:
+        """The index of l in `sorted_leaves`, or None when l is not a leaf here."""
         u, v, D = l.a.value, l.b.value, self._D
         x, y = _regrid(u.numerator, u.denominator, D), _regrid(v.numerator, v.denominator, D)
         if x is None or y is None:
-            return False  # an endpoint off the grid
+            return None  # an endpoint off the grid
         pairs = self._pairs
         i = bisect_left(pairs, (x, y))
-        return i < len(pairs) and pairs[i] == (x, y)
+        return i if i < len(pairs) and pairs[i] == (x, y) else None
+
+    def __contains__(self, l: object) -> bool:
+        return isinstance(l, Leaf) and self._index(l) is not None
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -487,20 +460,6 @@ class Arc:
     start: CirclePoint
     end: CirclePoint
 
-    @property
-    def length(self) -> Fraction:
-        if self.start == self.end:
-            return Fraction(1)
-        return ccw_span(self.start, self.end)
-
-    def contains(self, t: CirclePoint, closed: bool = True) -> bool:
-        """Membership in the arc; `closed` includes the endpoints."""
-        if self.start == self.end:
-            return True
-        if t == self.start or t == self.end:
-            return closed
-        return in_arc(t, self.start, self.end)
-
 
 @dataclass(frozen=True)
 class Face:
@@ -526,33 +485,17 @@ class Face:
                 pts.update((e.start, e.end))
         return tuple(sorted(pts))
 
-    def is_polygon(self) -> bool:
-        return not self.arcs
-
-    def on_closure(self, t: CirclePoint) -> bool:
-        """Whether t lies on this face's circle boundary (a vertex or inside an arc)."""
-        return t in self.vertices or any(a.contains(t) for a in self.arcs)
-
-
-def faces(L: Lamination) -> list[Face]:
-    """The planar subdivision of the disk induced by the leaf set.
-
-    Requires a pre-lamination (no crossing pair); crossings are not re-checked
-    here.  The empty lamination yields the whole disk, bounded by a full-circle
-    arc.  Non-crossing leaves, read as intervals [a, b] of [0, 1), are nested
-    or disjoint, so one sweep by a ascending, b descending gives each leaf its
-    parent.  Each leaf closes the face on its a-to-b side, bounded by the leaf,
-    its children in order and one arc across each gap between them; the
-    top-level leaves bound one more face, closed by the arc through 0.  Each
-    face starts at its least element (leaves before arcs, then by endpoints)
-    and the faces are sorted by boundary.
-    """
-    L.sorted_leaves  # every leaf bounds a face: build the Leaf forms once
-    return [_face(L, b) for b in _face_sweep(L)]
-
 
 def _face_sweep(L: Lamination) -> list[list[tuple[int, ...]]]:
-    """The face boundaries of `faces(L)`, in its order, on L's integer view.
+    """The faces the leaves cut the disk into, as boundaries on L's integer view.
+
+    Requires a pre-lamination (no crossing pair); crossings are not re-checked
+    here.  Non-crossing leaves, read as intervals [x, y] of the grid, are
+    nested or disjoint, so one sweep by x ascending, y descending gives each
+    leaf its parent.  Each leaf closes the face on its x-to-y side, bounded by
+    the leaf, its children in order and one arc across each gap between
+    them; the top-level leaves bound one more face, closed by the arc
+    through 0.
 
     A leaf `sorted_leaves[i]` with pair (x, y) is the element (0, x, y, i)
     and an arc from u/D to v/D is (1, u, v), so elements order leaves first,

@@ -21,11 +21,11 @@ from typing import Iterable
 from .circle import CirclePoint, check_degree, sigma
 from .fpp import FixedPointPortrait, FixedSector, canonical_portraits, fixed_sectors
 from .leaves import (
-    Arc,
     Face,
     Lamination,
     Leaf,
     Polygon,
+    _cross,
     _crossers,
     _face,
     _face_sweep,
@@ -37,15 +37,12 @@ from .leaves import (
     _point,
     _scaled,
     _scaled_pair,
-    faces,
     leaf_image,
-    leaves_cross,
     validate_prelamination,
 )
 
 __all__ = [
     "CriticalPortrait",
-    "CriticalSector",
     "InsufficientDepthError",
     "PullbackState",
     "SectorClassification",
@@ -53,7 +50,6 @@ __all__ = [
     "classify_sector",
     "clp_checks",
     "cp_pullback_equality",
-    "critical_sectors",
     "flower_like",
     "invariant_gap",
     "is_hyperbolic_approx",
@@ -93,10 +89,6 @@ class CriticalPortrait:
             raise ValueError(
                 f"criticality {total} does not match degree - 1 = {self.degree - 1}"
             )
-
-    @cached_property
-    def sorted_chords(self) -> tuple[Leaf, ...]:
-        return tuple(sorted(self.chords))
 
     @cached_property
     def vertex_groups(self) -> tuple[tuple[CirclePoint, ...], ...]:
@@ -141,65 +133,17 @@ def _criticality(pairs: Iterable[tuple[int, int]]) -> int:
     return len(group) - sum(g[0] == x for x, g in group.items())
 
 
-@dataclass(frozen=True)
-class CriticalSector:
-    """One complementary region of a critical portrait's chords.
-
-    The boundary arcs total 1/d, so the sector boundary maps onto the circle
-    with degree one and carries a branch of the inverse.
-
-    A Python-only diagnostic until ROADMAP item 1 routes
-    `validate_rotational_placement`, which reads it, through `lam diagnose`.
-    """
-
-    degree: int
-    chords: tuple[Leaf, ...]
-    arcs: tuple[Arc, ...]
-
-    @property
-    def terminal(self) -> bool:
-        return len(self.chords) == 1
-
-    @property
-    def arc_total(self) -> Fraction:
-        return sum((a.length for a in self.arcs), Fraction(0))
-
-    def contains_point(self, t: CirclePoint, closed: bool = True) -> bool:
-        return any(a.contains(t, closed=closed) for a in self.arcs)
-
-
 def _sector_faces(L: Lamination) -> list[list[tuple[int, ...]]]:
-    """The critical sectors of a portrait's chord lamination L, as `_face_sweep` boundaries.
+    """The d critical sectors of a portrait's chord lamination L, as `_face_sweep` boundaries.
 
-    They are the arc-bearing faces, sorted by least arc start; the interior
-    of an all-critical polygon bears no arc and is no sector.  Every chord
-    endpoint starts exactly one face arc, which runs to the next endpoint.
+    Each sector's arcs total 1/d.  They are the arc-bearing faces, sorted by
+    least arc start; the interior of an all-critical polygon bears no arc and
+    is no sector.  Every chord endpoint starts exactly one face arc, which
+    runs to the next endpoint.
     """
     out = [b for b in _face_sweep(L) if any(e[0] == 1 for e in b)]
     out.sort(key=lambda b: min(e[1] for e in b if e[0] == 1))
     return out
-
-
-def critical_sectors(C: CriticalPortrait) -> list[CriticalSector]:
-    """The d sectors cut out by the portrait, each spanning arc length 1/d.
-
-    Read from one face sweep of the chords on their integer grid, the one
-    `pullback` locates fibre points on.  A Python-only diagnostic until
-    ROADMAP item 1 routes `validate_rotational_placement`, its one caller,
-    through `lam diagnose`.
-    """
-    L = Lamination(C.degree, C.chords)
-    D = L.scaled[0]
-    ls = L.sorted_leaves
-    return [
-        CriticalSector(
-            C.degree,
-            # leaves sort as their indices into sorted_leaves
-            tuple(ls[i] for i in sorted(e[3] for e in b if e[0] == 0)),
-            tuple(Arc(_point(u, D), _point(v, D)) for _, u, v in sorted(e for e in b if e[0] == 1)),
-        )
-        for b in _sector_faces(L)
-    ]
 
 
 @dataclass(frozen=True)
@@ -753,19 +697,25 @@ def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool
         return True
     cap = max(2 * depth + 2, 4)
     D = L.scaled[0]
-    subdivision = faces(L)
-    for chord in C.sorted_chords:
+    chord_lam = Lamination(C.degree, C.chords)
+    Dc = chord_lam.scaled[0]
+    # the crossing tests run on the grid E of both L and the chords
+    E = lcm(D, Dc)
+    up, upc = E // D, E // Dc
+    sweep = _face_sweep(L)
+    for chord, (x, y) in zip(chord_lam.sorted_leaves, chord_lam.scaled[1]):
         if chord in L:
             return False
+        c = (x * upc, y * upc)
         carriers = [
-            f
-            for f in subdivision
-            if f.on_closure(chord.a)
-            and f.on_closure(chord.b)
-            and not any(leaves_cross(b, chord) for b in f.leaves)
+            b
+            for b in sweep
+            if _on_closure(b, D, chord.a)
+            and _on_closure(b, D, chord.b)
+            and not any(e[0] == 0 and _cross((e[1] * up, e[2] * up), c) for e in b)
         ]
         if len(carriers) != 1 or not _leaves_recur(
-            L.degree, D, [_scaled_pair(l, D) for l in carriers[0].leaves], cap
+            L.degree, D, [(e[1], e[2]) for e in carriers[0] if e[0] == 0], cap
         ):
             return False
     return True
@@ -948,14 +898,18 @@ class FlowerLike:
         return len(self.attached)
 
 
-def _recurring_face(d: int, D: int, f: Face, cap: int) -> bool:
-    """Whether within cap steps f's vertices over D map into themselves, and its leaves recur."""
-    vset = {_scaled(v, D) for v in f.vertices}
+def _recurring(d: int, D: int, boundary: list[tuple[int, ...]], cap: int) -> bool:
+    """Whether within cap steps a face's vertices map into themselves, and its leaves recur.
+
+    The face is a `_face_sweep` boundary over D; its vertices are its leaves' endpoints.
+    """
+    leaves = [(e[1], e[2]) for e in boundary if e[0] == 0]
+    vset = {x for leaf in leaves for x in leaf}
     image = vset
     for _ in range(cap):
         image = {d * x % D for x in image}
         if image <= vset:
-            return _leaves_recur(d, D, [_scaled_pair(l, D) for l in f.leaves], cap)
+            return _leaves_recur(d, D, leaves, cap)
     return False
 
 
@@ -982,13 +936,18 @@ def flower_like(L: Lamination, G: Polygon | Face | Leaf) -> FlowerLike:
         if sigma(L.degree, v) not in vset:
             raise ValueError(f"center vertex {v} maps outside the center")
     edge_set = set(edges)
+    # the edges as indices into L's sorted leaves; an edge that is no leaf of
+    # L keeps None, so no face's leaf indices equal the edges'
+    ids = {L._index(l) for l in edge_set}
+    D = L.scaled[0]
     cap = L.depth + 2
-    attached = [
-        f
-        for f in faces(L)
-        if set(f.leaves) != edge_set
-        and set(f.leaves) & edge_set
-        and _recurring_face(L.degree, L.scaled[0], f, cap)
-    ]
-    attached.sort(key=lambda f: f.vertices)
-    return FlowerLike(tuple(sorted(vset)), tuple(sorted(edge_set)), tuple(attached))
+    petals = []
+    for b in _face_sweep(L):
+        leaves = {e[3] for e in b if e[0] == 0}
+        if leaves != ids and leaves & ids and _recurring(L.degree, D, b, cap):
+            petals.append(b)
+    # by sorted vertices, ties in sweep order; a face bearing leaves has its
+    # arcs' ends among its leaves' endpoints
+    petals.sort(key=lambda b: sorted({x for e in b if e[0] == 0 for x in e[1:3]}))
+    attached = tuple(_face(L, b) for b in petals)
+    return FlowerLike(tuple(sorted(vset)), tuple(sorted(edge_set)), attached)

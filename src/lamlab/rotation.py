@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .circle import CirclePoint, angle, check_degree, fixed_points, in_arc
+from .circle import CirclePoint, angle, check_degree
 from .leaves import (
     Face,
+    Lamination,
     Leaf,
     Polygon,
     _cross,
@@ -39,7 +40,7 @@ from .leaves import (
     _scaled_pair,
     _sides,
 )
-from .pullback import CriticalPortrait, PullbackState, critical_sectors
+from .pullback import CriticalPortrait, PullbackState, _sector_faces
 
 __all__ = [
     "CoRootSet",
@@ -600,31 +601,43 @@ def validate_rotational_placement(
 ) -> PlacementReport:
     """Check rotation-number assignments on the sectors of a portrait.
 
-    Sectors are indexed in the order critical_sectors returns them.  Two
-    rules apply: a sector with nonzero rotation may not contain a fixed
+    Sectors are indexed by least arc start, as `pullback` numbers them.
+    Keys must be ints naming a sector and rotations must lie in [0, 1).
+    Two rules apply: a sector with nonzero rotation may not contain a fixed
     point inside its arcs, and two sectors sharing a critical chord may not
-    both carry nonzero rotation.
+    both carry nonzero rotation.  Both are tested on the chords' integer
+    grid over D, a multiple of d - 1, where fixed point i is i*D/(d - 1).
 
     A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
-    sectors = critical_sectors(C)
-    for i in assignments:
+    L = Lamination(C.degree, C.chords)
+    sectors = _sector_faces(L)
+    rot = {i: Fraction(0) for i in range(len(sectors))}
+    for i, r in assignments.items():
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise ValueError(f"sector index {i!r} is not an int")
         if not 0 <= i < len(sectors):
             raise ValueError(f"no sector with index {i}")
-    rot = {i: Fraction(assignments.get(i, 0)) for i in range(len(sectors))}
+        rot[i] = Fraction(r)
+        if not 0 <= rot[i] < 1:
+            raise ValueError(f"rotation {rot[i]} of sector {i} is outside [0, 1)")
+    D = L.scaled[0]
+    n = C.degree - 1
+    fixed = [i * D // n for i in range(n)]
     violations: list[str] = []
-    fixed = fixed_points(C.degree)
-    for i, sector in enumerate(sectors):
+    for i, boundary in enumerate(sectors):
         if rot[i] == 0:
             continue
-        for arc in sector.arcs:
-            for fp in fixed:
-                if in_arc(fp, arc.start, arc.end):
+        # the open arc from u to v holds x when 0 < (x - u) mod D < (v - u) mod D
+        for _, u, v in sorted(e for e in boundary if e[0] == 1):
+            for x in fixed:
+                if 0 < (x - u) % D < (v - u) % D:
                     violations.append(
-                        f"sector {i} carries rotation {rot[i]} but its arc "
-                        f"({arc.start}, {arc.end}) contains the fixed point {fp}"
+                        f"sector {i} carries rotation {rot[i]} but its arc ({Fraction(u, D)}, "
+                        f"{Fraction(v, D)}) contains the fixed point {Fraction(x, D)}"
                     )
+    chords = [{e[3] for e in b if e[0] == 0} for b in sectors]
     for i, j in itertools.combinations(range(len(sectors)), 2):
-        if rot[i] != 0 and rot[j] != 0 and set(sectors[i].chords) & set(sectors[j].chords):
+        if rot[i] != 0 and rot[j] != 0 and chords[i] & chords[j]:
             violations.append(f"adjacent sectors {i} and {j} both carry nonzero rotation")
     return PlacementReport(tuple(violations))

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from lamlab.circle import (
     CirclePoint,
     angle,
-    ccw_span,
     check_degree,
-    fixed_points,
-    in_arc,
     parse_angle,
     parse_dnary,
     render_dnary,
@@ -35,6 +32,27 @@ def preimages(d, t):
     """
     check_degree(d)
     return [CirclePoint((angle(t).value + i) / d) for i in range(d)]
+
+
+def fixed_points(d):
+    """Reference: the d-1 fixed points i/(d-1) of the d-tupling map, sorted."""
+    check_degree(d)
+    return [CirclePoint(F(i, d - 1)) for i in range(d - 1)]
+
+
+def ccw_span(a, b):
+    """Reference: the length of the counterclockwise arc from a to b, in [0, 1)."""
+    return (b.value - a.value) % 1
+
+
+def in_arc(t, a, b):
+    """Reference: whether t lies strictly inside the open arc running counterclockwise from a to b.
+
+    The library tests arcs on integer grids instead.
+    """
+    if a == b:
+        raise ValueError("arc endpoints must be distinct")
+    return a < t < b if a < b else a < t or t < b
 
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=10**4).map(CirclePoint)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lamlab.circle import angle, ccw_span, fixed_points, sigma
+from lamlab.circle import angle, sigma
 from lamlab.fpp import (
     CanonicalPortraitChoice,
     FixedPointPortrait,
@@ -16,7 +16,10 @@ from lamlab.fpp import (
     fixed_sectors,
     fpps_up_to_rotation,
 )
-from lamlab.leaves import Arc, Lamination, Leaf, Polygon, faces
+from lamlab.leaves import Arc, Lamination, Leaf, Polygon
+from lamlab.pullback import _within
+from test_circle import ccw_span, fixed_points
+from test_leaves import arc_contains, arc_length, contains_point, faces
 
 
 def fr(p, q=1):
@@ -116,7 +119,7 @@ def fraction_fixed_sectors(P):
                         arcs.append(Arc(p, fps[(i + 1) % len(fps)]))
                 continue
             interior = sorted(
-                (p for p in fps if a.contains(p, closed=False)),
+                (p for p in fps if arc_contains(a, p, closed=False)),
                 key=lambda p: ccw_span(a.start, p),
             )
             chain = [a.start, *interior, a.end]
@@ -155,9 +158,9 @@ def fraction_arc_runs(arcs):
 def fraction_run_placements(d, run):
     """Reference: the placements found by trying every anchor and Fraction offset."""
     r = len(run)
-    full_circle = run[0].start == run[-1].end and sum(a.length for a in run) == 1
+    full_circle = run[0].start == run[-1].end and sum(map(arc_length, run)) == 1
     start = run[0].start
-    span = sum((a.length for a in run), Fraction(0))
+    span = sum(map(arc_length, run), Fraction(0))
     anchors = [run[0].start]
     for a in run:
         if a.end not in anchors:
@@ -304,7 +307,7 @@ class TestSectors:
         for P in enumerate_fpps(5):
             for S in fixed_sectors(P):
                 for a in S.arcs:
-                    assert a.length == fr(1, 4)
+                    assert arc_length(a) == fr(1, 4)
 
     def test_triangle_sectors(self):
         P = FixedPointPortrait(5, ((0, 1, 2),))
@@ -321,9 +324,9 @@ class TestSectors:
     def test_degree_two_full_circle(self):
         (S,) = fixed_sectors(FixedPointPortrait(2))
         assert len(S.arcs) == 1
-        assert S.arcs[0].length == 1
+        assert arc_length(S.arcs[0]) == 1
         assert S.sector_degree == 2
-        assert S.contains_point(angle(fr(1, 3)))
+        assert _within(S, [1], 3)
 
     def test_central_sector_of_double_leaf(self):
         P = FixedPointPortrait(5, ((0, 1), (2, 3)))
@@ -344,11 +347,11 @@ class TestSectors:
     def test_sector_membership(self):
         P = FixedPointPortrait(5, ((0, 1),))
         small, big = fixed_sectors(P)
-        assert small.contains_point(angle(fr(1, 8)))
-        assert not small.contains_point(angle(fr(5, 8)))
-        assert big.contains_point(angle(fr(5, 8)))
-        assert big.contains_point(angle(fr(1, 4)))  # shared endpoint
-        assert not big.contains_point(angle(fr(1, 4)), closed=False)
+        # `_within` tests closed membership of points x/8 on the unit arcs
+        for S, x, inside in [(small, 1, True), (small, 5, False), (big, 5, True), (big, 2, True)]:
+            assert _within(S, [x], 8) == inside == contains_point(S, angle(fr(x, 8)))
+        # 1/4, the shared endpoint, lies on the closed sectors only
+        assert not contains_point(big, angle(fr(1, 4)), closed=False)
 
 
 class TestCanonicalPlacements:

@@ -5,7 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,28 +17,28 @@ from lamlab.circle import angle, sigma
 from lamlab.docio import document_from_state, write_document
 from lamlab.fpp import FixedPointPortrait, canonical_portraits, enumerate_fpps, fixed_sectors
 from lamlab.leaves import (
+    Arc,
     Lamination,
     Leaf,
     Polygon,
     _crossers,
     _leaf,
+    _point,
     _scaled,
     check_invariance,
-    faces,
     leaf_image,
     validate_prelamination,
 )
 from lamlab.pullback import (
     _POLICIES,
+    _sector_faces,
     CriticalPortrait,
-    CriticalSector,
     InsufficientDepthError,
     PullbackState,
     canonical_lamination,
     classify_sector,
     clp_checks,
     cp_pullback_equality,
-    critical_sectors,
     flower_like,
     invariant_gap,
     is_hyperbolic_approx,
@@ -46,7 +46,7 @@ from lamlab.pullback import (
 )
 from lamlab.rotation import enumerate_rotational_orbits, unicritical_anchor
 from test_circle import preimages
-from test_leaves import fibre_matchings
+from test_leaves import arc_length, contains_point, faces, fibre_matchings, on_closure
 
 
 def fr(p, q=1):
@@ -176,10 +176,6 @@ class TestPortraitValidation:
         ]
         assert C.criticality == 3
 
-    def test_sorted_chords_deterministic(self):
-        C = quintic_portrait()
-        assert list(C.sorted_chords) == sorted(C.chords)
-
 
 def components(leaves):
     """Reference for the integer union-find `_groups`: the CirclePoint groups it replaced.
@@ -221,6 +217,43 @@ def reference_boundary_objects(S):
     return sorted(objects)
 
 
+@dataclass(frozen=True)
+class CriticalSector:
+    """One complementary region of a critical portrait's chords, its arcs totalling 1/d.
+
+    The sector boundary maps onto the circle with degree one and carries a
+    branch of the inverse.
+    """
+
+    degree: int
+    chords: tuple[Leaf, ...]
+    arcs: tuple[Arc, ...]
+
+    @property
+    def terminal(self):
+        return len(self.chords) == 1
+
+    @property
+    def arc_total(self):
+        return sum(map(arc_length, self.arcs), Fraction(0))
+
+
+def critical_sectors(C):
+    """The `_sector_faces` boundaries of C's chords as CriticalSectors, in their order."""
+    L = Lamination(C.degree, C.chords)
+    D = L.scaled[0]
+    ls = L.sorted_leaves
+    return [
+        CriticalSector(
+            C.degree,
+            # leaves sort as their indices into sorted_leaves
+            tuple(ls[i] for i in sorted(e[3] for e in b if e[0] == 0)),
+            tuple(Arc(_point(u, D), _point(v, D)) for _, u, v in sorted(e for e in b if e[0] == 1)),
+        )
+        for b in _sector_faces(L)
+    ]
+
+
 def reference_critical_sectors(C):
     """Reference for `critical_sectors`: the arc-bearing `Fraction` faces of the chords.
 
@@ -246,7 +279,7 @@ def branch_inverse(S, t):
     reference for `_best_matching`'s forced matchings: the chord of sector S
     joins the branch preimages of the frontier leaf's two endpoints.
     """
-    cands = [x for x in preimages(S.degree, t) if S.contains_point(x, closed=True)]
+    cands = [x for x in preimages(S.degree, t) if contains_point(S, x)]
     if not cands:
         raise ValueError(f"no preimage of {t} lies on the sector closure")
     if len(cands) == 1:
@@ -280,6 +313,8 @@ def unicritical_portraits(grid):
 
 
 class TestCriticalSectors:
+    """`_sector_faces`, read through `critical_sectors`, against the `Fraction` faces."""
+
     def test_equal_to_reference_on_canonical_placements(self):
         n = 0
         for _, C in canonical_critical_portraits(7):
@@ -347,7 +382,7 @@ class TestBranchInverse:
         t = angle(fr(k, 625))
         x = branch_inverse(S0, t)
         assert sigma(5, x) == t
-        assert S0.contains_point(x)
+        assert contains_point(S0, x)
 
     @given(st.integers(1, 124), st.integers(1, 124))
     def test_branch_preserves_order(self, j, k):
@@ -626,7 +661,7 @@ class TestInvariantGap:
         face = invariant_gap(state, big)
         assert len(face.vertices) == 128
         for t in (0, "2/5", "3/5", "4/5"):
-            assert face.on_closure(angle(t))
+            assert on_closure(face, angle(t))
 
     def test_gap_vertices_forward_invariant(self):
         state = quintic_canonical(3)

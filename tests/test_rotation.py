@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamlab.circle import angle, check_degree, sigma
-from lamlab.leaves import Lamination, Leaf, Polygon, leaf_image, leaves_cross
+from lamlab.leaves import Lamination, Leaf, Polygon, leaf_image
 from lamlab.pullback import CriticalPortrait, pullback
 from lamlab.rotation import (
     CoRootSet,
@@ -29,8 +29,9 @@ from lamlab.rotation import (
     unicritical_anchor,
     validate_rotational_placement,
 )
-from test_circle import orbit
-from test_leaves import half_edge_faces
+from test_circle import fixed_points, in_arc, orbit
+from test_leaves import half_edge_faces, leaves_cross, on_closure
+from test_pullback import canonical_critical_portraits, reference_critical_sectors
 
 
 def fr(p, q=1):
@@ -89,12 +90,12 @@ def scanning_find_coroots(state, polygon):
     found = []
     for k in range(denom):
         x = angle(Fraction(k, denom))
-        if not gap.on_closure(x) or x in mm.major.endpoints:
+        if not on_closure(gap, x) or x in mm.major.endpoints:
             continue
         if len(orbit(d, x)[1]) != q:
             continue
         y = sigma(d, x)
-        while not gap.on_closure(y):
+        while not on_closure(gap, y):
             y = sigma(d, y)
         if y == x:
             found.append(x)
@@ -577,6 +578,48 @@ class TestCorrespondence:
             assert len(pair.majors) == pair.local_degree - 1
 
 
+@lru_cache(maxsize=None)
+def cached_reference_sectors(C):
+    return reference_critical_sectors(C)
+
+
+def reference_validate_rotational_placement(C, assignments):
+    """Reference: the check on the `Fraction` sectors that `validate_rotational_placement` replaced.
+
+    Returns the violation strings.
+    """
+    sectors = cached_reference_sectors(C)
+    for i in assignments:
+        if not 0 <= i < len(sectors):
+            raise ValueError(f"no sector with index {i}")
+    rot = {i: Fraction(assignments.get(i, 0)) for i in range(len(sectors))}
+    violations = []
+    fixed = fixed_points(C.degree)
+    for i, sector in enumerate(sectors):
+        if rot[i] == 0:
+            continue
+        for arc in sector.arcs:
+            for fp in fixed:
+                if in_arc(fp, arc.start, arc.end):
+                    violations.append(
+                        f"sector {i} carries rotation {rot[i]} but its arc "
+                        f"({arc.start}, {arc.end}) contains the fixed point {fp}"
+                    )
+    for i, j in itertools.combinations(range(len(sectors)), 2):
+        if rot[i] != 0 and rot[j] != 0 and set(sectors[i].chords) & set(sectors[j].chords):
+            violations.append(f"adjacent sectors {i} and {j} both carry nonzero rotation")
+    return violations
+
+
+def placement_assignments(d, rotations=(Fraction(0), Fraction(1, 2), Fraction(1, 3))):
+    """Each assignment of one of the rotations to at most two of d sectors."""
+    yield {}
+    for k in (1, 2):
+        for sectors in itertools.combinations(range(d), k):
+            for rots in itertools.product(rotations, repeat=k):
+                yield dict(zip(sectors, rots))
+
+
 class TestPlacement:
     def test_adjacent_nonzero_sectors_rejected(self):
         C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
@@ -614,6 +657,45 @@ class TestPlacement:
         C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
         with pytest.raises(ValueError):
             validate_rotational_placement(C, {5: fr(1, 2)})
+
+    def test_float_key_rejected(self):
+        # 0.5 passes a range check, and no sector is ever read under it
+        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
+        with pytest.raises(ValueError, match="not an int"):
+            validate_rotational_placement(C, {0.5: fr(1, 2)})
+
+    def test_bool_key_rejected(self):
+        # True == 1 would otherwise name sector 1
+        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
+        with pytest.raises(ValueError, match="not an int"):
+            validate_rotational_placement(C, {True: fr(1, 2)})
+
+    def test_rotation_one_rejected(self):
+        # 1 is rotation 0 mod 1, and would be reported as "carries rotation 1"
+        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            validate_rotational_placement(C, {0: 1})
+
+    def test_negative_rotation_rejected(self):
+        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            validate_rotational_placement(C, {0: fr(-1, 2)})
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_equals_reference_on_canonical_portraits(self, d):
+        # a zero rotation reads as no entry, so at d = 6, with 837 portraits,
+        # the assignments keep to 1/2 and 1/3
+        rotations = (fr(1, 2), fr(1, 3)) if d == 6 else (fr(0), fr(1, 2), fr(1, 3))
+        n = violated = 0
+        for _, C in canonical_critical_portraits(d):
+            if C.degree != d:
+                continue
+            for assignment in placement_assignments(d, rotations):
+                got = validate_rotational_placement(C, assignment).violations
+                assert list(got) == reference_validate_rotational_placement(C, assignment), (C, assignment)
+                n += 1
+                violated += bool(got)
+        assert n and (violated or d == 2)
 
 
 class TestMajorLengthLemma:
@@ -919,10 +1001,10 @@ def fraction_find_coroots(state, polygon):
     found = []
     for candidate in enumerate_rotational_orbits(d, q, polygon.rotation.numerator):
         for x in candidate.points:
-            if not gap.on_closure(x) or x in mm.major.endpoints:
+            if not on_closure(gap, x) or x in mm.major.endpoints:
                 continue
             y = sigma(d, x)
-            while not gap.on_closure(y):
+            while not on_closure(gap, y):
                 y = sigma(d, y)
             if y == x:
                 found.append(x)

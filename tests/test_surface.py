@@ -16,14 +16,11 @@ import lamlab
 MODULES = ("circle", "leaves", "fpp", "pullback", "rotation", "docio")
 
 # Exported names that only Python reaches, each with its ROADMAP item: 1
-# routes diagnostics through `lam diagnose`.  `CriticalSector` and
-# `critical_sectors` are read only by `validate_rotational_placement`.
+# routes diagnostics through `lam diagnose`.
 PYTHON_ONLY = {
-    "CriticalSector": 1,
     "central_gap": 1,
     "clp_checks": 1,
     "cp_pullback_equality": 1,
-    "critical_sectors": 1,
     "find_coroots": 1,
     "flower_like": 1,
     "invariant_gap": 1,
