@@ -37,6 +37,7 @@ __all__ = [
 TOOL_VERSION = __version__
 
 _DOC_KEYS = {"degree", "leaves", "portrait", "fpp", "stages", "metadata"}
+_PORTRAIT_KEYS = {"degree", "chords"}
 
 
 def format_angle(t: CirclePoint) -> str:
@@ -200,7 +201,7 @@ def _pair_block(D: int, pairs: tuple[tuple[int, int], ...]) -> str:
 
 
 def _chords_block(C: CriticalPortrait) -> str:
-    return _pair_block(*Lamination(C.degree, C.chords).scaled)
+    return _pair_block(*C._lamination.scaled)
 
 
 def write_document(doc: LaminationDocument) -> str:
@@ -237,11 +238,6 @@ def _pair_strings(entry: object, what: str) -> tuple[str, str]:
     return a, b
 
 
-def _parse_pair(entry: object, degree: int, what: str) -> Leaf:
-    a, b = _pair_strings(entry, what)
-    return Leaf(parse_angle(a, degree), parse_angle(b, degree))
-
-
 def _terms(text: str, degree: int) -> tuple[int, int]:
     """The lowest terms (p, q) of the angle `parse_angle(text, degree)`, with 0 <= p < q."""
     terms = None if "_" in text else _rational(text.strip())
@@ -255,7 +251,7 @@ def _terms(text: str, degree: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _parse_leaves(raw: list, degree: int) -> list[tuple[int, int]]:
+def _parse_leaves(raw: list, degree: int, what: str = "leaf") -> list[tuple[int, int]]:
     """The lowest terms of the leaf endpoints, two per leaf, in document order.
 
     Reads the literals as `parse_angle` does and refuses what `Leaf` refuses.
@@ -263,7 +259,7 @@ def _parse_leaves(raw: list, degree: int) -> list[tuple[int, int]]:
     terms: list[tuple[int, int]] = []
     seen: dict[str, tuple[int, int]] = {}  # an endpoint is often shared by several leaves
     for entry in raw:
-        a, b = _pair_strings(entry, "leaf")
+        a, b = _pair_strings(entry, what)
         ta = seen.get(a)
         if ta is None:
             ta = seen[a] = _terms(a, degree)
@@ -286,9 +282,8 @@ def _grid_leaves(degree: int, terms: list[tuple[int, int]]) -> _GridLeaves:
 def _parse_chords(raw: object, degree: int, what: str) -> CriticalPortrait:
     if not isinstance(raw, list):
         raise ValueError(f"{what} must be a list of angle pairs")
-    return CriticalPortrait(
-        degree, frozenset(_parse_pair(e, degree, "portrait chord") for e in raw)
-    )
+    chords = _grid_leaves(degree, _parse_leaves(raw, degree, "portrait chord"))
+    return CriticalPortrait(degree, frozenset(chords))
 
 
 def read_document(text: str) -> LaminationDocument:
@@ -365,6 +360,9 @@ def read_portrait(text: str) -> CriticalPortrait:
         raise ValueError(f"portrait is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "degree" not in payload or "chords" not in payload:
         raise ValueError("portrait needs 'degree' and 'chords'")
+    unknown = set(payload) - _PORTRAIT_KEYS
+    if unknown:
+        raise ValueError(f"unknown portrait keys: {sorted(unknown)}")
     degree = payload["degree"]
     if not isinstance(degree, int):
         raise ValueError("'degree' must be an integer")
@@ -492,7 +490,7 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
             f'<path d="{path}" fill="none" '
             f'stroke="{_CRITICAL_COLOR}" stroke-width="1.2" '
             f'stroke-dasharray="5 4"/>'
-            for path in chord_paths(*Lamination(d, doc.portrait.chords).scaled)
+            for path in chord_paths(*doc.portrait._lamination.scaled)
         )
 
     dot = max(2.0, size / 200)

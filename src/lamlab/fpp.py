@@ -69,11 +69,19 @@ class FixedPointPortrait:
         return _point(i, self.degree - 1)
 
     @cached_property
+    def _hull(self) -> Lamination:
+        """The hull sides as a lamination on the fixed points' grid n = d - 1.
+
+        The sides of a block's sorted indices are sorted pairs over n, and
+        disjoint blocks share no side.
+        """
+        pairs = sorted(s for b in self.blocks for s in _sides(b))
+        return Lamination._on_grid(self.degree, self.degree - 1, pairs)
+
+    @cached_property
     def hull_leaves(self) -> frozenset[Leaf]:
         """All hull sides: one leaf per 2-block, polygon sides per larger block."""
-        return frozenset(
-            Leaf(x, y) for b in self.blocks for x, y in _sides([self.point(i) for i in b])
-        )
+        return self._hull.leaves
 
     def rotated(self, k: int = 1) -> "FixedPointPortrait":
         n = self.degree - 1
@@ -176,10 +184,9 @@ def _sectors(
     sorted by least unit arc.
     """
     n = P.degree - 1
-    hull = Lamination(P.degree, P.hull_leaves)
-    ls = hull.sorted_leaves
+    ls = P._hull.sorted_leaves
     out = []
-    for boundary in _face_sweep(hull):
+    for boundary in _face_sweep(P._hull):
         runs = sorted((e[1], (e[2] - e[1] - 1) % n + 1) for e in boundary if e[0] == 1)
         if runs:
             units = sorted((u + k) % n for u, r in runs for k in range(r))

@@ -161,8 +161,8 @@ class Lamination:
     """A finite non-crossing-intended leaf set with a degree and a stage tag.
 
     Stored as its integer view `scaled`, which answers `len`, `in`, `==` and
-    `hash`; the `Leaf` forms `leaves` and `sorted_leaves` are built on first
-    use.  Immutable, like the frozen dataclasses around it.
+    `hash`; `leaves`, `sorted_leaves` and the invariant faces are built on
+    first use.  Immutable, like the frozen dataclasses around it.
     """
 
     degree: int
@@ -222,6 +222,21 @@ class Lamination:
     @cached_property
     def leaves(self) -> frozenset[Leaf]:
         return frozenset(self.sorted_leaves)
+
+    @cached_property
+    def _invariant_faces(self) -> tuple[tuple[tuple[tuple[int, ...], ...], frozenset[int]], ...]:
+        """The faces whose vertices map into the face's vertices, each with that vertex set.
+
+        `_face_sweep` boundaries from one sweep, kept for every later reader:
+        the vertex tests run on the integer view, where sigma is x -> d*x mod D.
+        """
+        d, D = self.degree, self._D
+        out = []
+        for boundary in _face_sweep(self):
+            verts = {v for e in boundary if e[0] == 0 for v in (e[1], e[2])}
+            if all(d * x % D in verts for x in verts):
+                out.append((tuple(boundary), frozenset(verts)))
+        return tuple(out)
 
     def _leaf_at(self, i: int) -> Leaf:
         """`sorted_leaves[i]`, built alone unless the Leaf forms exist already."""
@@ -540,7 +555,7 @@ def _face_sweep(L: Lamination) -> list[list[tuple[int, ...]]]:
     return out
 
 
-def _face(L: Lamination, boundary: list[tuple[int, ...]]) -> Face:
+def _face(L: Lamination, boundary: Sequence[tuple[int, ...]]) -> Face:
     """The Face of one `_face_sweep(L)` boundary."""
     D = L.scaled[0]
     return Face(
@@ -551,7 +566,7 @@ def _face(L: Lamination, boundary: list[tuple[int, ...]]) -> Face:
     )
 
 
-def _on_closure(boundary: list[tuple[int, ...]], D: int, t: CirclePoint) -> bool:
+def _on_closure(boundary: Sequence[tuple[int, ...]], D: int, t: CirclePoint) -> bool:
     """Whether t is a vertex of a `_face_sweep` boundary over D or lies on one of its arcs.
 
     t = p/q need not lie on the grid: the tests compare at the finer scale D*q.

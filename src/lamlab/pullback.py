@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .circle import CirclePoint, check_degree, sigma
 from .fpp import FixedPointPortrait, FixedSector, canonical_portraits, fixed_sectors
@@ -75,7 +75,7 @@ class CriticalPortrait:
     def __post_init__(self) -> None:
         check_degree(self.degree)
         object.__setattr__(self, "chords", frozenset(self.chords))
-        L = Lamination(self.degree, self.chords)
+        L = self._lamination
         D, pairs = L.scaled
         for i, (x, y) in enumerate(pairs):
             if self.degree * (y - x) % D:
@@ -91,15 +91,33 @@ class CriticalPortrait:
             )
 
     @cached_property
+    def _lamination(self) -> Lamination:
+        """The chords as a lamination: their integer grid."""
+        return Lamination(self.degree, self.chords)
+
+    @cached_property
+    def _sectors(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The d critical sectors, as `_face_sweep` boundaries of `_lamination`.
+
+        Each sector's arcs total 1/d.  They are the arc-bearing faces, sorted by
+        least arc start; the interior of an all-critical polygon bears no arc and
+        is no sector.  Every chord endpoint starts exactly one face arc, which
+        runs to the next endpoint.
+        """
+        out = [tuple(b) for b in _face_sweep(self._lamination) if any(e[0] == 1 for e in b)]
+        out.sort(key=lambda b: min(e[1] for e in b if e[0] == 1))
+        return tuple(out)
+
+    @cached_property
     def vertex_groups(self) -> tuple[tuple[CirclePoint, ...], ...]:
         """Endpoint-connected chord groups as sorted vertex tuples."""
-        D, pairs = Lamination(self.degree, self.chords).scaled
+        D, pairs = self._lamination.scaled
         return tuple(tuple(_point(x, D) for x in g) for g in _grouped(_groups(pairs)))
 
     @cached_property
     def criticality(self) -> int:
         """Sum over endpoint-connected chord groups of (vertex count - 1)."""
-        return _criticality(Lamination(self.degree, self.chords).scaled[1])
+        return _criticality(self._lamination.scaled[1])
 
 
 def _groups(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
@@ -131,19 +149,6 @@ def _criticality(pairs: Iterable[tuple[int, int]]) -> int:
     """Sum over the groups of (vertex count - 1): the vertex count less the group count."""
     group = _groups(pairs)
     return len(group) - sum(g[0] == x for x, g in group.items())
-
-
-def _sector_faces(L: Lamination) -> list[list[tuple[int, ...]]]:
-    """The d critical sectors of a portrait's chord lamination L, as `_face_sweep` boundaries.
-
-    Each sector's arcs total 1/d.  They are the arc-bearing faces, sorted by
-    least arc start; the interior of an all-critical polygon bears no arc and
-    is no sector.  Every chord endpoint starts exactly one face arc, which
-    runs to the next endpoint.
-    """
-    out = [b for b in _face_sweep(L) if any(e[0] == 1 for e in b)]
-    out.sort(key=lambda b: min(e[1] for e in b if e[0] == 1))
-    return out
 
 
 @dataclass(frozen=True)
@@ -350,8 +355,7 @@ def pullback(
         raise ValueError("degree mismatch between initial set and portrait")
     # the initial leaves and the chords on one grid over denom
     D0, initial = F0.scaled
-    chord_lam = Lamination(d, C.chords)
-    Dc, chords = chord_lam.scaled
+    Dc, chords = C._lamination.scaled
     denom = lcm(D0, Dc)
     up, upc = denom // D0, denom // Dc
     frontier = [(x * up, y * up) for x, y in initial]
@@ -377,7 +381,7 @@ def pullback(
 
     # each critical endpoint starts one arc; the endpoints go onto the
     # stage's grid with the placed chords
-    arc_starts = {e[1]: s for s, b in enumerate(_sector_faces(chord_lam)) for e in b if e[0] == 1}
+    arc_starts = {e[1]: s for s, b in enumerate(C._sectors) for e in b if e[0] == 1}
     cut = sorted(arc_starts)
     arc_sector = [arc_starts[u] for u in cut]
     cut = [u * upc for u in cut]
@@ -415,8 +419,7 @@ def canonical_lamination(P: FixedPointPortrait, n: int) -> PullbackState:
     within the 1/(2 d^k) length bound for d <= 5; at d = 6 the bound can fail.
     """
     choice = canonical_portraits(P)[0]
-    F0 = Lamination(P.degree, P.hull_leaves)
-    state = pullback(F0, choice.as_critical_portrait(), n, policy="shortest")
+    state = pullback(P._hull, choice.as_critical_portrait(), n, policy="shortest")
     return replace(state, fpp=P)
 
 
@@ -439,10 +442,9 @@ def cp_pullback_equality(P: FixedPointPortrait, n: int) -> PortraitPullbackRepor
 
     A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
-    F0 = Lamination(P.degree, P.hull_leaves)
     runs = []
     for choice in canonical_portraits(P):
-        st = pullback(F0, choice.as_critical_portrait(), n)
+        st = pullback(P._hull, choice.as_critical_portrait(), n)
         runs.append((choice.chords, st))
     mismatches: list[str] = []
     ref_chords, ref_state = runs[0]
@@ -474,63 +476,39 @@ def _within(S: FixedSector, points: Iterable[int], D: int) -> bool:
     return True
 
 
-def _invariant_faces(L: Lamination) -> list[tuple[list[tuple[int, ...]], set[int]]]:
-    """The faces of L whose vertices map into the face's vertices, each with that vertex set.
-
-    Gives `_face_sweep` boundaries from one sweep: the vertex tests run on
-    L's integer view, where sigma is x -> d*x mod D, and callers build a
-    Face only for what they return.
-    """
-    d = L.degree
+def _sector_candidates(L: Lamination, S: FixedSector) -> list[tuple[tuple[int, ...], ...]]:
+    """The invariant faces of L with every vertex inside S."""
     D = L.scaled[0]
-    out = []
-    for boundary in _face_sweep(L):
-        verts = {v for e in boundary if e[0] == 0 for v in (e[1], e[2])}
-        if all(d * x % D in verts for x in verts):
-            out.append((boundary, verts))
-    return out
+    return [b for b, verts in L._invariant_faces if _within(S, verts, D)]
 
 
-def _sector_candidates(L: Lamination, sectors: list[FixedSector]) -> list[list[list[tuple[int, ...]]]]:
-    """Per sector, the invariant faces of L with every vertex inside it, from one sweep."""
-    D = L.scaled[0]
-    invariant = _invariant_faces(L)
-    return [[b for b, verts in invariant if _within(S, verts, D)] for S in sectors]
-
-
-def _is_polygon(boundary: list[tuple[int, ...]]) -> bool:
+def _is_polygon(boundary: Sequence[tuple[int, ...]]) -> bool:
     return all(e[0] == 0 for e in boundary)
 
 
-def _walk_back_gaps(
-    state: PullbackState, sectors: list[FixedSector]
-) -> list[tuple[list[tuple[int, ...]], int] | None]:
-    """Per sector, the deepest stage k carrying exactly one invariant gap face inside it, as (boundary, k).
+def _walk_back_gap(
+    state: PullbackState, S: FixedSector
+) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+    """The deepest stage k carrying exactly one invariant gap face inside S, as (boundary, k).
 
     A gap carries on its closure every portrait chord with both endpoints
     in the sector.  Refined stages can temporarily lose boundary-vertex
     invariance (preimages of other sectors' leaves land on the gap arcs),
-    so shallower stages are consulted, each swept once for every sector
-    that has no unique candidate yet.
+    so shallower stages are consulted.  Each stage keeps its invariant
+    faces, so the sectors' walks sweep it once between them.
     """
-    chord_lam = Lamination(state.degree, state.portrait.chords)
+    chord_lam = state.portrait._lamination
     Dc, chords = chord_lam.scaled
     needed = [
-        [t for c, p in zip(chord_lam.sorted_leaves, chords) if _within(S, p, Dc) for t in c.endpoints]
-        for S in sectors
+        t for c, p in zip(chord_lam.sorted_leaves, chords) if _within(S, p, Dc) for t in c.endpoints
     ]
-    found: list[tuple[list[tuple[int, ...]], int] | None] = [None] * len(sectors)
     for k in range(state.depth, 0, -1):
-        looking = [i for i, f in enumerate(found) if f is None]
-        if not looking:
-            break
         lam = state.stages[k]
         D = lam.scaled[0]
-        for i, cands in zip(looking, _sector_candidates(lam, [sectors[i] for i in looking])):
-            gaps = [b for b in cands if all(_on_closure(b, D, t) for t in needed[i])]
-            if len(gaps) == 1:
-                found[i] = (gaps[0], k)
-    return found
+        gaps = [b for b in _sector_candidates(lam, S) if all(_on_closure(b, D, t) for t in needed)]
+        if len(gaps) == 1:
+            return gaps[0], k
+    return None
 
 
 def invariant_gap(state: PullbackState, S: FixedSector) -> Face:
@@ -546,7 +524,7 @@ def invariant_gap(state: PullbackState, S: FixedSector) -> Face:
     if S.degree != state.degree:
         # the sector's unit arcs are arcs of the stages' own degree
         raise ValueError("degree mismatch between lamination and sector")
-    (found,) = _walk_back_gaps(state, [S])
+    found = _walk_back_gap(state, S)
     if found is None:
         raise ValueError("no invariant gap face in this sector")
     boundary, k = found
@@ -637,8 +615,8 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
         prev = set(pairs)
     sector_reports: list[SectorGapReport] = []
     if state.depth >= 1:
-        sectors = fixed_sectors(state.fpp)
-        for S, found in zip(sectors, _walk_back_gaps(state, sectors)):
+        for S in fixed_sectors(state.fpp):
+            found = _walk_back_gap(state, S)
             if found is None:
                 sector_reports.append(SectorGapReport(S, 0, 0, ()))
                 continue
@@ -697,7 +675,7 @@ def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool
         return True
     cap = max(2 * depth + 2, 4)
     D = L.scaled[0]
-    chord_lam = Lamination(C.degree, C.chords)
+    chord_lam = C._lamination
     Dc = chord_lam.scaled[0]
     # the crossing tests run on the grid E of both L and the chords
     E = lcm(D, Dc)
@@ -815,7 +793,7 @@ def _rotational_polygon_witness(L: Lamination, S: FixedSector) -> tuple[Face, Fr
     from .rotation import NotRotational, rotation_number
 
     cands: list[tuple[Face, Fraction]] = []
-    for b in _sector_candidates(L, [S])[0]:
+    for b in _sector_candidates(L, S):
         if not _is_polygon(b):
             continue
         f = _face(L, b)
@@ -840,7 +818,7 @@ def _gap_witness(
     required = [p for o in objects if not o.subtended for p in o.points]
     cands = [
         b
-        for b in _sector_candidates(L, [S])[0]
+        for b in _sector_candidates(L, S)
         if not _is_polygon(b) and all(_on_closure(b, D, p) for p in required)
     ]
     subtended = [_scaled(p, D) for o in objects if o.subtended for p in o.points]
@@ -863,7 +841,7 @@ def _gap_witness(
 
 
 def _pinched_off(
-    boundary: list[tuple[int, ...]], owner: dict[int, int], beyond: list[int], D: int
+    boundary: Sequence[tuple[int, ...]], owner: dict[int, int], beyond: list[int], D: int
 ) -> bool:
     """Whether a leaf of the face joins two required objects with all of `beyond` behind it.
 

@@ -25,7 +25,6 @@ from typing import Iterable, Mapping, Sequence
 from .circle import CirclePoint, angle, check_degree
 from .leaves import (
     Face,
-    Lamination,
     Leaf,
     Polygon,
     _cross,
@@ -40,7 +39,7 @@ from .leaves import (
     _scaled_pair,
     _sides,
 )
-from .pullback import CriticalPortrait, PullbackState, _sector_faces
+from .pullback import CriticalPortrait, PullbackState
 
 __all__ = [
     "CoRootSet",
@@ -602,7 +601,7 @@ def validate_rotational_placement(
     """Check rotation-number assignments on the sectors of a portrait.
 
     Sectors are indexed by least arc start, as `pullback` numbers them.
-    Keys must be ints naming a sector and rotations must lie in [0, 1).
+    Keys must be ints naming a sector, and rotations ints or Fractions in [0, 1).
     Two rules apply: a sector with nonzero rotation may not contain a fixed
     point inside its arcs, and two sectors sharing a critical chord may not
     both carry nonzero rotation.  Both are tested on the chords' integer
@@ -610,18 +609,19 @@ def validate_rotational_placement(
 
     A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
-    L = Lamination(C.degree, C.chords)
-    sectors = _sector_faces(L)
+    sectors = C._sectors
     rot = {i: Fraction(0) for i in range(len(sectors))}
     for i, r in assignments.items():
         if not isinstance(i, int) or isinstance(i, bool):
             raise ValueError(f"sector index {i!r} is not an int")
         if not 0 <= i < len(sectors):
             raise ValueError(f"no sector with index {i}")
+        if not isinstance(r, (int, Fraction)) or isinstance(r, bool):
+            raise ValueError(f"rotation {r!r} of sector {i} is not an int or a Fraction")
         rot[i] = Fraction(r)
         if not 0 <= rot[i] < 1:
             raise ValueError(f"rotation {rot[i]} of sector {i} is outside [0, 1)")
-    D = L.scaled[0]
+    D = C._lamination.scaled[0]
     n = C.degree - 1
     fixed = [i * D // n for i in range(n)]
     violations: list[str] = []

@@ -1,4 +1,5 @@
 """Tests for the command line interface, driven through main()."""
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -6,13 +7,15 @@ from functools import lru_cache
 
 import pytest
 
-from lamlab import cli
+from lamlab import cli, fpp, leaves, rotation
 from lamlab.circle import angle
 from lamlab.cli import main
 from lamlab.docio import document_from_state, write_document, write_portrait
 from lamlab.fpp import FixedPointPortrait
 from lamlab.leaves import Lamination, Leaf
 from lamlab.pullback import CriticalPortrait, canonical_lamination, pullback
+
+pullback_module = importlib.import_module("lamlab.pullback")
 
 
 def lf(a, b):
@@ -599,6 +602,35 @@ class TestClassifyCommand:
         assert len(out.splitlines()) == 1
         assert "'chords' must be a list" in jline(out)["error"]
         assert err == ""
+
+    def test_unknown_portrait_key_fails_with_report(self, capsys, tmp_path):
+        doc_text, portrait_text = mixed_quartic_texts()
+        f, p = tmp_path / "m.json", tmp_path / "c.json"
+        f.write_text(doc_text)
+        p.write_text(json.dumps({**json.loads(portrait_text), "x": 1}))
+        rc, out, _ = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
+        assert rc == 1
+        assert "unknown portrait keys: ['x']" in jline(out)["error"]
+
+    def test_one_face_sweep_classifies_every_sector(self, capsys, tmp_path, monkeypatch):
+        P = FixedPointPortrait(5, ((0, 1, 2, 3),))
+        state = canonical_lamination(P, 5)
+        f, p = tmp_path / "q.json", tmp_path / "c.json"
+        f.write_text(write_document(document_from_state(state)))
+        p.write_text(write_portrait(state.portrait))
+        swept = []
+
+        def sweep_spy(L):
+            swept.append(len(L))
+            return face_sweep(L)
+
+        face_sweep = leaves._face_sweep
+        for module in (leaves, fpp, pullback_module, rotation):
+            monkeypatch.setattr(module, "_face_sweep", sweep_spy)
+        _, out, _ = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
+        assert len(out.splitlines()) == 4, out
+        # one sweep of the hull lists the sectors, one of the document classifies them all
+        assert sorted(swept) == [len(P.hull_leaves), len(state.final)], swept
 
     def test_missing_portrait_file(self, capsys, tmp_path):
         doc_text, _ = mixed_quartic_texts()

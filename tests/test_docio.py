@@ -340,7 +340,8 @@ def document_texts(draw):
     leaves = draw(st.lists(pair, max_size=8, unique_by=json.dumps))
     flaw = draw(
         st.sampled_from(
-            ["none", "none", "none", "pair", "literal", "short", "bool", "negative", "fpp"]
+            ["none", "none", "none", "pair", "literal", "short", "bool", "negative", "fpp",
+             "chord"]
         )
     )
     if flaw == "pair" and leaves:
@@ -362,6 +363,11 @@ def document_texts(draw):
         payload["stages"] = tags
     if flaw == "fpp" or draw(st.booleans()):
         payload["fpp"] = [[True]] if flaw == "fpp" else [[0, 1]]
+    if flaw == "chord" or draw(st.booleans()):
+        chords = draw(st.lists(pair, max_size=3, unique_by=json.dumps))
+        if flaw == "chord":
+            chords.append(draw(st.sampled_from([["1/3"], ["1/3", 1], 7, ["1/2", "2/4"]])))
+        payload["portrait"] = chords
     payload["metadata"] = {"tool_version": "t", "command": "c"}
     return json.dumps(payload)
 
@@ -437,6 +443,20 @@ class TestNoLeafOnJobPaths:
         ]
         assert counts[1] <= counts[0], counts
 
+    def test_build_path_builds_two_laminations_from_leaves(self, monkeypatch):
+        # the placement's portrait and the portrait read back; the hull, the
+        # stages and the documents' laminations come from the grid
+        built = [0]
+        init = Lamination.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Lamination, "__init__", counting)
+        self.build_and_render(3)
+        assert built[0] == 2
+
     def test_check_path(self, monkeypatch):
         P = FixedPointPortrait(3, ((0, 1),))
         texts = [
@@ -464,6 +484,10 @@ class TestPortraitCodec:
     def test_non_list_chords_rejected(self):
         with pytest.raises(ValueError, match="'chords' must be a list"):
             read_portrait('{"degree": 2, "chords": 7}')
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown portrait keys: \['x'\]"):
+            read_portrait('{"degree": 2, "chords": [["0/1", "1/2"]], "x": 1}')
 
 
 class TestRenderSpec:

@@ -670,6 +670,18 @@ class TestPlacement:
         with pytest.raises(ValueError, match="not an int"):
             validate_rotational_placement(C, {True: fr(1, 2)})
 
+    @pytest.mark.parametrize("r", [0.1, 0.5, "0.5", "1/3", True])
+    def test_inexact_rotation_rejected(self, r):
+        # Fraction(r) would read 0.1 as its binary value and "0.5" as 1/2
+        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            validate_rotational_placement(C, {1: r})
+
+    def test_fraction_and_int_rotations_accepted(self):
+        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
+        assert validate_rotational_placement(C, {0: fr(1, 2), 1: 0}).ok
+        assert validate_rotational_placement(C, {0: 0, 1: fr(1, 3)}).ok
+
     def test_rotation_one_rejected(self):
         # 1 is rotation 0 mod 1, and would be reported as "carries rotation 1"
         C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))

@@ -100,3 +100,17 @@ def test_python_only_names_are_pinned(name):
     assert name in lamlab.__all__
     assert not uses(name, set(PYTHON_ONLY))
     assert f"ROADMAP item {PYTHON_ONLY[name]}" in " ".join(getattr(lamlab, name).__doc__.split())
+
+
+# the modules that hold the grid primitives every layer shares
+PRIMITIVES = {"circle", "leaves"}
+
+
+@pytest.mark.parametrize("stem", sorted(SOURCES))
+def test_private_names_imported_only_from_the_primitives(stem):
+    # a private helper another layer needs belongs with the primitives, or on its object
+    for node in ast.walk(SOURCES[stem]):
+        if isinstance(node, ast.ImportFrom) and node.module not in PRIMITIVES:
+            names = [a.name for a in node.names]
+            private = [n for n in names if n.startswith("_") and not n.endswith("__")]
+            assert not private, (stem, node.module, private)
