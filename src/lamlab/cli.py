@@ -41,9 +41,18 @@ from .docio import (
 __all__ = ["main"]
 
 # `fpp canonical` builds at most |F0| * (d^(n+1) - 1)/(d - 1) leaves in n
-# stages; the 29,524 of degree 3, portrait 0-1, depth 9 take about 2.7 s and
-# 48 MB on a 2-CPU Xeon, and pullback time grows faster than the leaf count
+# stages; for the 29,524 of degree 3, portrait 0-1, depth 9 the whole command
+# takes about 0.55 s and 41 MB max RSS on a 2-CPU Xeon, and pullback time
+# grows faster than the leaf count
 MAX_LEAVES = 50_000
+# `fpp canonical` and `render` refuse a degree whose d - 1 fixed points exceed
+# this before they build anything.  The leaf cap alone does not bound the
+# work: a sibling matching that meets a critical endpoint costs about d^3
+# (about 0.15 s at degree 201), and without this bound `--fpp none --depth 0`
+# at degree 10^6 passes the leaf cap.  At the bound, degree 101, the full
+# polygon's 100 hull leaves at depth 1 (10,200 leaves) take about 2 s and
+# 24 MB max RSS on a 2-CPU Xeon, and `--fpp none --depth 0` 0.2 s and 18 MB
+MAX_FIXED_POINTS = 100
 # `rot orbits` reads C(q+d-1, q) digit tuples per rotation number p/q; the
 # 92,378 of degree 10, rotation 1/10 take about 3 s with their 12 MB of
 # output on a 2-CPU Xeon
@@ -79,6 +88,13 @@ def _check_degree_arg(d: int) -> int:
     if d < 2:
         raise _usage(f"degree must be at least 2, got {d}")
     return d
+
+
+def _check_fixed_points(d: int) -> None:
+    if d - 1 > MAX_FIXED_POINTS:
+        raise _usage(
+            f"degree {d} means {d - 1} fixed points; the limit is {MAX_FIXED_POINTS}"
+        )
 
 
 def _parse_points(text: str, d: int) -> tuple[CirclePoint, ...]:
@@ -177,6 +193,7 @@ def _cmd_fpp_enum(args: argparse.Namespace) -> int:
 
 def _cmd_fpp_canonical(args: argparse.Namespace) -> int:
     d = _check_degree_arg(args.degree)
+    _check_fixed_points(d)
     if args.depth < 0:
         raise _usage("depth must be >= 0")
     blocks = _parse_blocks(args.fpp)
@@ -266,8 +283,8 @@ def _leaf_work(leaves: int, d: int, n: int) -> int | None:
     counts its stages.  None once the sum exceeds ten times MAX_LEAVES, so a
     huge degree or depth never forms a huge number or a long loop.  Choosing
     the sibling matching of one leaf takes time polynomial in d (an interval
-    DP over its 2d fibre points), so the leaf count is the only term the cap
-    needs."""
+    DP over its 2d fibre points), so this cap bounds the work only together
+    with MAX_FIXED_POINTS, which bounds d."""
     total, stage = 0, leaves
     # each stage adds at least one, which bounds the loop
     for _ in range(n + 1):
@@ -431,6 +448,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     doc = _load_document(args.file)
+    # one dot per fixed point
+    _check_fixed_points(doc.degree)
     try:
         spec = RenderSpec(size=args.size, style=args.style, labels=args.labels)
     except ValueError as exc:

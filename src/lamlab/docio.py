@@ -170,22 +170,12 @@ class LaminationDocument:
 
 def document_from_state(state: PullbackState, command: str = "") -> LaminationDocument:
     """Package a pullback state, tagging each leaf with its first stage."""
-    D, pairs = state.final.scaled
-    first: dict[tuple[int, int], int] = {}
-    # deepest stage first, so each leaf keeps the least stage holding it;
-    # the stages nest, so each stage's denominator divides D
-    for k in range(state.depth, -1, -1):
-        D_k, pairs_k = state.stages[k].scaled
-        up = D // D_k
-        if up > 1:
-            pairs_k = [(x * up, y * up) for x, y in pairs_k]
-        first.update(dict.fromkeys(pairs_k, k))
     return LaminationDocument(
         degree=state.degree,
-        leaves=_GridLeaves(D, pairs),
+        leaves=_GridLeaves(*state.final.scaled),
         portrait=state.portrait,
         fpp=state.fpp,
-        stages=tuple(map(first.__getitem__, pairs)),
+        stages=state._first_stage,
         command=command,
     )
 

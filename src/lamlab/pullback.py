@@ -15,6 +15,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -175,9 +176,26 @@ class PullbackState:
             raise ValueError("portrait degree disagrees with the state")
         if self.fpp is not None and self.fpp.degree != self.degree:
             raise ValueError("fixed point portrait degree disagrees with the state")
-        for lo, hi in zip(self.stages, self.stages[1:]):
-            if _new_pairs(lo, hi) is None:
+        # each stage's pairs on the final grid, tagged with the first stage
+        # holding each; the stages nest exactly when each stage's D divides
+        # the final D and each stage holds every pair of the stage before
+        D = self.final.scaled[0]
+        pairs: Sequence[tuple[int, int]] = ()
+        tags: tuple[int, ...] = ()
+        for k, lam in enumerate(self.stages):
+            first = dict(zip(pairs, tags))
+            D_k, pairs = lam.scaled
+            if D % D_k:
                 raise ValueError("stages must be nested")
+            up = D // D_k
+            if up > 1:
+                pairs = [(x * up, y * up) for x, y in pairs]
+            tags = tuple(map(first.get, pairs, repeat(k)))
+            # the pairs tagged before k are those of the stage before
+            if len(tags) - tags.count(k) != len(first):
+                raise ValueError("stages must be nested")
+        # parallel to final.scaled[1]; not a field, so equality and repr ignore it
+        object.__setattr__(self, "_first_stage", tags)
 
     @property
     def initial(self) -> Lamination:
@@ -195,27 +213,8 @@ class PullbackState:
         """Leaves first appearing at stage k, for 0 <= k <= depth."""
         if not 0 <= k <= self.depth:
             raise ValueError(f"stage {k} outside 0..{self.depth}")
-        if k == 0:
-            return self.stages[0].leaves
-        D = self.stages[k].scaled[0]
-        return frozenset(_leaf(p, D) for p in _new_pairs(self.stages[k - 1], self.stages[k]))
-
-
-def _new_pairs(lo: Lamination, hi: Lamination) -> list[tuple[int, int]] | None:
-    """hi's pairs that lo lacks, in order; None unless lo's leaves all lie in hi.
-
-    A leaf of lo lies in hi only if its endpoint denominators divide hi's D,
-    so lo's D divides hi's whenever lo has a leaf.
-    """
-    (D_lo, lo_pairs), (D_hi, hi_pairs) = lo.scaled, hi.scaled
-    if not lo_pairs:
-        return list(hi_pairs)
-    if D_hi % D_lo:
-        return None
-    up = D_hi // D_lo
-    old = set(lo_pairs) if up == 1 else {(x * up, y * up) for x, y in lo_pairs}
-    new = [p for p in hi_pairs if p not in old]
-    return new if len(hi_pairs) - len(new) == len(old) else None
+        D, pairs = self.final.scaled
+        return frozenset(_leaf(p, D) for p, s in zip(pairs, self._first_stage) if s == k)
 
 
 _POLICIES = ("prefer-existing", "shortest")
@@ -418,8 +417,8 @@ def canonical_lamination(P: FixedPointPortrait, n: int) -> PullbackState:
     Matchings use the "shortest" policy, which keeps every stage-k addition
     within the 1/(2 d^k) length bound for d <= 5; at d = 6 the bound can fail.
     """
-    choice = canonical_portraits(P)[0]
-    state = pullback(P._hull, choice.as_critical_portrait(), n, policy="shortest")
+    C = P._first_choice().as_critical_portrait()
+    state = pullback(P._hull, C, n, policy="shortest")
     return replace(state, fpp=P)
 
 
@@ -584,35 +583,28 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
     if state.fpp is None:
         raise ValueError("state was not built from a fixed point portrait")
     d = state.degree
-    # the stages are nested, so the final stage's D is a multiple of each stage's
-    D = state.final.scaled[0]
-
-    def stage_pairs(lam: Lamination) -> list[tuple[int, int]]:
-        D_k, pairs = lam.scaled
-        up = D // D_k
-        return [(x * up, y * up) for x, y in pairs]
-
-    initial = set(stage_pairs(state.stages[0]))
+    final = state.final
+    D, pairs = final.scaled
+    # the indices of the final pairs, grouped by the first stage holding each
+    added: list[list[int]] = [[] for _ in state.stages]
+    for i, k in enumerate(state._first_stage):
+        added[k].append(i)
+    initial = {pairs[i] for i in added[0]}
     escapes: list[tuple[int, Leaf]] = []
     too_long: list[tuple[int, Leaf]] = []
     worst: list[Fraction] = []
-    prev = initial
     for k in range(1, state.depth + 1):
-        lam = state.stages[k]
-        pairs = stage_pairs(lam)
         stage_max = 0
         scale = 2 * d**k  # length/D > 1/(2 d^k) iff scale * length > D
-        for i, (x, y) in enumerate(pairs):
-            if (x, y) in prev:
-                continue
+        for i in added[k]:
+            x, y = pairs[i]
             length = min(y - x, D - y + x)
             if scale * length > D:
-                too_long.append((k, lam._leaf_at(i)))
+                too_long.append((k, final._leaf_at(i)))
             stage_max = max(stage_max, length)
             if not _iterates_onto(d, D, (x, y), initial, k):
-                escapes.append((k, lam._leaf_at(i)))
+                escapes.append((k, final._leaf_at(i)))
         worst.append(Fraction(stage_max, D))
-        prev = set(pairs)
     sector_reports: list[SectorGapReport] = []
     if state.depth >= 1:
         for S in fixed_sectors(state.fpp):
@@ -764,6 +756,9 @@ def classify_sector(L: Lamination, C: CriticalPortrait, S: FixedSector) -> Secto
     An object is subtended when some non-boundary leaf of L separates it from
     every other object of the sector.  No subtended object yields case 1, all
     yields case 2 (with a rotational polygon witness), a mix yields case 3.
+
+    C is compared only for its degree: no test and no witness reads its
+    chords, so every portrait of L's degree gives the same classification.
     """
     if L.degree != C.degree or L.degree != S.degree:
         raise ValueError("degree mismatch")

@@ -2,6 +2,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -276,6 +277,34 @@ class TestFppCanonical:
         rc, out, _ = run(capsys, *argv, str(tmp_path / "x.json"))
         assert rc == 0
         assert jline(out)["leaves"] == 157
+
+    @pytest.mark.parametrize(
+        "degree, blocks", [(10**9, "none"), (cli.MAX_FIXED_POINTS + 2, "0-1")]
+    )
+    def test_degree_is_capped_before_building(
+        self, capsys, tmp_path, monkeypatch, degree, blocks
+    ):
+        def refuse(*args):
+            raise AssertionError("portrait built")
+
+        monkeypatch.setattr(cli, "FixedPointPortrait", refuse)
+        target = tmp_path / "x.json"
+        argv = ["fpp", "canonical", "--degree", str(degree), "--fpp", blocks, "--depth", "0"]
+        rc, out, err = run(capsys, *argv, "--out", str(target))
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            f"lamlab: error: degree {degree} means {degree - 1} fixed points; "
+            f"the limit is {cli.MAX_FIXED_POINTS}\n"
+        )
+        assert not target.exists()
+
+    def test_fixed_point_limit_is_inclusive(self, capsys, tmp_path):
+        degree = str(cli.MAX_FIXED_POINTS + 1)
+        argv = ["fpp", "canonical", "--degree", degree, "--fpp", "none", "--depth", "0"]
+        rc, out, _ = run(capsys, *argv, "--out", str(tmp_path / "x.json"))
+        assert rc == 0
+        assert jline(out)["degree"] == cli.MAX_FIXED_POINTS + 1
 
     def test_single_index_block_rejected(self, capsys, tmp_path):
         rc, _, err = run(
@@ -718,6 +747,30 @@ class TestRenderCommand:
         )
         assert rc == 2
         assert "cannot write" in err
+
+    def test_degree_is_capped_before_drawing(self, capsys, tmp_path, monkeypatch):
+        # one dot per fixed point: a billion of them for this one-leaf file
+        doc, svg = tmp_path / "big.json", tmp_path / "big.svg"
+        doc.write_text('{"degree": 1000000000, "leaves": [["0", "1/2"]]}')
+
+        def refuse(*args):
+            raise AssertionError("drawing started")
+
+        monkeypatch.setattr(cli, "write_svg", refuse)
+        tracemalloc.start()
+        try:
+            rc, out, err = run(capsys, "render", "--file", str(doc), "--out", str(svg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            "lamlab: error: degree 1000000000 means 999999999 fixed points; "
+            f"the limit is {cli.MAX_FIXED_POINTS}\n"
+        )
+        assert not svg.exists()
+        assert peak < 1_000_000
 
 
 class TestReportShape:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lamlab import fpp
 from lamlab.circle import angle, sigma
 from lamlab.fpp import (
     CanonicalPortraitChoice,
@@ -17,7 +18,7 @@ from lamlab.fpp import (
     fpps_up_to_rotation,
 )
 from lamlab.leaves import Arc, Lamination, Leaf, Polygon
-from lamlab.pullback import _within
+from lamlab.pullback import _within, canonical_lamination
 from test_circle import ccw_span, fixed_points
 from test_leaves import arc_contains, arc_length, contains_point, faces
 
@@ -360,6 +361,26 @@ class TestCanonicalPlacements:
         for P in enumerate_fpps(d):
             got = [c.placements for c in canonical_portraits(P)]
             assert got == fraction_canonical_placements(P)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_first_choice_built_alone(self, d):
+        for P in enumerate_fpps(d):
+            assert P._first_choice() == canonical_portraits(P)[0]
+
+    def test_canonical_lamination_builds_one_choice(self, monkeypatch):
+        # degree 13, portrait 0-1,2-3,...,10-11: 2^12 = 4,096 choices in all
+        built = []
+
+        class Counted(CanonicalPortraitChoice):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(fpp, "CanonicalPortraitChoice", Counted)
+        P = FixedPointPortrait(13, tuple((i, i + 1) for i in range(0, 12, 2)))
+        canonical_lamination(P, 0)
+        monkeypatch.undo()
+        assert built == [(P, P._first_choice().placements)]
 
     def test_quarter_small_sector(self):
         P = FixedPointPortrait(5, ((0, 1),))

@@ -443,7 +443,8 @@ class TestPullbackStages:
         # a later stage short of one earlier leaf, on the same grid and on a coarser one
         thinned = Lamination(5, s2.leaves - {min(state.frontier(1))}, depth=2)
         assert thinned.scaled[0] == s2.scaled[0]
-        for stages in ((s0, s1, thinned), (s0, s2, s1), (s1, s0)):
+        # s2's D, 100, does not divide s0's, 4
+        for stages in ((s0, s1, thinned), (s0, s2, s1), (s1, s0), (s2, s0)):
             with pytest.raises(ValueError, match="stages must be nested"):
                 PullbackState(5, state.portrait, stages, "shortest")
         assert PullbackState(5, state.portrait, (s0, s0, s2), "shortest").frontier(1) == set()
@@ -533,6 +534,99 @@ class TestPullbackStages:
             replace(state, fpp=FixedPointPortrait(4, ((0, 1),)))
         with pytest.raises(ValueError, match="fixed point portrait degree disagrees with the state"):
             PullbackState(3, state.portrait, state.stages, "shortest", FixedPointPortrait(4, ()))
+
+
+def reference_new_pairs(lo, hi):
+    """hi's pairs that lo lacks, in order; None unless lo's leaves all lie in hi.
+
+    The pairwise nesting check: lo's pairs rescaled onto hi's grid.
+    """
+    (D_lo, lo_pairs), (D_hi, hi_pairs) = lo.scaled, hi.scaled
+    if not lo_pairs:
+        return list(hi_pairs)
+    if D_hi % D_lo:
+        return None
+    up = D_hi // D_lo
+    old = {(x * up, y * up) for x, y in lo_pairs}
+    new = [p for p in hi_pairs if p not in old]
+    return new if len(hi_pairs) - len(new) == len(old) else None
+
+
+def reference_stage_tags(state):
+    """Each final pair's first stage, by walking the stages deepest first."""
+    D, pairs = state.final.scaled
+    first = {}
+    for k in range(state.depth, -1, -1):
+        D_k, pairs_k = state.stages[k].scaled
+        up = D // D_k
+        first.update(dict.fromkeys(((x * up, y * up) for x, y in pairs_k), k))
+    return tuple(map(first.__getitem__, pairs))
+
+
+def reference_frontier(state, k):
+    if k == 0:
+        return state.stages[0].leaves
+    D_k = state.stages[k].scaled[0]
+    return frozenset(_leaf(p, D_k) for p in reference_new_pairs(state.stages[k - 1], state.stages[k]))
+
+
+@lru_cache(maxsize=None)
+def first_choice_states(d, n, policy):
+    """The pullback of every degree-d portrait's hull under its first canonical placement."""
+    return [
+        pullback(P._hull, P._first_choice().as_critical_portrait(), n, policy=policy)
+        for P in enumerate_fpps(d)
+    ]
+
+
+class TestFirstStageRecord:
+    """Each final leaf's first stage is recorded once, by the nesting check, and read everywhere."""
+
+    def assert_matches_references(self, state):
+        tags = reference_stage_tags(state)
+        assert state._first_stage == tags
+        assert document_from_state(state).stages == tags
+        for k in range(state.depth + 1):
+            assert state.frontier(k) == reference_frontier(state, k)
+
+    @pytest.mark.parametrize("policy", _POLICIES)
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (4, 3), (5, 3), (6, 2)])
+    def test_canonical_states(self, d, n, policy):
+        for state in first_choice_states(d, n, policy):
+            self.assert_matches_references(state)
+            rebuilt = document_from_state(state).pullback_state()
+            self.assert_matches_references(rebuilt)
+            assert rebuilt._first_stage == state._first_stage
+
+    def test_repeated_stage(self):
+        s0, s1, s2 = quintic_canonical(2).stages
+        state = PullbackState(5, quintic_canonical(2).portrait, (s0, s0, s2), "shortest")
+        self.assert_matches_references(state)
+        assert set(state._first_stage) == {0, 2}
+
+    def test_record_is_not_a_field(self):
+        state = quintic_canonical(2)
+        assert "_first_stage" not in repr(state)
+        assert replace(state, policy="document")._first_stage == state._first_stage
+
+    def test_nesting_agrees_with_pairwise_reference(self):
+        state = quintic_canonical(2)
+        s0, s1, s2 = state.stages
+        thinned = Lamination(5, s2.leaves - {min(state.frontier(1))}, depth=2)
+        empty = Lamination(5, frozenset())
+        pool = (empty, s0, s1, s2, thinned)
+        for size in (1, 2, 3):
+            for stages in itertools.product(pool, repeat=size):
+                nested = all(
+                    reference_new_pairs(lo, hi) is not None for lo, hi in zip(stages, stages[1:])
+                )
+                if nested:
+                    self.assert_matches_references(
+                        PullbackState(5, state.portrait, stages, "shortest")
+                    )
+                else:
+                    with pytest.raises(ValueError, match="stages must be nested"):
+                        PullbackState(5, state.portrait, stages, "shortest")
 
 
 class TestPortraitChoiceIndependence:
