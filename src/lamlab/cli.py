@@ -45,14 +45,19 @@ __all__ = ["main"]
 # takes about 0.55 s and 41 MB max RSS on a 2-CPU Xeon, and pullback time
 # grows faster than the leaf count
 MAX_LEAVES = 50_000
-# `fpp canonical` and `render` refuse a degree whose d - 1 fixed points exceed
-# this before they build anything.  The leaf cap alone does not bound the
+# `fpp canonical` refuses a degree whose d - 1 fixed points exceed this
+# before it builds anything.  The leaf cap alone does not bound the
 # work: a sibling matching that meets a critical endpoint costs about d^3
 # (about 0.15 s at degree 201), and without this bound `--fpp none --depth 0`
 # at degree 10^6 passes the leaf cap.  At the bound, degree 101, the full
 # polygon's 100 hull leaves at depth 1 (10,200 leaves) take about 2 s and
-# 24 MB max RSS on a 2-CPU Xeon, and `--fpp none --depth 0` 0.2 s and 18 MB
+# 24 MB max RSS on a 2-CPU Xeon, and `--fpp none --depth 0` 0.25 s and 20 MB
 MAX_FIXED_POINTS = 100
+# `render` refuses a document's degree whose d - 1 fixed points exceed this
+# before it draws, since it draws one dot per fixed point; a one-leaf
+# document at the bound, degree 100,001, takes about 0.35 s and 42 MB max RSS
+# on a 2-CPU Xeon and writes 6.4 MB of SVG
+MAX_DRAWN_FIXED_POINTS = 100_000
 # `rot orbits` reads C(q+d-1, q) digit tuples per rotation number p/q; the
 # 92,378 of degree 10, rotation 1/10 take about 3 s with their 12 MB of
 # output on a 2-CPU Xeon
@@ -90,11 +95,9 @@ def _check_degree_arg(d: int) -> int:
     return d
 
 
-def _check_fixed_points(d: int) -> None:
-    if d - 1 > MAX_FIXED_POINTS:
-        raise _usage(
-            f"degree {d} means {d - 1} fixed points; the limit is {MAX_FIXED_POINTS}"
-        )
+def _check_fixed_points(d: int, limit: int) -> None:
+    if d - 1 > limit:
+        raise _usage(f"degree {d} means {d - 1} fixed points; the limit is {limit}")
 
 
 def _parse_points(text: str, d: int) -> tuple[CirclePoint, ...]:
@@ -193,7 +196,7 @@ def _cmd_fpp_enum(args: argparse.Namespace) -> int:
 
 def _cmd_fpp_canonical(args: argparse.Namespace) -> int:
     d = _check_degree_arg(args.degree)
-    _check_fixed_points(d)
+    _check_fixed_points(d, MAX_FIXED_POINTS)
     if args.depth < 0:
         raise _usage("depth must be >= 0")
     blocks = _parse_blocks(args.fpp)
@@ -448,8 +451,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     doc = _load_document(args.file)
-    # one dot per fixed point
-    _check_fixed_points(doc.degree)
+    _check_fixed_points(doc.degree, MAX_DRAWN_FIXED_POINTS)
     try:
         spec = RenderSpec(size=args.size, style=args.style, labels=args.labels)
     except ValueError as exc:

@@ -87,13 +87,14 @@ class FixedPointPortrait:
         """`canonical_portraits(self)[0]`, built alone: each run's first placement.
 
         The choices are the product of the runs' sorted placements, so the
-        first takes each run's first.  Building only it keeps the cost linear
-        in d, where all choices number up to 2^(d - 1).
+        first takes each run's first.  A run of r arcs has r + 1 placements of
+        r + 1 vertices, so building only this choice costs at most about d^2
+        points, where all choices number up to 2^(d - 1).
         """
         d = self.degree
         return CanonicalPortraitChoice(
             self,
-            tuple(_first_placement(d, s, r) for _, runs, _ in _sectors(self) for s, r in runs),
+            tuple(_run_placements(d, s, r)[0] for _, runs, _ in _sectors(self) for s, r in runs),
         )
 
     def rotated(self, k: int = 1) -> "FixedPointPortrait":
@@ -244,18 +245,6 @@ class CanonicalPortraitChoice:
         return CriticalPortrait(self.portrait.degree, self.chords)
 
 
-def _run_vertices(d: int, s: int, r: int, j: int) -> tuple[int, ...]:
-    """The sorted vertices over G = d(d - 1) of the placement whose first vertex from s is s*d + j."""
-    n = d - 1
-    return tuple(sorted((s * d + j + i * n) % (d * n) for i in range(r + 1)))
-
-
-def _placement(d: int, verts: tuple[int, ...]) -> Leaf | Polygon:
-    """The chord or polygon on sorted vertices over G = d(d - 1)."""
-    pts = tuple(_point(x, d * (d - 1)) for x in verts)
-    return Leaf(*pts) if len(pts) == 2 else Polygon(pts)
-
-
 def _run_placements(d: int, s: int, r: int) -> list[Leaf | Polygon]:
     """The all-critical placements in the run of r unit arcs from fixed point s, sorted.
 
@@ -265,26 +254,16 @@ def _run_placements(d: int, s: int, r: int) -> list[Leaf | Polygon]:
     j = 0..r; on the full circle, r = n, j = n gives the polygon of j = 0.
     """
     n = d - 1
-    offsets = range(r + 1 if r < n else n)
-    return [_placement(d, v) for v in sorted(_run_vertices(d, s, r, j) for j in offsets)]
-
-
-def _first_placement(d: int, s: int, r: int) -> Leaf | Polygon:
-    """`_run_placements(d, s, r)[0]`, built alone.
-
-    The offsets j give distinct least vertices: a = s*d + j, or a mod n once
-    the run wraps past G, a + r*n >= G.  So the sorted placements are sorted
-    by least vertex, and the first is the offset whose least vertex is least.
-    """
-    n = d - 1
     G = d * n
-
-    def least(j: int) -> int:
-        a = s * d + j
-        return a % n if a + r * n >= G else a
-
-    j = min(range(r + 1 if r < n else n), key=least)
-    return _placement(d, _run_vertices(d, s, r, j))
+    verts = sorted(
+        tuple(sorted((s * d + j + i * n) % G for i in range(r + 1)))
+        for j in range(r + 1 if r < n else n)
+    )
+    out: list[Leaf | Polygon] = []
+    for v in verts:
+        pts = tuple(_point(x, G) for x in v)
+        out.append(Leaf(*pts) if r == 1 else Polygon(pts))
+    return out
 
 
 def canonical_portraits(P: FixedPointPortrait) -> list[CanonicalPortraitChoice]:

@@ -213,6 +213,8 @@ class PullbackState:
         """Leaves first appearing at stage k, for 0 <= k <= depth."""
         if not 0 <= k <= self.depth:
             raise ValueError(f"stage {k} outside 0..{self.depth}")
+        if k == 0:
+            return self.stages[0].leaves
         D, pairs = self.final.scaled
         return frozenset(_leaf(p, D) for p, s in zip(pairs, self._first_stage) if s == k)
 

@@ -748,10 +748,11 @@ class TestRenderCommand:
         assert rc == 2
         assert "cannot write" in err
 
-    def test_degree_is_capped_before_drawing(self, capsys, tmp_path, monkeypatch):
-        # one dot per fixed point: a billion of them for this one-leaf file
+    @pytest.mark.parametrize("degree", [10**9, cli.MAX_DRAWN_FIXED_POINTS + 2])
+    def test_degree_is_capped_before_drawing(self, capsys, tmp_path, monkeypatch, degree):
+        # one dot per fixed point: up to a billion of them for this one-leaf file
         doc, svg = tmp_path / "big.json", tmp_path / "big.svg"
-        doc.write_text('{"degree": 1000000000, "leaves": [["0", "1/2"]]}')
+        doc.write_text(f'{{"degree": {degree}, "leaves": [["0", "1/2"]]}}')
 
         def refuse(*args):
             raise AssertionError("drawing started")
@@ -766,11 +767,22 @@ class TestRenderCommand:
         assert rc == 2
         assert out == ""
         assert err == (
-            "lamlab: error: degree 1000000000 means 999999999 fixed points; "
-            f"the limit is {cli.MAX_FIXED_POINTS}\n"
+            f"lamlab: error: degree {degree} means {degree - 1} fixed points; "
+            f"the limit is {cli.MAX_DRAWN_FIXED_POINTS}\n"
         )
         assert not svg.exists()
         assert peak < 1_000_000
+
+    def test_degree_past_the_build_bound_still_draws(self, capsys, tmp_path):
+        # `fpp canonical` refuses this degree, but drawing it costs one dot per fixed point
+        degree = cli.MAX_FIXED_POINTS + 50
+        doc, svg = tmp_path / "wide.json", tmp_path / "wide.svg"
+        doc.write_text(f'{{"degree": {degree}, "leaves": [["0", "1/2"]]}}')
+        rc, out, _ = run(capsys, "render", "--file", str(doc), "--out", str(svg))
+        assert rc == 0
+        assert jline(out)["leaves"] == 1
+        # the boundary circle and one dot per fixed point
+        assert svg.read_text().count("<circle ") == 1 + degree - 1
 
 
 class TestReportShape:
