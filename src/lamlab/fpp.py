@@ -36,6 +36,26 @@ def _blocks_cross(b1: tuple[int, ...], b2: tuple[int, ...]) -> bool:
     return any(_cross(s, t) for s in _sides(b1) for t in _sides(b2))
 
 
+def _noncrossing(blocks: list[tuple[int, ...]]) -> bool:
+    """Whether disjoint sorted index blocks, each of two or more, are pairwise non-crossing.
+
+    One sort of the indices and a stack walk: a block opens at its first
+    index and closes at its last.  Two blocks cross exactly when one has an
+    index between the first and last of a block opened after it, that is
+    when a block's later index comes with another block on top of it.
+    """
+    stack: list[int] = []
+    for i, k in sorted((i, k) for k, b in enumerate(blocks) for i in b):
+        b = blocks[k]
+        if i == b[0]:
+            stack.append(k)
+        elif stack[-1] != k:
+            return False
+        if i == b[-1]:
+            stack.pop()
+    return True
+
+
 @dataclass(frozen=True)
 class FixedPointPortrait:
     """A non-crossing partition of the d-1 fixed points; singleton blocks implied."""
@@ -60,9 +80,11 @@ class FixedPointPortrait:
                 seen.add(i)
             norm.append(bb)
         norm.sort()
-        for b1, b2 in itertools.combinations(norm, 2):
-            if _blocks_cross(b1, b2):
-                raise ValueError(f"blocks {b1} and {b2} cross")
+        if not _noncrossing(norm):
+            # the pairwise scan names the first crossing pair
+            for b1, b2 in itertools.combinations(norm, 2):
+                if _blocks_cross(b1, b2):
+                    raise ValueError(f"blocks {b1} and {b2} cross")
         object.__setattr__(self, "blocks", tuple(norm))
 
     def point(self, i: int) -> CirclePoint:

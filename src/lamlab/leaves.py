@@ -229,10 +229,19 @@ class Lamination:
 
         `_face_sweep` boundaries from one sweep, kept for every later reader:
         the vertex tests run on the integer view, where sigma is x -> d*x mod D.
+        Few faces pass, so each is first tested on the image of its first
+        element's first endpoint alone: every vertex is an endpoint of some
+        element, and the vertex set is built only when the image is one.
         """
         d, D = self.degree, self._D
         out = []
         for boundary in _face_sweep(self):
+            u = d * boundary[0][1] % D
+            for e in boundary:
+                if u == e[1] or u == e[2]:
+                    break
+            else:
+                continue
             verts = {v for e in boundary if e[0] == 0 for v in (e[1], e[2])}
             if all(d * x % D in verts for x in verts):
                 out.append((tuple(boundary), frozenset(verts)))

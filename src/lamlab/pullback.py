@@ -251,7 +251,8 @@ def _best_matching(
 
     Both policies then return that matching, read off by one bisect per
     fibre point with no crossing scan.  Only when a fibre point is a
-    critical endpoint does `_dp_matching` choose among the valid chords.
+    critical endpoint does `_dp_matching` choose among the valid chords;
+    `ends` is its index of the placed chords at critical endpoints.
     """
     cut, arc_sector = sectors
     n = len(cut)
@@ -287,9 +288,25 @@ def _dp_matching(
     The preimages of the leaf's endpoints x < y alternate around the circle,
     so point 2i of the sorted fibres is (x + i*denom)/(d*denom) and point
     2i+1 is (y + i*denom)/(d*denom).  A chord between points of the two
-    fibres is valid when it crosses nothing already placed: every placed
-    endpoint strictly inside it has its partner in the closed span, which
-    the sorted endpoint index `ends` answers.  `_fibre_matching` runs at
+    fibres is valid when it crosses nothing already placed.  `ends` holds
+    sorted (endpoint, partner) entries of only the placed chords with an
+    endpoint at a critical endpoint, and a chord that crosses a placed chord
+    crosses one of those:
+
+    - a chord joining two closed critical sectors crosses a critical chord,
+      and every critical chord is in `ends`;
+    - a placed chord crossing a chord inside one closed sector lies in that
+      sector too, since placed chords cross no critical chord.  On a closed
+      sector sigma keeps circular order, except that it identifies the
+      sector's critical endpoints, so the two chords map onto the frontier
+      leaf and a leaf of the previous stage (or a point), which do not
+      cross.  The chords cross anyway only where that order breaks, at a
+      critical endpoint of the placed chord: one at the scored chord's own
+      end breaks nothing, since sigma sends both identified ends to one
+      point.
+
+    So a chord is valid when every endpoint in `ends` strictly inside it
+    has its partner in the closed span.  `_fibre_matching` runs at
     most twice over the valid chords.  The first run finds the policy's
     longest chord tau: the least bottleneck ("shortest", zero gains), or
     the least bottleneck among the matchings that reuse the most placed
@@ -386,6 +403,10 @@ def pullback(
     cut = sorted(arc_starts)
     arc_sector = [arc_starts[u] for u in cut]
     cut = [u * upc for u in cut]
+    at_cut = set(cut)
+    # only the placed chords at a critical endpoint can block a chord that
+    # `_dp_matching` scores (see there); they stay at one as the grid scales
+    ends = sorted(e for x, y in acc_pairs if x in at_cut or y in at_cut for e in ((x, y), (y, x)))
 
     # placed chords as integer pairs over denom = D * d^k; the frontier holds
     # the leaves new at the previous stage and `stage` every leaf, both sorted
@@ -393,8 +414,9 @@ def pullback(
     stages = [Lamination._on_grid(d, D0, initial)]
     for k in range(1, n + 1):
         acc_pairs = {(x * d, y * d) for x, y in acc_pairs}
-        ends = sorted(e for x, y in acc_pairs for e in ((x, y), (y, x)))
+        ends = [(x * d, y * d) for x, y in ends]
         cut = [u * d for u in cut]
+        at_cut = set(cut)
         sectors = (cut, arc_sector)
         new = []
         for pair in frontier:
@@ -402,8 +424,9 @@ def pullback(
                 if (x, y) in acc_pairs:
                     continue
                 acc_pairs.add((x, y))
-                insort(ends, (x, y))
-                insort(ends, (y, x))
+                if x in at_cut or y in at_cut:
+                    insort(ends, (x, y))
+                    insort(ends, (y, x))
                 new.append((x, y))
         denom *= d
         frontier = sorted(new)

@@ -1,5 +1,7 @@
 """Tests for fixed-point groupings, sectors, and canonical critical placements."""
 import itertools
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from lamlab.fpp import (
     FixedPointPortrait,
     FixedSector,
     _blocks_cross,
+    _noncrossing,
     canonical_portraits,
     enumerate_fpps,
     fixed_sectors,
@@ -227,6 +230,54 @@ class TestPortraitValidation:
                     assert _blocks_cross(b1, b2) == gap_walk_blocks_cross(b1, b2, n)
                     pairs += 1
         assert pairs == 5482
+
+    def test_noncrossing_matches_pairwise_scan(self):
+        # every set partition of n <= 8 fixed points, so every block set of
+        # every degree d <= 9, crossing or not
+        def partitions(elems):
+            if not elems:
+                yield []
+                return
+            x, rest = elems[0], elems[1:]
+            for p in partitions(rest):
+                yield [(x,), *p]
+                for i, b in enumerate(p):
+                    yield [*p[:i], (x, *b), *p[i + 1 :]]
+
+        counts = {False: 0, True: 0}
+        for n in range(1, 9):
+            for p in partitions(tuple(range(n))):
+                blocks = sorted(b for b in p if len(b) > 1)
+                want = not any(_blocks_cross(b1, b2) for b1, b2 in itertools.combinations(blocks, 2))
+                assert _noncrossing(blocks) == want
+                counts[want] += 1
+        # Bell(1) + ... + Bell(8), of which the Catalan numbers are non-crossing
+        assert counts == {True: 2055, False: 3240}
+
+    @given(st.integers(4, 80).flatmap(lambda n: st.permutations(range(n))), st.data())
+    def test_crossing_error_names_first_pair(self, order, data):
+        # a random set partition into blocks of two or more: the check agrees
+        # with the pairwise scan, whose first crossing pair the error names
+        bounds = [0]
+        for c in sorted(data.draw(st.sets(st.integers(2, len(order) - 2)))):
+            if c - bounds[-1] >= 2:
+                bounds.append(c)
+        bounds.append(len(order))
+        blocks = sorted(tuple(sorted(order[a:b])) for a, b in zip(bounds, bounds[1:]))
+        crossing = [(b1, b2) for b1, b2 in itertools.combinations(blocks, 2) if _blocks_cross(b1, b2)]
+        assert _noncrossing(blocks) == (not crossing)
+        if crossing:
+            b1, b2 = crossing[0]
+            with pytest.raises(ValueError, match=rf"^blocks {re.escape(str(b1))} and {re.escape(str(b2))} cross$"):
+                FixedPointPortrait(len(order) + 1, blocks)
+
+    def test_many_blocks_checked_fast(self):
+        # 2,000 nested blocks at degree 4,001: about 2 million block pairs for a pairwise scan
+        blocks = tuple((i, 3999 - i) for i in range(2000))
+        start = time.perf_counter()
+        P = FixedPointPortrait(4001, blocks)
+        assert time.perf_counter() - start < 0.5
+        assert len(P.blocks) == 2000
 
     def test_hull_leaves(self):
         P = FixedPointPortrait(5, ((0, 1),))

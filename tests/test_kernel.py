@@ -327,7 +327,24 @@ class TestGridLamination:
             L.depth = 1
 
 
+def vertex_set_invariant_faces(L):
+    """Reference: every face of the sweep whose vertex set sigma maps into itself, with that set."""
+    d, D = L.degree, L.scaled[0]
+    out = []
+    for boundary in _face_sweep(L):
+        verts = {v for e in boundary if e[0] == 0 for v in (e[1], e[2])}
+        if all(d * x % D in verts for x in verts):
+            out.append((tuple(boundary), frozenset(verts)))
+    return tuple(out)
+
+
 class TestInvariantFacesKernel:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_first_vertex_filter_keeps_every_invariant_face(self, d):
+        for state in canonical_states(d):
+            for lam in state.stages:
+                assert lam._invariant_faces == vertex_set_invariant_faces(lam)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_equals_fraction_oracle_on_canonical_stages(self, d):
         for state in canonical_states(d):

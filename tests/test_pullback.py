@@ -997,10 +997,16 @@ _MIRROR_PLACED = {(0, 9), (0, 6), (0, 12)}
 _BLOCKED = (2, (0, 2), 4, [(1, 3), (3, 1), (3, 5), (5, 3)], {(1, 3), (3, 5)}, "shortest")
 
 
+def full_index(acc_pairs):
+    """The sorted endpoint index of every placed chord, two entries per chord."""
+    return sorted(e for x, y in acc_pairs for e in ((x, y), (y, x)))
+
+
 def recorded_matchings(monkeypatch, runs):
     """The `_best_matching` calls of each pullback (F0, C, n), under both policies.
 
-    Every answer is compared with the enumerator as it is made.  Per run, a
+    Every answer is compared, as it is made, with the enumerator reading
+    every placed chord, not just the index `pullback` passed.  Per run, a
     list of (problem, answer, whether the DP ran).
     """
     module = importlib.import_module("lamlab.pullback")
@@ -1010,7 +1016,8 @@ def recorded_matchings(monkeypatch, runs):
     def checked(*problem):
         ran.clear()
         got = best(*problem)
-        assert got == enumerating_best_matching(*problem[:6])
+        d, pair, denom, _, acc_pairs, policy = problem[:6]
+        assert got == enumerating_best_matching(d, pair, denom, full_index(acc_pairs), acc_pairs, policy)
         calls[-1].append((problem, got, bool(ran)))
         return got
 
@@ -1095,6 +1102,60 @@ class TestMatchingOracle:
         assert set(dp_leaves) == boundary
         # the second DP run, over the chords within the bottleneck, is the only repeat
         assert len(dp_leaves) <= 2 * len(boundary)
+
+    # every canonical placement to these depths, and perfbench's correspondence
+    # grid; d = 2's one portrait has no hull leaf to pull back
+    BOUNDARY = {3: 5, 4: 4, 5: 3, 6: 2, 7: 2}
+
+    @pytest.mark.parametrize("d", [*sorted(BOUNDARY), "corr"])
+    def test_reduced_index_matches_full_index(self, d, monkeypatch):
+        # `pullback` indexes only the placed chords at critical endpoints; at
+        # every call that reaches the DP, the DP reading every placed chord
+        # must choose the same matching
+        module = importlib.import_module("lamlab.pullback")
+        dp = module._dp_matching
+        calls = []
+
+        def checked(*problem):
+            got = dp(*problem)
+            ends, acc_pairs = problem[3:5]
+            assert got == dp(*problem[:3], full_index(acc_pairs), *problem[4:])
+            calls.append(len(ends) < 2 * len(acc_pairs))
+            return got
+
+        monkeypatch.setattr(module, "_dp_matching", checked)
+        if d == "corr":
+            runs = [(F0, C, 3) for F0, C in unicritical_portraits(CORR_GRID)]
+        else:
+            runs = [
+                (Lamination(d, P.hull_leaves), choice.as_critical_portrait(), self.BOUNDARY[d])
+                for P in enumerate_fpps(d)
+                for choice in canonical_portraits(P)
+            ]
+        for F0, C, n in runs:
+            for policy in _POLICIES:
+                pullback(F0, C, n, policy=policy)
+        # the DP ran, and on an index smaller than the full one
+        assert any(calls)
+
+    def test_index_holds_only_chords_at_critical_endpoints(self, monkeypatch):
+        # d=3 `0-1` at depth 8: every entry passed to `_best_matching` has an
+        # endpoint on the stage's grid of critical endpoints, and the index
+        # grows by a few chords per stage, where one of every placed chord
+        # reaches 19,680 entries
+        module = importlib.import_module("lamlab.pullback")
+        best = module._best_matching
+        sizes = []
+
+        def spy(d, pair, denom, ends, acc_pairs, policy, sectors):
+            cut = set(sectors[0])
+            assert all(x in cut or y in cut for x, y in ends)
+            sizes.append(len(ends))
+            return best(d, pair, denom, ends, acc_pairs, policy, sectors)
+
+        monkeypatch.setattr(module, "_best_matching", spy)
+        canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 8)
+        assert max(sizes) <= 54
 
     @settings(max_examples=300)
     @given(matching_problems())
