@@ -12,6 +12,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress
 from operator import lt
 from typing import Iterable, Iterator
@@ -148,6 +149,11 @@ class LaminationDocument:
             raise ValueError("fixed point portrait degree disagrees with the document")
 
     def lamination(self) -> Lamination:
+        """The document's leaves as a Lamination at its deepest stage, built on the first call."""
+        return self._lamination
+
+    @cached_property
+    def _lamination(self) -> Lamination:
         depth = max(self.stages, default=0) if self.stages is not None else 0
         return Lamination._on_grid(self.degree, self.leaves.D, self.leaves.pairs, depth)
 
@@ -155,7 +161,8 @@ class LaminationDocument:
         """Rebuild the staged construction recorded in this document.
 
         Requires a critical portrait.  Without stage annotations the whole
-        leaf set is treated as a single stage.
+        leaf set is treated as a single stage.  The final stage is
+        `lamination()` itself, so both share what it keeps, such as its faces.
         """
         if self.portrait is None:
             raise ValueError("document has no critical portrait to rebuild a state from")
@@ -163,8 +170,9 @@ class LaminationDocument:
         tags = self.stages or (0,) * len(pairs)
         lams = [
             Lamination._on_grid(self.degree, D, compress(pairs, [s <= k for s in tags]), k)
-            for k in range(max(tags, default=0) + 1)
+            for k in range(max(tags, default=0))
         ]
+        lams.append(self.lamination())
         return PullbackState(self.degree, self.portrait, tuple(lams), "document", self.fpp)
 
 

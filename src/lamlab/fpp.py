@@ -187,7 +187,10 @@ def fpps_up_to_rotation(d: int) -> list[FixedPointPortrait]:
 
 @dataclass(frozen=True)
 class FixedSector:
-    """One complementary region of the portrait hulls, arcs split at fixed points."""
+    """One complementary region of the portrait hulls, arcs split at fixed points.
+
+    Its arcs and leaves end at fixed points i/n, n = d - 1: the tests read them once over n.
+    """
 
     degree: int
     arcs: tuple[Arc, ...]
@@ -203,6 +206,12 @@ class FixedSector:
         """The sector's unit arcs: i for the arc from i/n to (i + 1)/n, n = d - 1."""
         n = self.degree - 1
         return frozenset(int(a.start.value * n) for a in self.arcs)
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        """The sorted boundary leaves as pairs x < y over n = d - 1."""
+        n = self.degree - 1
+        return tuple((int(l.a.value * n), int(l.b.value * n)) for l in sorted(self.boundary_leaves))
 
 
 def _sectors(

@@ -575,20 +575,23 @@ def _face(L: Lamination, boundary: Sequence[tuple[int, ...]]) -> Face:
     )
 
 
-def _on_closure(boundary: Sequence[tuple[int, ...]], D: int, t: CirclePoint) -> bool:
-    """Whether t is a vertex of a `_face_sweep` boundary over D or lies on one of its arcs.
+def _closure(boundary: Sequence[tuple[int, ...]], D: int, q: int) -> Callable[[int], bool]:
+    """A test of x: whether x/q is a vertex of a `_face_sweep` boundary over D or on a closed arc.
 
-    t = p/q need not lie on the grid: the tests compare at the finer scale D*q.
+    x/q need not lie on the boundary's grid: both meet on the grid M =
+    lcm(D, q).  An arc from u to v spans (v - u - 1) % D + 1 steps of 1/D,
+    all D of them on the full circle u = v.
     """
-    p, q = t.value.numerator, t.value.denominator
-    x = p * D
-    for e in boundary:
-        if e[0] == 0:
-            if x == e[1] * q or x == e[2] * q:
-                return True
-        elif e[1] == e[2] or (x - e[1] * q) % (D * q) <= (e[2] - e[1]) % D * q:
-            return True
-    return False
+    M = lcm(D, q)
+    up, lift = M // D, M // q
+    verts = {v * up for e in boundary if e[0] == 0 for v in e[1:3]}
+    arcs = [(e[1] * up, ((e[2] - e[1] - 1) % D + 1) * up) for e in boundary if e[0] == 1]
+
+    def on(x: int) -> bool:
+        x *= lift
+        return x in verts or any((x - u) % M <= span for u, span in arcs)
+
+    return on
 
 
 def _iterates_onto(

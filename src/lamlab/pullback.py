@@ -26,6 +26,7 @@ from .leaves import (
     Lamination,
     Leaf,
     Polygon,
+    _closure,
     _cross,
     _crossers,
     _face,
@@ -34,10 +35,7 @@ from .leaves import (
     _image,
     _iterates_onto,
     _leaf,
-    _on_closure,
     _point,
-    _scaled,
-    _scaled_pair,
     leaf_image,
     validate_prelamination,
 )
@@ -486,10 +484,10 @@ def cp_pullback_equality(P: FixedPointPortrait, n: int) -> PortraitPullbackRepor
 
 
 def _within(S: FixedSector, points: Iterable[int], D: int) -> bool:
-    """Whether every point x/D lies on one of S's closed unit arcs.
+    """Whether every point x/D lies on one of S's closed unit arcs, which S keeps over n = d - 1.
 
-    x/D lies on unit arc q = floor(x*n / D), n = d - 1, and when it is the
-    fixed point q/n also on arc q - 1, which ends there.
+    x/D lies on unit arc q = floor(x*n / D), and when it is the fixed point
+    q/n also on arc q - 1, which ends there.
     """
     n = S.degree - 1
     units = S._units
@@ -521,15 +519,12 @@ def _walk_back_gap(
     so shallower stages are consulted.  Each stage keeps its invariant
     faces, so the sectors' walks sweep it once between them.
     """
-    chord_lam = state.portrait._lamination
-    Dc, chords = chord_lam.scaled
-    needed = [
-        t for c, p in zip(chord_lam.sorted_leaves, chords) if _within(S, p, Dc) for t in c.endpoints
-    ]
+    Dc, chords = state.portrait._lamination.scaled
+    needed = [x for p in chords if _within(S, p, Dc) for x in p]
     for k in range(state.depth, 0, -1):
         lam = state.stages[k]
         D = lam.scaled[0]
-        gaps = [b for b in _sector_candidates(lam, S) if all(_on_closure(b, D, t) for t in needed)]
+        gaps = [b for b in _sector_candidates(lam, S) if all(map(_closure(b, D, Dc), needed))]
         if len(gaps) == 1:
             return gaps[0], k
     return None
@@ -640,7 +635,8 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
             boundary, gap_depth = found
             # the boundary is over stage gap_depth's grid, which divides D
             up = D // state.stages[gap_depth].scaled[0]
-            hull = {_scaled_pair(l, D) for l in S.boundary_leaves}
+            m = D // (d - 1)
+            hull = {(x * m, y * m) for x, y in S._pairs}
             unresolved = tuple(
                 _leaf((x, y), D)
                 for x, y in sorted((e[1] * up, e[2] * up) for e in boundary if e[0] == 0)
@@ -692,21 +688,19 @@ def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool
         return True
     cap = max(2 * depth + 2, 4)
     D = L.scaled[0]
-    chord_lam = C._lamination
-    Dc = chord_lam.scaled[0]
+    Dc, chords = C._lamination.scaled
     # the crossing tests run on the grid E of both L and the chords
     E = lcm(D, Dc)
     up, upc = E // D, E // Dc
-    sweep = _face_sweep(L)
-    for chord, (x, y) in zip(chord_lam.sorted_leaves, chord_lam.scaled[1]):
-        if chord in L:
-            return False
+    faces = [(b, _closure(b, D, Dc)) for b in _face_sweep(L)]
+    # a chord that is a leaf of L bounds a carrier on each side, so it fails
+    for x, y in chords:
         c = (x * upc, y * upc)
         carriers = [
             b
-            for b in sweep
-            if _on_closure(b, D, chord.a)
-            and _on_closure(b, D, chord.b)
+            for b, on in faces
+            if on(x)
+            and on(y)
             and not any(e[0] == 0 and _cross((e[1] * up, e[2] * up), c) for e in b)
         ]
         if len(carriers) != 1 or not _leaves_recur(
@@ -741,23 +735,23 @@ class SectorClassification:
     rotation: Fraction | None = None
 
 
-def _boundary_objects(S: FixedSector) -> list[tuple[tuple[CirclePoint, ...], tuple[Leaf, ...]]]:
+def _boundary_objects(S: FixedSector) -> list[tuple[list[int], tuple[Leaf, ...]]]:
     """S's hull components and lone fixed points as (sorted points, sorted leaves), sorted.
 
-    Every point is a fixed point i/n, n = d - 1: the union-find runs on the hull's grid.
+    Every point is a fixed point i/n, n = d - 1, kept as i: the union-find runs on that grid.
     """
-    n = S.degree - 1
-    leaves = sorted(S.boundary_leaves)
-    pairs = [_scaled_pair(l, n) for l in leaves]
+    leaves, pairs = sorted(S.boundary_leaves), S._pairs
     # a fixed point of S starts one of its unit arcs or, past a run's end, a leaf
-    group = _groups(pairs + [(i, i) for i in S._units])
+    group = _groups(pairs + tuple((i, i) for i in S._units))
     return [
-        (
-            tuple(_point(x, n) for x in g),
-            tuple(l for l, (x, _) in zip(leaves, pairs) if group[x] is group[g[0]]),
-        )
+        (g, tuple(l for l, (x, _) in zip(leaves, pairs) if group[x] is group[g[0]]))
         for g in _grouped(group)
     ]
+
+
+def _holds(u: int, n: int, pts: Iterable[int], others: Iterable[int], D: int) -> bool:
+    """Whether the open arc of length n from u holds all of pts and none of others, over D."""
+    return all(0 < (p - u) % D < n for p in pts) and not any(0 < (q - u) % D < n for q in others)
 
 
 def _separates(pair: tuple[int, int], pts: list[int], others: set[int], D: int) -> bool:
@@ -767,12 +761,9 @@ def _separates(pair: tuple[int, int], pts: list[int], others: set[int], D: int) 
     from u, and it is short when n <= D/2 (a diameter has two).
     """
     x, y = pair
-    for u, n in ((x, y - x), (y, D - y + x)):
-        if 2 * n <= D and all(0 < (p - u) % D < n for p in pts) and not any(
-            0 < (q - u) % D < n for q in others
-        ):
-            return True
-    return False
+    return any(
+        2 * n <= D and _holds(u, n, pts, others, D) for u, n in ((x, y - x), (y, D - y + x))
+    )
 
 
 def classify_sector(L: Lamination, C: CriticalPortrait, S: FixedSector) -> SectorClassification:
@@ -791,21 +782,24 @@ def classify_sector(L: Lamination, C: CriticalPortrait, S: FixedSector) -> Secto
         raise InsufficientDepthError("insufficient depth: need at least stage 1 leaves")
     raw = _boundary_objects(S)
     D, pairs = L.scaled
-    boundary = {_scaled_pair(l, D) for l in S.boundary_leaves}
+    n = S.degree - 1
+    m = D // n
+    boundary = {(x * m, y * m) for x, y in S._pairs}
     inside = [p for p in pairs if p not in boundary and _within(S, p, D)]
-    points = [[_scaled(p, D) for p in pts] for pts, _ in raw]
+    points = [[x * m for x in pts] for pts, _ in raw]
     flags: list[bool] = []
     for i, pts in enumerate(points):
         others = {q for j, qs in enumerate(points) if j != i for q in qs}
         flags.append(any(_separates(p, pts, others, D) for p in inside))
     objects = tuple(
-        FixedObject(pts, lvs, flag) for (pts, lvs), flag in zip(raw, flags)
+        FixedObject(tuple(_point(x, n) for x in pts), lvs, flag)
+        for (pts, lvs), flag in zip(raw, flags)
     )
     if flags and all(flags):
         witness, rho = _rotational_polygon_witness(L, S)
         return SectorClassification(S, 2, 2, objects, witness, rho)
     case = 3 if any(flags) else 1
-    witness = _gap_witness(L, S, objects)
+    witness = _gap_witness(L, S, points, flags)
     return SectorClassification(S, case, 1, objects, witness, None)
 
 
@@ -831,27 +825,21 @@ def _rotational_polygon_witness(L: Lamination, S: FixedSector) -> tuple[Face, Fr
     return cands[0]
 
 
-def _gap_witness(
-    L: Lamination, S: FixedSector, objects: tuple[FixedObject, ...]
-) -> Face:
+def _gap_witness(L: Lamination, S: FixedSector, points: list[list[int]], flags: list[bool]) -> Face:
+    """S's one non-polygon invariant face holding every unsubtended object's points over L's grid."""
     D = L.scaled[0]
-    required = [p for o in objects if not o.subtended for p in o.points]
+    required = [x for pts, flag in zip(points, flags) if not flag for x in pts]
     cands = [
         b
         for b in _sector_candidates(L, S)
-        if not _is_polygon(b) and all(_on_closure(b, D, p) for p in required)
+        if not _is_polygon(b) and all(map(_closure(b, D, D), required))
     ]
-    subtended = [_scaled(p, D) for o in objects if o.subtended for p in o.points]
+    subtended = [x for pts, flag in zip(points, flags) if flag for x in pts]
     if len(cands) > 1 and subtended:
         # A face pinched off behind a leaf joining two distinct required
         # objects only ever touches those two; when every subtended object
         # sits beyond the pinch it cannot be the sector's gap.
-        owner = {
-            _scaled(p, D): i
-            for i, o in enumerate(objects)
-            if not o.subtended
-            for p in o.points
-        }
+        owner = {x: i for i, (pts, flag) in enumerate(zip(points, flags)) if not flag for x in pts}
         cands = [b for b in cands if not _pinched_off(b, owner, subtended, D)]
     if len(cands) != 1:
         raise InsufficientDepthError(
@@ -875,11 +863,8 @@ def _pinched_off(
         if ia is None or ib is None or ia == ib:
             continue
         # the open arcs x -> y and y -> x
-        for u, n in ((x, y - x), (y, D - y + x)):
-            if all(0 < (p - u) % D < n for p in beyond) and not any(
-                0 < (w - u) % D < n for w in verts
-            ):
-                return True
+        if _holds(x, y - x, beyond, verts, D) or _holds(y, D - y + x, beyond, verts, D):
+            return True
     return False
 
 

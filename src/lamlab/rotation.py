@@ -27,6 +27,7 @@ from .leaves import (
     Face,
     Leaf,
     Polygon,
+    _closure,
     _cross,
     _cycles,
     _face,
@@ -402,21 +403,12 @@ def _coroots(
     if polygon.rotation.denominator != q:
         raise ValueError(f"the polygon's {q} points form several cycles")
     local_degree = len(group)
-    # one q-cycle lies on the grid over Q = d^q - 1; the candidates and the
-    # gap boundary, over the stage's DL, meet on the grid over M
+    # one q-cycle lies on the grid over Q = d^q - 1, where the candidates
+    # meet the gap boundary over the stage's grid
     Q = d**q - 1
     D = polygon._scaled[0]
     majors = {x * (Q // D) for x in major}
-    DL = state.final.scaled[0]
-    M = math.lcm(DL, Q)
-    up, lift = M // DL, M // Q
-    verts = {v * up for e in boundary if e[0] == 0 for v in e[1:3]}
-    arcs = [(e[1] * up, (e[2] - e[1]) % DL * up) for e in boundary if e[0] == 1]
-
-    def on_closure(x: int) -> bool:
-        x *= lift
-        return x in verts or any((x - u) % M <= span for u, span in arcs)
-
+    on_closure = _closure(boundary, state.final.scaled[0], Q)
     found: list[int] = []
     for candidate in _itineraries(d, q, polygon.rotation.numerator):
         for x in candidate:

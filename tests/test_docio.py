@@ -1,5 +1,7 @@
 """Tests for document serialization and SVG rendering."""
+import contextlib
 import hashlib
+import importlib
 import json
 import re
 from dataclasses import replace
@@ -23,9 +25,16 @@ from lamlab.docio import (
     write_portrait,
     write_svg,
 )
-from lamlab.fpp import FixedPointPortrait, canonical_portraits
+from lamlab.fpp import FixedPointPortrait, canonical_portraits, fixed_sectors
 from lamlab.leaves import Lamination, Leaf, check_invariance, validate_prelamination
-from lamlab.pullback import CriticalPortrait, canonical_lamination, clp_checks, pullback
+from lamlab.pullback import (
+    CriticalPortrait,
+    InsufficientDepthError,
+    canonical_lamination,
+    classify_sector,
+    clp_checks,
+    pullback,
+)
 
 
 def lf(a, b):
@@ -122,6 +131,37 @@ class TestStateRoundTrip:
         assert st_out.depth == 0
         assert st_out.final.leaves == {lf("1/7", "2/7")}
         assert replace(doc, stages=(0,)).pullback_state() == st_out
+
+    def test_final_stage_is_the_lamination(self):
+        doc = document_from_state(quintic_state(), "build")
+        L = doc.lamination()
+        assert doc.lamination() is L
+        assert doc.pullback_state().final is L
+        assert L == quintic_state().final
+
+    def test_check_path_sweeps_the_final_stage_once(self, monkeypatch):
+        # clp_checks on the rebuilt state and classify_sector on the
+        # document's lamination share the final stage's invariant faces
+        P = FixedPointPortrait(5, ((0, 1, 2, 3),))
+        state = canonical_lamination(P, 5)
+        text = write_document(document_from_state(state, "build"))
+        swept = []
+
+        def sweep_spy(L):
+            swept.append(len(L))
+            return face_sweep(L)
+
+        face_sweep = importlib.import_module("lamlab.leaves")._face_sweep
+        for name in ("leaves", "fpp", "pullback"):
+            monkeypatch.setattr(importlib.import_module(f"lamlab.{name}"), "_face_sweep", sweep_spy)
+        doc = read_document(text)
+        clp_checks(doc.pullback_state())
+        L = doc.lamination()
+        for S in fixed_sectors(doc.fpp):
+            with contextlib.suppress(InsufficientDepthError):
+                classify_sector(L, doc.portrait, S)
+        assert len(state.final) == 15624
+        assert swept.count(15624) == 1, swept
 
 
 class TestJsonCodec:

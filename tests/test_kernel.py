@@ -24,10 +24,10 @@ from lamlab.leaves import (
     Leaf,
     Polygon,
     Violation,
+    _closure,
     _face,
     _face_sweep,
     _iterates_onto,
-    _on_closure,
     _scaled,
     _scaled_pair,
     check_invariance,
@@ -517,13 +517,21 @@ class TestSectorGeometryKernel:
     @settings(max_examples=200)
     @given(mixed_laminations, st.lists(st.fractions(0, 1, max_denominator=60), max_size=8))
     def test_on_closure_equals_face_on_closure(self, L, points):
-        # points off L's grid are compared at a finer scale
-        D = L.scaled[0]
+        # points off L's grid are compared at a finer scale; the empty
+        # lamination's one face is the full-circle arc (1, 0, 0)
         points = [angle(t) for t in points] + [t for l in L.sorted_leaves for t in l.endpoints]
-        for boundary in _face_sweep(L):
-            f = _face(L, boundary)
-            for t in points:
-                assert _on_closure(boundary, D, t) == on_closure(f, t)
+        for lam in (L, Lamination(L.degree, frozenset())):
+            D = lam.scaled[0]
+            for boundary in _face_sweep(lam):
+                f = _face(lam, boundary)
+                for t in points:
+                    p, q = t.value.numerator, t.value.denominator
+                    assert _closure(boundary, D, q)(p) == on_closure(f, t)
+                # numerators over the lamination's own grid, as the sector diagnostics pass them
+                on = _closure(boundary, D, D)
+                grid = {z for x, y in lam.scaled[1] for z in (x, y, (x + y) // 2)} or range(D)
+                for z in grid:
+                    assert on(z) == on_closure(f, angle(Fraction(z, D)))
 
 
 @cache

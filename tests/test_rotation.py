@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamlab.circle import angle, check_degree, sigma
-from lamlab.leaves import Lamination, Leaf, Polygon, leaf_image
+from lamlab.leaves import Lamination, Leaf, Polygon, _closure, leaf_image
 from lamlab.pullback import CriticalPortrait, pullback
 from lamlab.rotation import (
     CoRootSet,
@@ -19,6 +19,8 @@ from lamlab.rotation import (
     MajorTieError,
     NotRotational,
     RotationalOrbit,
+    _central_gap,
+    _itineraries,
     central_gap,
     enumerate_rotational_orbits,
     find_coroots,
@@ -31,7 +33,7 @@ from lamlab.rotation import (
 )
 from test_circle import fixed_points, in_arc, orbit
 from test_leaves import half_edge_faces, leaves_cross, on_closure
-from test_pullback import canonical_critical_portraits, reference_critical_sectors
+from test_pullback import CORR_GRID, canonical_critical_portraits, reference_critical_sectors
 
 
 def fr(p, q=1):
@@ -106,6 +108,25 @@ def scanning_find_coroots(state, polygon):
             if a.distance(b) <= Fraction(1, d):
                 raise ValueError(f"co-roots {a} and {b} are within 1/{d} of each other")
     return CoRootSet(gap, group, tuple(sorted(found)), local_degree)
+
+
+def inline_coroot_closure(boundary, DL, Q):
+    """Reference: the closure test `_coroots` carried inline before `leaves._closure`.
+
+    Whether x/Q is a vertex of the gap boundary over DL or on one of its
+    closed arcs, on the grid over lcm(DL, Q).  An arc from u to v spans
+    (v - u) % DL, so the empty lamination's full-circle arc is out of its range.
+    """
+    M = math.lcm(DL, Q)
+    up, lift = M // DL, M // Q
+    verts = {v * up for e in boundary if e[0] == 0 for v in e[1:3]}
+    arcs = [(e[1] * up, (e[2] - e[1]) % DL * up) for e in boundary if e[0] == 1]
+
+    def on_closure(x):
+        x *= lift
+        return x in verts or any((x - u) % M <= span for u, span in arcs)
+
+    return on_closure
 
 
 def coroot_outcome(search, state, polygon):
@@ -500,6 +521,27 @@ class TestCoRoots:
             assert coroot_outcome(find_coroots, state, polygon) == coroot_outcome(
                 scanning_find_coroots, state, polygon
             ), polygon
+
+    @pytest.mark.parametrize("d, q", CORR_GRID)
+    def test_closure_equals_inline_closure_on_corr_grid(self, d, q):
+        # every central gap of perfbench's correspondence jobs: each boundary
+        # point over the stage's grid, and every point over Q = d^q - 1, the
+        # co-root candidates among them
+        Q = d**q - 1
+        n = 0
+        for state, polygon in anchored_states(d, q):
+            _, boundary, _ = _central_gap(state, polygon)
+            DL = state.final.scaled[0]
+            got, want = _closure(boundary, DL, DL), inline_coroot_closure(boundary, DL, DL)
+            for x in {v for e in boundary for v in e[1:3]}:
+                assert got(x) and want(x)
+            got, want = _closure(boundary, DL, Q), inline_coroot_closure(boundary, DL, Q)
+            candidates = {x for c in _itineraries(d, q, polygon.rotation.numerator) for x in c}
+            assert candidates <= set(range(Q))
+            for x in range(Q):
+                assert got(x) == want(x), (polygon, x)
+            n += 1
+        assert n == (d - 1) * sum(math.gcd(p, q) == 1 for p in range(1, q))
 
     def test_multi_cycle_polygon_rejected(self):
         # two 2-cycles rotating by 1/2 as one 4-point set
