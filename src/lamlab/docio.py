@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
-from operator import lt
-from typing import Iterable, Iterator
+from operator import eq, lt, mul
 
 from . import __version__
 from .circle import CirclePoint, _rational, check_degree, parse_angle, render_dnary
@@ -47,14 +46,13 @@ def format_angle(t: CirclePoint) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-_fmt = format_angle
-
-
 class _GridLeaves(Sequence):
     """A document's sorted leaves, stored as integer pairs x < y over one denominator D.
 
     Length and equality come from the pairs; the `Leaf` forms are built on
-    first use, and the sequence equals the tuple of them.
+    first use, and the sequence equals the tuple of them.  `read_document`
+    builds it from the literals without building a `Leaf`: a list of ASCII
+    `p/q` literals column by column, any other list one literal at a time.
     """
 
     __slots__ = ("D", "pairs", "_leaves")
@@ -249,42 +247,102 @@ def _terms(text: str, degree: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _parse_leaves(raw: list, degree: int, what: str = "leaf") -> list[tuple[int, int]]:
+def _parse_leaves(raw: list, degree: int, what: str) -> list[tuple[int, int]]:
     """The lowest terms of the leaf endpoints, two per leaf, in document order.
 
-    Reads the literals as `parse_angle` does and refuses what `Leaf` refuses.
+    Reads the literals as `parse_angle` does and refuses what `Leaf` refuses,
+    naming the first flaw in document order.
     """
     terms: list[tuple[int, int]] = []
-    seen: dict[str, tuple[int, int]] = {}  # an endpoint is often shared by several leaves
     for entry in raw:
         a, b = _pair_strings(entry, what)
-        ta = seen.get(a)
-        if ta is None:
-            ta = seen[a] = _terms(a, degree)
-        tb = seen.get(b)
-        if tb is None:
-            tb = seen[b] = _terms(b, degree)
+        ta, tb = _terms(a, degree), _terms(b, degree)
         if ta == tb:
             raise ValueError(f"degenerate leaf at {CirclePoint(Fraction(*ta))}")
         terms += (ta, tb)
     return terms
 
 
-def _grid_leaves(degree: int, terms: list[tuple[int, int]]) -> _GridLeaves:
-    """The leaves of `_parse_leaves` on their grid, D = lcm(d - 1, every denominator)."""
-    D = math.lcm(check_degree(degree) - 1, *{q for _, q in terms})
-    xs = [p * (D // q) for p, q in terms]
-    return _GridLeaves(D, tuple((x, y) if x < y else (y, x) for x, y in zip(xs[::2], xs[1::2])))
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
-def _parse_chords(raw: object, degree: int, what: str) -> CriticalPortrait:
+def _bulk_numerators(raw: list, n: int) -> tuple[int, list[int]] | None:
+    """D = lcm(n, every denominator) and the endpoints over D, two per leaf, or None.
+
+    Reads the list column by column when every entry is a pair of ASCII
+    `p/q` literals with q > 0 and no leaf is degenerate; the terms need not
+    be reduced.  Any other list gives None.
+    """
+    if set(map(type, raw)) != {list} or set(map(len, raw)) != {2}:
+        return None
+    flat = list(chain.from_iterable(raw))
+    if set(map(type, flat)) != {str}:
+        return None
+    uniq = list(dict.fromkeys(flat))
+    joined = ",".join(uniq)
+    # without its digits, each literal must leave exactly one "/"
+    if joined.translate(_NO_DIGITS) != ",".join(["/"] * len(uniq)):
+        return None
+    parts = joined.replace(",", "/").split("/")
+    if "" in parts:
+        return None
+    try:
+        ps = list(map(int, parts[::2]))
+        q_of = {s: int(s) for s in set(parts[1::2])}  # a document has few denominators
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        return None
+    if 0 in q_of.values():
+        return None
+    D = math.lcm(n, *q_of.values())
+    scale = {s: D // q for s, q in q_of.items()}
+    xs = list(map(mul, ps, map(scale.__getitem__, parts[1::2])))
+    if max(xs) >= D:  # p/q with p >= q: (p * D/q) % D = (p % q) * D/q
+        xs = [x % D for x in xs]
+    at = dict(zip(uniq, xs))
+    xs = list(map(at.__getitem__, flat))
+    if any(map(eq, xs[::2], xs[1::2])):
+        return None
+    return D, xs
+
+
+def _read_pairs(raw: object, degree: int, where: str, what: str) -> _GridLeaves:
+    """A document's list of angle pairs on its grid, D = lcm(d - 1, every denominator).
+
+    `_bulk_numerators` reads the ASCII `p/q` form; any other list goes
+    through `_parse_leaves`, which reads every literal form and names the
+    first flaw.  The degree is not checked here: the document or portrait
+    built from the pairs refuses a degree below 2 after its other fields,
+    and until then the grid is that of the denominators alone.
+    """
     if not isinstance(raw, list):
-        raise ValueError(f"{what} must be a list of angle pairs")
-    chords = _grid_leaves(degree, _parse_leaves(raw, degree, "portrait chord"))
-    return CriticalPortrait(degree, frozenset(chords))
+        raise ValueError(f"{where} must be a list of angle pairs")
+    n = degree - 1 if degree >= 2 else 1
+    grid = _bulk_numerators(raw, n)
+    if grid is None:
+        terms = _parse_leaves(raw, degree, what)
+        D = math.lcm(n, *{q for _, q in terms})
+        grid = D, [p * (D // q) for p, q in terms]
+    D, xs = grid
+    a, b = xs[::2], xs[1::2]
+    if all(map(lt, a, b)):
+        return _GridLeaves(D, tuple(zip(a, b)))
+    return _GridLeaves(D, tuple((x, y) if x < y else (y, x) for x, y in zip(a, b)))
+
+
+def _read_chords(raw: object, degree: int, where: str) -> CriticalPortrait:
+    chords = _read_pairs(raw, degree, where, "portrait chord")
+    return CriticalPortrait(check_degree(degree), frozenset(chords))
 
 
 def read_document(text: str) -> LaminationDocument:
+    """Parse a document written by `write_document`, or by hand.
+
+    A leaf list of unsigned ASCII `p/q` literals, as `write_document` writes
+    them (reduced or not, q > 0), is read column by column onto its grid.
+    Any other list, with digit strings `pre_per`, signs, spaces or bare
+    integers, goes through the per-literal reader, which also names the
+    first flaw of a flawed list.  Portrait chords share the same reader.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -299,13 +357,10 @@ def read_document(text: str) -> LaminationDocument:
     degree = payload["degree"]
     if not isinstance(degree, int):
         raise ValueError("'degree' must be an integer")
-    raw_leaves = payload["leaves"]
-    if not isinstance(raw_leaves, list):
-        raise ValueError("'leaves' must be a list of angle pairs")
-    terms = _parse_leaves(raw_leaves, degree)
+    leaves = _read_pairs(payload["leaves"], degree, "'leaves'", "leaf")
     portrait = None
     if payload.get("portrait") is not None:
-        portrait = _parse_chords(payload["portrait"], degree, "'portrait'")
+        portrait = _read_chords(payload["portrait"], degree, "'portrait'")
     fpp = None
     if payload.get("fpp") is not None:
         raw_fpp = payload["fpp"]
@@ -318,9 +373,7 @@ def read_document(text: str) -> LaminationDocument:
     stages = None
     if payload.get("stages") is not None:
         raw_stages = payload["stages"]
-        if not isinstance(raw_stages, list) or not all(
-            type(s) is int for s in raw_stages
-        ):
+        if not isinstance(raw_stages, list) or set(map(type, raw_stages)) - {int}:
             raise ValueError("'stages' must be a list of integers")
         stages = tuple(raw_stages)
     meta = payload.get("metadata") or {}
@@ -328,7 +381,7 @@ def read_document(text: str) -> LaminationDocument:
         raise ValueError("'metadata' must be an object")
     return LaminationDocument(
         degree=degree,
-        leaves=_grid_leaves(degree, terms),
+        leaves=leaves,
         portrait=portrait,
         fpp=fpp,
         stages=stages,
@@ -364,7 +417,7 @@ def read_portrait(text: str) -> CriticalPortrait:
     degree = payload["degree"]
     if not isinstance(degree, int):
         raise ValueError("'degree' must be an integer")
-    return _parse_chords(payload["chords"], degree, "'chords'")
+    return _read_chords(payload["chords"], degree, "'chords'")
 
 
 _STYLES = ("straight", "geodesic")
@@ -417,7 +470,8 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
 
     Deterministic: equal document and options give byte-identical output.
     Element order is background, circle, leaves from deepest stage up,
-    critical chords, fixed point dots, labels.
+    critical chords, fixed point dots, labels.  Each distinct chord
+    endpoint is placed once, and every chord sharing it reuses its text.
     """
     d = doc.degree
     if spec.labels == "dnary" and d > 10:
@@ -433,22 +487,20 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         theta = 2 * math.pi * (n / q)
         return cx + r * math.cos(theta), cy - r * math.sin(theta)
 
-    def chord_paths(D: int, pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
-        """The path data of each chord a < b over D; endpoints shared by chords are placed once."""
-        placed: dict[int, str] = {}
-
-        def at(x: int) -> str:
-            s = placed.get(x)
-            if s is None:
-                px, py = xy(x, D)
-                s = placed[x] = f"{_coord(px)} {_coord(py)}"
-            return s
-
+    def chord_paths(D: int, pairs: Sequence[tuple[int, int]]) -> list[str]:
+        """The path data of each chord a < b over D; each distinct endpoint is placed once."""
+        at: dict[int, str] = {}
+        for x in set(chain.from_iterable(pairs)):
+            theta = 2 * math.pi * (x / D)  # as xy(x, D)
+            at[x] = f"{cx + r * math.cos(theta):.4f} {cy - r * math.sin(theta):.4f}"
+        if spec.style == "straight":
+            return [f"M {at[a]} L {at[b]}" for a, b in pairs]
+        paths = []
         for a, b in pairs:
             # the span (b - a)/D lies in (0, 1) because a < b
             num = b - a
-            if spec.style == "straight" or 2 * num == D:
-                yield f"M {at(a)} L {at(b)}"
+            if 2 * num == D:
+                paths.append(f"M {at[a]} L {at[b]}")
                 continue
             # run along the short side so the arc formula sees span <= 1/2
             if 2 * num > D:
@@ -457,7 +509,8 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
             # radius r*tan(pi*span), always the minor arc, sweeping clockwise
             # on screen when the start-to-end walk is the short way around
             rho = _coord(r * math.tan(math.pi * (num / D)))
-            yield f"M {at(a)} A {rho} {rho} 0 0 1 {at(b)}"
+            paths.append(f"M {at[a]} A {rho} {rho} 0 0 1 {at[b]}")
+        return paths
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -507,7 +560,7 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
             lx = cx + rr * math.cos(theta)
             ly = cy - rr * math.sin(theta)
             p = _point(x, D)
-            text = _fmt(p) if spec.labels == "rational" else str(render_dnary(p, d))
+            text = format_angle(p) if spec.labels == "rational" else str(render_dnary(p, d))
             lines.append(
                 f'<text x="{_coord(lx)}" y="{_coord(ly)}" font-size="{fs}" '
                 f'font-family="monospace" text-anchor="middle" '

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -440,6 +441,64 @@ class TestGridReader:
         with pytest.raises(ValueError, match="degenerate leaf at 1/2"):
             read_document('{"degree": 3, "leaves": [["1/2", "-2/4"]]}')
 
+    # one literal longer than int() reads, in a form the column reader would take
+    LONG = "1" * (sys.get_int_max_str_digits() + 1) + "/7"
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            # a degenerate leaf among literals the column reader takes
+            ({"degree": 3, "leaves": [["0/1", "1/2"], ["1/2", "2/4"]]}, "degenerate leaf at 1/2"),
+            # a degenerate leaf before a malformed literal
+            ({"degree": 3, "leaves": [["1/2", "2/4"], ["x", "1/3"]]}, "degenerate leaf at 1/2"),
+            # a bad pair shape after a degenerate leaf
+            ({"degree": 3, "leaves": [["1/3", "1/3"], ["1/3"]]}, "degenerate leaf at 1/3"),
+            # leaves the column reader takes, with a malformed portrait chord
+            (
+                {"degree": 3, "leaves": [["0/1", "1/2"]], "portrait": [["0/1", "1/2"], ["0", 1]]},
+                "portrait chord endpoints must be angle strings",
+            ),
+            # a degree below 2 with flawed stages: the stages are checked first
+            ({"degree": 1, "leaves": [["0/1", "1/2"]], "stages": [True]}, "'stages' must be"),
+            ({"degree": True, "leaves": [["0/1", "1/2"]], "stages": [True]}, "'stages' must be"),
+            # and with well-typed stages, the document refuses the degree first
+            ({"degree": True, "leaves": [["0/1", "1/2"]], "stages": [-1, 0]}, "degree must be"),
+            # two separators in one literal and none in the next
+            ({"degree": 3, "leaves": [["1/2/3", "4"]]}, "malformed angle literal '1/2/3'"),
+            # a literal too long for int(), after a degenerate leaf and on its own
+            ({"degree": 3, "leaves": [["1/2", "2/4"], [LONG, "1/3"]]}, "degenerate leaf at 1/2"),
+            ({"degree": 3, "leaves": [["0/1", "1/2"], [LONG, "1/3"]]}, "Exceeds the limit"),
+        ],
+    )
+    def test_first_flaw_equals_leaf_reader(self, payload, error):
+        text = json.dumps(payload)
+        got = read_outcome(read_document, text)
+        assert got == read_outcome(leaf_read_document, text)
+        assert got[0] == "ValueError" and error in got[1], got
+
+    def test_column_reader_takes_unreduced_terms_and_whole_turns(self, monkeypatch):
+        leaves = [["5/2", "1/3"], ["2/4", "13/6"], ["0/9", "12/8"]]
+        text = json.dumps({"degree": 3, "leaves": leaves})
+        calls = count_terms(monkeypatch)
+        doc = read_document(text)
+        assert calls == [0]
+        assert doc == leaf_read_document(text)
+        assert doc.leaves.D == 6
+
+
+def count_terms(monkeypatch):
+    """Count the literals the per-literal reader `_terms` parses from now on."""
+    docio = importlib.import_module("lamlab.docio")
+    calls = [0]
+    terms = docio._terms
+
+    def counting(*args):
+        calls[0] += 1
+        return terms(*args)
+
+    monkeypatch.setattr(docio, "_terms", counting)
+    return calls
+
 
 class TestNoLeafOnJobPaths:
     """The job paths run on the integer grid: the Leafs they build do not grow with depth."""
@@ -496,6 +555,17 @@ class TestNoLeafOnJobPaths:
         monkeypatch.setattr(Lamination, "__init__", counting)
         self.build_and_render(3)
         assert built[0] == 2
+
+    def test_written_documents_skip_the_literal_reader(self, monkeypatch):
+        # `write_document` writes ASCII `p/q` literals, which are read column by column
+        P = FixedPointPortrait(3, ((0, 1),))
+        texts = [
+            write_document(document_from_state(canonical_lamination(P, n), "b")) for n in (3, 6)
+        ]
+        calls = count_terms(monkeypatch)
+        docs = [read_document(t) for t in texts]
+        assert calls == [0]
+        assert [write_document(doc) for doc in docs] == texts
 
     def test_check_path(self, monkeypatch):
         P = FixedPointPortrait(3, ((0, 1),))
