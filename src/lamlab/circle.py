@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from numbers import Rational
 
 __all__ = [
@@ -32,15 +33,17 @@ def check_degree(d: int) -> int:
     return d
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class CirclePoint:
     """A point of R/Z, stored as a reduced fraction in [0, 1).
 
     The value must be a Fraction or an int; a float or a string raises TypeError.
     Points compare by the integer terms of their values: equal terms for
-    `==`, and cross-multiplied terms for order, which is the order of the
-    values because both denominators are positive.  Comparing through
-    `Fraction` would pass every operand through the `numbers.Rational` checks.
+    `==`, and cross-multiplied terms for `<`, which is the order of the
+    values because both denominators are positive; `total_ordering` derives
+    `<=`, `>` and `>=` from those two.  Comparing through `Fraction` would
+    pass every operand through the `numbers.Rational` checks.
     """
 
     value: Fraction
@@ -69,24 +72,6 @@ class CirclePoint:
         u, v = self.value, other.value
         return u.numerator * v.denominator < v.numerator * u.denominator
 
-    def __le__(self, other: CirclePoint) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        u, v = self.value, other.value
-        return u.numerator * v.denominator <= v.numerator * u.denominator
-
-    def __gt__(self, other: CirclePoint) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        u, v = self.value, other.value
-        return u.numerator * v.denominator > v.numerator * u.denominator
-
-    def __ge__(self, other: CirclePoint) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        u, v = self.value, other.value
-        return u.numerator * v.denominator >= v.numerator * u.denominator
-
     def __add__(self, other: CirclePoint | Fraction | int) -> CirclePoint:
         return CirclePoint(self.value + _raw(other))
 
@@ -106,8 +91,7 @@ class CirclePoint:
     def __str__(self) -> str:
         return str(self.value)
 
-    def __repr__(self) -> str:
-        return str(self.value)
+    __repr__ = __str__
 
 
 def _exact(x: Fraction | int) -> Fraction:

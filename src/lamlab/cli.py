@@ -389,26 +389,15 @@ def _correspondence_obj(pair) -> dict:
     }
 
 
-def _cmd_corr_uni_to_max(args: argparse.Namespace) -> int:
+def _cmd_corr(args: argparse.Namespace) -> int:
     doc = _load_prelamination(args.file)
     pts = _parse_points(args.polygon, doc.degree)
     try:
         state = doc.pullback_state()
-        orb = RotationalOrbit(doc.degree, pts)
-        pair = uni_to_max(state, orb)
-    except ValueError as exc:
-        raise _invalid(str(exc)) from None
-    _emit(_correspondence_obj(pair))
-    return 0
-
-
-def _cmd_corr_max_to_uni(args: argparse.Namespace) -> int:
-    doc = _load_prelamination(args.file)
-    pts = _parse_points(args.polygon, doc.degree)
-    try:
-        state = doc.pullback_state()
-        gon = Polygon(pts)
-        pair = max_to_uni(state, gon)
+        if args.op == "uni-to-max":
+            pair = uni_to_max(state, RotationalOrbit(doc.degree, pts))
+        else:
+            pair = max_to_uni(state, Polygon(pts))
     except ValueError as exc:
         raise _invalid(str(exc)) from None
     _emit(_correspondence_obj(pair))
@@ -515,14 +504,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     corr = top.add_parser("corr", help="unicritical correspondence")
     corr_sub = corr.add_subparsers(dest="op", required=True)
-    u2m = corr_sub.add_parser("uni-to-max", help="q-gon to maximally critical gon")
-    u2m.add_argument("--file", required=True, metavar="PATH")
-    u2m.add_argument("--polygon", required=True, metavar="A,B,...")
-    u2m.set_defaults(func=_cmd_corr_uni_to_max)
-    m2u = corr_sub.add_parser("max-to-uni", help="maximally critical gon to q-gon")
-    m2u.add_argument("--file", required=True, metavar="PATH")
-    m2u.add_argument("--polygon", required=True, metavar="A,B,...")
-    m2u.set_defaults(func=_cmd_corr_max_to_uni)
+    for op, text in (
+        ("uni-to-max", "q-gon to maximally critical gon"),
+        ("max-to-uni", "maximally critical gon to q-gon"),
+    ):
+        sub = corr_sub.add_parser(op, help=text)
+        sub.add_argument("--file", required=True, metavar="PATH")
+        sub.add_argument("--polygon", required=True, metavar="A,B,...")
+        sub.set_defaults(func=_cmd_corr)
 
     classify = top.add_parser("classify", help="classify fixed sectors")
     classify.add_argument("--file", required=True, metavar="PATH")

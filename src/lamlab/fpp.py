@@ -113,11 +113,7 @@ class FixedPointPortrait:
         r + 1 vertices, so building only this choice costs at most about d^2
         points, where all choices number up to 2^(d - 1).
         """
-        d = self.degree
-        return CanonicalPortraitChoice(
-            self,
-            tuple(_run_placements(d, s, r)[0] for _, runs, _ in _sectors(self) for s, r in runs),
-        )
+        return CanonicalPortraitChoice(self, tuple(opts[0] for opts in _run_options(self)))
 
     def rotated(self, k: int = 1) -> "FixedPointPortrait":
         n = self.degree - 1
@@ -297,6 +293,11 @@ def _run_placements(d: int, s: int, r: int) -> list[Leaf | Polygon]:
     return out
 
 
+def _run_options(P: FixedPointPortrait) -> list[list[Leaf | Polygon]]:
+    """The sorted placements of each arc run of each fixed sector, in sector order."""
+    return [_run_placements(P.degree, s, r) for _, runs, _ in _sectors(P) for s, r in runs]
+
+
 def canonical_portraits(P: FixedPointPortrait) -> list[CanonicalPortraitChoice]:
     """Every combination of per-run canonical placements, in deterministic order.
 
@@ -304,7 +305,4 @@ def canonical_portraits(P: FixedPointPortrait) -> list[CanonicalPortraitChoice]:
     is the one the canonical pullback construction uses; `P._first_choice()`
     builds it alone.
     """
-    run_options = [
-        _run_placements(P.degree, s, r) for _, runs, _ in _sectors(P) for s, r in runs
-    ]
-    return [CanonicalPortraitChoice(P, combo) for combo in itertools.product(*run_options)]
+    return [CanonicalPortraitChoice(P, combo) for combo in itertools.product(*_run_options(P))]

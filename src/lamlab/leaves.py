@@ -10,7 +10,7 @@ sector and gap diagnostics built on top.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -157,16 +157,20 @@ def _fibre_matching(
     return cost[n], out
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Lamination:
     """A finite non-crossing-intended leaf set with a degree and a stage tag.
 
-    Stored as its integer view `scaled`, which answers `len`, `in`, `==` and
-    `hash`; `leaves`, `sorted_leaves` and the invariant faces are built on
-    first use.  Immutable, like the frozen dataclasses around it.
+    Stored as its integer view `scaled`, which answers `len` and `in`; a
+    frozen dataclass over the degree, the depth and that view, which give
+    `==` and `hash`.  `leaves`, `sorted_leaves` and the invariant faces are
+    built on first use.
     """
 
     degree: int
     depth: int
+    _D: int
+    _pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, degree: int, leaves: Iterable[Leaf], depth: int = 0) -> None:
         n = check_degree(degree) - 1
@@ -197,12 +201,6 @@ class Lamination:
         set_(self, "depth", depth)
         set_(self, "_D", D)
         set_(self, "_pairs", pairs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -270,17 +268,6 @@ class Lamination:
 
     def __iter__(self) -> Iterator[Leaf]:
         return iter(self.sorted_leaves)
-
-    def _key(self) -> tuple:
-        return self.degree, self.depth, self._D, self._pairs
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Lamination(degree={self.degree!r}, leaves={self.leaves!r}, depth={self.depth!r})"

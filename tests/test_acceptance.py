@@ -36,11 +36,15 @@ from lamlab.rotation import (
     uni_to_max,
     unicritical_anchor,
 )
+from states import (
+    cubic_state,
+    lf,
+    mixed_quartic_state,
+    quartic_global_state,
+    quartic_local_state,
+    rabbit_state,
+)
 from test_rotation import major_length_bound_check
-
-
-def lf(a, b):
-    return Leaf(angle(a), angle(b))
 
 
 _started = time.perf_counter()
@@ -67,79 +71,6 @@ def fpps_through_degree(dmax):
 @lru_cache(maxsize=None)
 def canonical_state(degree, blocks, depth):
     return canonical_lamination(FixedPointPortrait(degree, blocks), depth)
-
-
-@lru_cache(maxsize=None)
-def rabbit_state():
-    F0 = Lamination(2, frozenset({lf("1/7", "2/7"), lf("2/7", "4/7"), lf("4/7", "1/7")}))
-    C = CriticalPortrait(2, frozenset({lf("1/14", "4/7")}))
-    return pullback(F0, C, 2)
-
-
-@lru_cache(maxsize=None)
-def cubic_state():
-    F0 = Lamination(3, frozenset({lf("1/8", "3/8")}))
-    C = CriticalPortrait(
-        3, frozenset({lf("1/8", "11/24"), lf("11/24", "19/24"), lf("1/8", "19/24")})
-    )
-    return pullback(F0, C, 4)
-
-
-@lru_cache(maxsize=None)
-def quartic_global_state():
-    F0 = Lamination(
-        4, frozenset({lf("1/63", "4/63"), lf("4/63", "16/63"), lf("16/63", "1/63")})
-    )
-    C = CriticalPortrait(
-        4,
-        frozenset(
-            {
-                lf("4/252", "67/252"),
-                lf("67/252", "130/252"),
-                lf("130/252", "193/252"),
-                lf("4/252", "193/252"),
-            }
-        ),
-    )
-    return pullback(F0, C, 2)
-
-
-@lru_cache(maxsize=None)
-def quartic_local_state():
-    F0 = Lamination(
-        4,
-        frozenset(
-            {
-                lf(0, "84/252"),
-                lf("88/252", "100/252"),
-                lf("100/252", "148/252"),
-                lf("88/252", "148/252"),
-            }
-        ),
-    )
-    C = CriticalPortrait(
-        4,
-        frozenset(
-            {
-                lf("88/252", "151/252"),
-                lf("151/252", "214/252"),
-                lf("88/252", "214/252"),
-                lf("0/252", "63/252"),
-            }
-        ),
-    )
-    return pullback(F0, C, 2)
-
-
-@lru_cache(maxsize=None)
-def mixed_quartic_state():
-    F0 = Lamination(
-        4, frozenset({lf(0, "1/3"), lf("7/15", "11/15"), lf("13/15", "14/15")})
-    )
-    C = CriticalPortrait(
-        4, frozenset({lf(0, "1/4"), lf("1/3", "5/6"), lf("7/15", "43/60")})
-    )
-    return pullback(F0, C, 2)
 
 
 def brute_force_orbits(d, q):

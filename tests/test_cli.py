@@ -9,18 +9,14 @@ from functools import lru_cache
 import pytest
 
 from lamlab import cli, fpp, leaves, rotation
-from lamlab.circle import angle
 from lamlab.cli import main
 from lamlab.docio import document_from_state, write_document, write_portrait
 from lamlab.fpp import FixedPointPortrait
-from lamlab.leaves import Lamination, Leaf
+from lamlab.leaves import Lamination
 from lamlab.pullback import CriticalPortrait, canonical_lamination, pullback
+from states import lf, rabbit_state
 
 pullback_module = importlib.import_module("lamlab.pullback")
-
-
-def lf(a, b):
-    return Leaf(angle(a), angle(b))
 
 
 def run(capsys, *argv):
@@ -35,9 +31,7 @@ def jline(out, i=0):
 
 @lru_cache(maxsize=None)
 def rabbit_doc_text():
-    F0 = Lamination(2, frozenset({lf("1/7", "2/7"), lf("2/7", "4/7"), lf("4/7", "1/7")}))
-    C = CriticalPortrait(2, frozenset({lf("1/14", "4/7")}))
-    return write_document(document_from_state(pullback(F0, C, 2), "rabbit"))
+    return write_document(document_from_state(rabbit_state(), "rabbit"))
 
 
 @lru_cache(maxsize=None)
@@ -553,11 +547,12 @@ class TestCorrCommands:
     def test_non_rotational_polygon_fails(self, capsys, tmp_path):
         f = tmp_path / "r.json"
         f.write_text(rabbit_doc_text())
-        rc, out, _ = run(
-            capsys, "corr", "uni-to-max", "--file", str(f), "--polygon", "1/7,3/7"
-        )
-        assert rc == 1
-        assert jline(out)["status"] == "fail"
+        for op, polygon in (("uni-to-max", "1/7,3/7"), ("max-to-uni", "1/7,3/7,5/7")):
+            rc, out, _ = run(capsys, "corr", op, "--file", str(f), "--polygon", polygon)
+            assert rc == 1
+            assert out == (
+                '{"status": "fail", "error": "the image of point 0 (1/7) leaves the set"}\n'
+            ), op
 
     def test_bad_polygon_literal_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "r.json"

@@ -36,22 +36,12 @@ from lamlab.pullback import (
     clp_checks,
     pullback,
 )
-
-
-def lf(a, b):
-    return Leaf(angle(a), angle(b))
+from states import lf, rabbit_state
 
 
 @lru_cache(maxsize=None)
 def quintic_state():
     return canonical_lamination(FixedPointPortrait(5, ((0, 1),)), 2)
-
-
-@lru_cache(maxsize=None)
-def rabbit_state():
-    F0 = Lamination(2, frozenset({lf("1/7", "2/7"), lf("2/7", "4/7"), lf("4/7", "1/7")}))
-    C = CriticalPortrait(2, frozenset({lf("1/14", "4/7")}))
-    return pullback(F0, C, 2)
 
 
 def rabbit_doc():

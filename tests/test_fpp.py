@@ -22,16 +22,9 @@ from lamlab.fpp import (
 )
 from lamlab.leaves import Arc, Lamination, Leaf, Polygon
 from lamlab.pullback import _within, canonical_lamination
+from states import fr, lf
 from test_circle import ccw_span, fixed_points
 from test_leaves import arc_contains, arc_length, contains_point, faces
-
-
-def fr(p, q=1):
-    return Fraction(p, q)
-
-
-def lf(a, b):
-    return Leaf(angle(a), angle(b))
 
 
 def catalan_oracle(n):

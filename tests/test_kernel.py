@@ -47,6 +47,7 @@ from lamlab.pullback import (
     is_hyperbolic_approx,
     pullback,
 )
+from states import canonical_states
 from test_circle import fixed_points, in_arc
 from test_leaves import (
     contains_point,
@@ -222,11 +223,6 @@ def fraction_check_invariance(L_prev, L_next):
                 Violation("sibling", f"no full sibling collection over {img}", (l,))
             )
     return tuple(out)
-
-
-@cache
-def canonical_states(d):
-    return [canonical_lamination(P, 3) for P in enumerate_fpps(d)]
 
 
 @cache

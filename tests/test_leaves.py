@@ -1,5 +1,6 @@
 """Tests for chords, crossing, sibling structure, faces, and invariance checks."""
 import itertools
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -23,11 +24,8 @@ from lamlab.leaves import (
     validate_prelamination,
 )
 from lamlab.pullback import CriticalPortrait, canonical_lamination
+from states import canonical_states, fr, lf
 from test_circle import ccw_span, in_arc, preimages
-
-
-def fr(p, q=1):
-    return Fraction(p, q)
 
 
 def is_critical(d, l):
@@ -37,10 +35,6 @@ def is_critical(d, l):
     """
     check_degree(d)
     return ((l.b.value - l.a.value) * d).denominator == 1
-
-
-def lf(a, b):
-    return Leaf(angle(a), angle(b))
 
 
 def leaves_cross(l1, l2):
@@ -127,6 +121,22 @@ class TestLeafBasics:
         (arc,) = short_arcs(lf(fr(1, 8), fr(7, 8)))
         assert arc == (angle(fr(7, 8)), angle(fr(1, 8)))
         assert len(short_arcs(lf(0, fr(1, 2)))) == 2
+
+
+class TestLaminationFrozen:
+    @pytest.mark.parametrize("name", ["degree", "_pairs", "sorted_leaves"])
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        L = Lamination(2, RABBIT)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(L, name, None)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(L, name)
+        assert L == Lamination(2, RABBIT) and L.sorted_leaves == tuple(sorted(RABBIT))
+
+    def test_depth_takes_part_in_equality(self):
+        L, M = Lamination(2, RABBIT), Lamination(2, RABBIT, depth=1)
+        assert L.scaled == M.scaled and L != M
+        assert hash(L) == hash(Lamination(2, RABBIT))
 
 
 class TestLeafImage:
@@ -398,11 +408,6 @@ noncrossing_sets = st.sampled_from([6, 8, 12, 30]).flatmap(
         max_size=40,
     ).map(lambda pairs: greedy_noncrossing(q, pairs))
 )
-
-
-@cache
-def canonical_states(d):
-    return [canonical_lamination(P, 3) for P in enumerate_fpps(d)]
 
 
 class TestFacesSweep:

@@ -44,16 +44,9 @@ from lamlab.pullback import (
     pullback,
 )
 from lamlab.rotation import enumerate_rotational_orbits, unicritical_anchor
+from states import fr, lf, mixed_quartic_state
 from test_circle import preimages
 from test_leaves import arc_length, contains_point, faces, fibre_matchings, on_closure
-
-
-def fr(p, q=1):
-    return Fraction(p, q)
-
-
-def lf(a, b):
-    return Leaf(angle(a), angle(b))
 
 
 def lam(d, pairs):
@@ -95,16 +88,6 @@ def rabbit_triangle():
 @lru_cache(maxsize=None)
 def quintic_canonical(n):
     return canonical_lamination(FixedPointPortrait(5, ((0, 1),)), n)
-
-
-@lru_cache(maxsize=None)
-def mixed_quartic_state(n):
-    F0 = lam(4, [(0, "1/3"), ("7/15", "11/15"), ("13/15", "14/15")])
-    C = CriticalPortrait(
-        4,
-        frozenset({lf(0, "1/4"), lf("1/3", "5/6"), lf("7/15", "43/60")}),
-    )
-    return pullback(F0, C, n)
 
 
 @lru_cache(maxsize=None)

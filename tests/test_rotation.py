@@ -31,17 +31,10 @@ from lamlab.rotation import (
     unicritical_anchor,
     validate_rotational_placement,
 )
+from states import cubic_state, fr, lf, quartic_global_state, quartic_local_state, rabbit_state
 from test_circle import fixed_points, in_arc, orbit
 from test_leaves import half_edge_faces, leaves_cross, on_closure
 from test_pullback import CORR_GRID, canonical_critical_portraits, reference_critical_sectors
-
-
-def fr(p, q=1):
-    return Fraction(p, q)
-
-
-def lf(a, b):
-    return Leaf(angle(a), angle(b))
 
 
 def major_length_bound_check(d: int, major: Leaf) -> bool:
@@ -134,68 +127,6 @@ def coroot_outcome(search, state, polygon):
         return search(state, polygon)
     except ValueError:
         return ValueError
-
-
-@lru_cache(maxsize=None)
-def rabbit_state():
-    F0 = Lamination(2, frozenset({lf("1/7", "2/7"), lf("2/7", "4/7"), lf("4/7", "1/7")}))
-    C = CriticalPortrait(2, frozenset({lf("1/14", "4/7")}))
-    return pullback(F0, C, 2)
-
-
-@lru_cache(maxsize=None)
-def cubic_state():
-    F0 = Lamination(3, frozenset({lf("1/8", "3/8")}))
-    C = CriticalPortrait(
-        3, frozenset({lf("1/8", "11/24"), lf("11/24", "19/24"), lf("1/8", "19/24")})
-    )
-    return pullback(F0, C, 4)
-
-
-@lru_cache(maxsize=None)
-def quartic_global_state():
-    F0 = Lamination(
-        4, frozenset({lf("1/63", "4/63"), lf("4/63", "16/63"), lf("16/63", "1/63")})
-    )
-    C = CriticalPortrait(
-        4,
-        frozenset(
-            {
-                lf(fr(4, 252), fr(67, 252)),
-                lf(fr(67, 252), fr(130, 252)),
-                lf(fr(130, 252), fr(193, 252)),
-                lf(fr(4, 252), fr(193, 252)),
-            }
-        ),
-    )
-    return pullback(F0, C, 2)
-
-
-@lru_cache(maxsize=None)
-def quartic_local_state():
-    F0 = Lamination(
-        4,
-        frozenset(
-            {
-                lf(0, fr(84, 252)),
-                lf(fr(88, 252), fr(100, 252)),
-                lf(fr(100, 252), fr(148, 252)),
-                lf(fr(88, 252), fr(148, 252)),
-            }
-        ),
-    )
-    C = CriticalPortrait(
-        4,
-        frozenset(
-            {
-                lf(fr(88, 252), fr(151, 252)),
-                lf(fr(151, 252), fr(214, 252)),
-                lf(fr(88, 252), fr(214, 252)),
-                lf(0, fr(63, 252)),
-            }
-        ),
-    )
-    return pullback(F0, C, 2)
 
 
 @lru_cache(maxsize=None)
