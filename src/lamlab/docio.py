@@ -496,6 +496,7 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         if spec.style == "straight":
             return [f"M {at[a]} L {at[b]}" for a, b in pairs]
         paths = []
+        arc_of_span: dict[int, str] = {}
         for a, b in pairs:
             # the span (b - a)/D lies in (0, 1) because a < b
             num = b - a
@@ -505,11 +506,13 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
             # run along the short side so the arc formula sees span <= 1/2
             if 2 * num > D:
                 a, b, num = b, a, D - num
-            # circle through both endpoints orthogonal to the main circle:
-            # radius r*tan(pi*span), always the minor arc, sweeping clockwise
-            # on screen when the start-to-end walk is the short way around
-            rho = _coord(r * math.tan(math.pi * (num / D)))
-            paths.append(f"M {at[a]} A {rho} {rho} 0 0 1 {at[b]}")
+            if num not in arc_of_span:
+                # circle through both endpoints orthogonal to the main circle:
+                # radius r*tan(pi*span), always the minor arc, sweeping clockwise
+                # on screen when the start-to-end walk is the short way around
+                rho = _coord(r * math.tan(math.pi * (num / D)))
+                arc_of_span[num] = f" A {rho} {rho} 0 0 1 "
+            paths.append(f"M {at[a]}{arc_of_span[num]}{at[b]}")
         return paths
 
     lines = [

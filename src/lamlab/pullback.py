@@ -3,20 +3,21 @@
 A maximal critical portrait cuts the disk into d sectors on which the
 d-tupling map is injective, so chord systems can be pulled back stage by
 stage: every leaf added at the previous stage receives a full set of d
-pairwise disjoint preimage chords compatible with the portrait.  The stages
-nest and stay sibling invariant.  On top of the raw scheme this module checks
-the diagnostics of canonically constructed states (length decay, escape to
-the initial set, invariant gap faces per fixed sector) and classifies the
-fixed objects carried by each sector.
+pairwise disjoint preimage chords compatible with the portrait, forced by
+the sectors away from the critical values and chosen by an interval DP at
+them.  The stages nest and stay sibling invariant.  On top of the raw
+scheme this module checks the diagnostics of canonically constructed states
+(length decay, escape to the initial set, invariant gap faces per fixed
+sector) and classifies the fixed objects carried by each sector.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .circle import CirclePoint, check_degree, sigma
@@ -220,65 +221,12 @@ class PullbackState:
 _POLICIES = ("prefer-existing", "shortest")
 
 
-def _best_matching(
-    d: int,
-    pair: tuple[int, int],
-    denom: int,
-    ends: list[tuple[int, int]],
-    acc_pairs: set[tuple[int, int]],
-    policy: str,
-    sectors: tuple[list[int], list[int]],
-) -> tuple[tuple[int, int], ...]:
-    """Pick the d disjoint preimage chords of the leaf pair/denom, as sorted pairs over d*denom.
-
-    `sectors` holds the portrait's sorted critical endpoints over d*denom
-    and, per endpoint, the critical sector of the arc it starts.  Each
-    sector's open arcs total 1/d and map one-to-one onto the circle less
-    the images of the sector's endpoints, which are critical values.  When
-    no fibre point is a critical endpoint, neither leaf endpoint is a
-    critical value, so each sector holds exactly two fibre points, one per
-    fibre, and exactly one matching is valid, the one joining the two
-    points of each sector:
-
-    - a chord between points in different open sectors leaves its sector
-      through a critical chord, which is placed, so it crosses that chord;
-    - a chord inside one sector, and a placed chord on the sector's closure,
-      map order-preservingly onto the frontier leaf and a leaf of the
-      previous stage (or a point), so they cross only if those two leaves
-      cross, and the previous stage had no crossing.
-
-    Both policies then return that matching, read off by one bisect per
-    fibre point with no crossing scan.  Only when a fibre point is a
-    critical endpoint does `_dp_matching` choose among the valid chords;
-    `ends` is its index of the placed chords at critical endpoints.
-    """
-    cut, arc_sector = sectors
-    n = len(cut)
-    waiting: dict[int, int] = {}
-    forced = []
-    j = 0
-    # the fibre points ascend, so each bisect starts where the last one ended
-    for t in (p + i * denom for i in range(d) for p in pair):
-        j = bisect_left(cut, t, j)
-        if j < n and cut[j] == t:
-            return _dp_matching(d, pair, denom, ends, acc_pairs, policy)
-        # the arc before cut[0] is the one that cut[-1] starts
-        s = arc_sector[j - 1]
-        u = waiting.pop(s, None)
-        if u is None:
-            waiting[s] = t
-        else:
-            forced.append((u, t))
-    forced.sort()
-    return tuple(forced)
-
-
 def _dp_matching(
     d: int,
     pair: tuple[int, int],
     denom: int,
     ends: list[tuple[int, int]],
-    acc_pairs: set[tuple[int, int]],
+    reusable: set[tuple[int, int]],
     policy: str,
 ) -> tuple[tuple[int, int], ...]:
     """The policy's matching of the leaf pair/denom among the valid chords, as sorted pairs over d*denom.
@@ -287,9 +235,9 @@ def _dp_matching(
     so point 2i of the sorted fibres is (x + i*denom)/(d*denom) and point
     2i+1 is (y + i*denom)/(d*denom).  A chord between points of the two
     fibres is valid when it crosses nothing already placed.  `ends` holds
-    sorted (endpoint, partner) entries of only the placed chords with an
-    endpoint at a critical endpoint, and a chord that crosses a placed chord
-    crosses one of those:
+    sorted (endpoint, partner) entries of only the placed chords at a critical
+    endpoint (critical chords, F0 leaves and DP answers), and a chord that
+    crosses a placed chord crosses one of those:
 
     - a chord joining two closed critical sectors crosses a critical chord,
       and every critical chord is in `ends`;
@@ -303,20 +251,22 @@ def _dp_matching(
       end breaks nothing, since sigma sends both identified ends to one
       point.
 
-    So a chord is valid when every endpoint in `ends` strictly inside it
-    has its partner in the closed span.  `_fibre_matching` runs at
+    So a chord is valid when every endpoint in `ends` strictly inside it has
+    its partner in the closed span.  A valid chord is reused when it is in
+    `reusable`: F0's pairs at stage 1 and none later, as no other placed
+    chord maps onto the leaf (see `pullback`).  `_fibre_matching` runs at
     most twice over the valid chords.  The first run finds the policy's
-    longest chord tau: the least bottleneck ("shortest", zero gains), or
-    the least bottleneck among the matchings that reuse the most placed
-    chords ("prefer-existing", reuse as the gain).  The second keeps the
-    chords no longer than tau and maximises reuse, taking the least sorted
-    chord pairs among ties.  So the winner is the least (maxlen, -reuse, pairs), or
+    longest chord tau: the least bottleneck ("shortest", zero gains), or the
+    least bottleneck among the matchings that reuse the most placed chords
+    ("prefer-existing", reuse as the gain).  The second keeps the chords no
+    longer than tau and maximises reuse, taking the least sorted chord pairs
+    among ties.  So the winner is the least (maxlen, -reuse, pairs), or
     (-reuse, maxlen, pairs), over every non-crossing matching of valid
     chords, and does not depend on any enumeration order.
     """
     pts = [p + i * denom for i in range(d) for p in pair]
     full = d * denom
-    reuse = policy == "prefer-existing"
+    prefer = policy == "prefer-existing"
     valid: list[list[tuple[int, int, int]]] = []
     for l, x in enumerate(pts):
         row = []
@@ -324,7 +274,7 @@ def _dp_matching(
             y = pts[m]
             crosser = next(_crossers(ends, x, y), None)
             if crosser is None:
-                row.append((m, min(y - x, full - y + x), reuse and (x, y) in acc_pairs))
+                row.append((m, min(y - x, full - y + x), prefer and (x, y) in reusable))
             elif crosser[1] < x:
                 # that chord also crosses every longer chord from x
                 break
@@ -340,11 +290,35 @@ def _dp_matching(
     if sum(map(len, valid)) > d + 1:
         _, chosen = _fibre_matching(
             [
-                [(m, 0, (pts[l], pts[m]) in acc_pairs) for m, c, _ in row if c <= tau]
+                [(m, 0, (pts[l], pts[m]) in reusable) for m, c, _ in row if c <= tau]
                 for l, row in enumerate(valid)
             ]
         )
     return tuple((pts[l], pts[m]) for l, m in chosen)
+
+
+def _slices(C: CriticalPortrait) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The critical values v_0 < ... < v_{m-1} over the chords' grid, and a table per slice.
+
+    Slice p is [0, v_0), (v_{p-1}, v_p) or (v_{m-1}, 1).  No preimage of a
+    point moving inside a slice crosses a critical endpoint, so one table
+    serves the slice: entry s is the offset i with (x + i)/d in sector s.
+    Crossing 0 raises each offset by one, so the end slices keep two tables.
+    """
+    d, D = C.degree, C._lamination.scaled[0]
+    arc_starts = {e[1]: s for s, b in enumerate(C._sectors) for e in b if e[0] == 1}
+    starts = sorted(arc_starts)
+    cut = [2 * d * u for u in starts]
+    vals = sorted({d * u % D for u in starts})
+    tables = []
+    # a point r/(2D) of each slice, whose preimages lie over 2dD with `cut`
+    for r in (0, *map(sum, zip(vals, vals[1:])), vals[-1] + D):
+        row = [0] * d
+        for i in range(d):
+            # the arc before cut[0] is the one that cut[-1] starts
+            row[arc_starts[starts[bisect_right(cut, r + 2 * D * i) - 1]]] = i
+        tables.append(tuple(row))
+    return vals, tables
 
 
 def pullback(
@@ -361,7 +335,29 @@ def pullback(
       shortest; this keeps refinements aligned with the coarser stages.
     - "shortest": minimize the longest added chord; for d <= 5 this keeps
       the stage-k additions under the 1/(2 d^k) decay bound.
+
+    A stage is built in bulk, on three facts:
+
+    - (a) Each sector's open arcs map one-to-one onto the circle less the
+      critical values.  So a frontier leaf with no endpoint at a critical
+      value has one preimage of each endpoint per sector, and joining them
+      gives the only valid matching (see `_dp_matching`), which `_slices`
+      finds by a bisect per endpoint.  Other leaves go to `_dp_matching`.
+    - (b) Stage k lives on denom * d^k, denom = lcm(D0, the critical
+      values' grid), as the critical endpoints, preimages of critical
+      values, lie on d * denom.  When F0's grid holds the critical values,
+      as for canonical portraits, each stage comes out reduced.  Only F0's
+      crossing check against the chords runs on lcm(D0, Dc).
+    - (c) A chord chosen at stage k maps onto a frontier leaf of stage k - 1,
+      F0's leaves map into F0 and the critical chords onto points.  So only
+      stage 1 can reuse a placed chord, and only an F0 leaf.  Forced chords
+      never touch a critical endpoint, so `ends` grows only from DP answers.
     """
+    return PullbackState(F0.degree, C, _stages(F0, C, n, policy), policy)
+
+
+def _stages(F0: Lamination, C: CriticalPortrait, n: int, policy: str) -> tuple[Lamination, ...]:
+    """The stages of `pullback`, so that `canonical_lamination` builds its state once."""
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if n < 0:
@@ -369,15 +365,13 @@ def pullback(
     d = F0.degree
     if d != C.degree:
         raise ValueError("degree mismatch between initial set and portrait")
-    # the initial leaves and the chords on one grid over denom
+    # the initial leaves and the chords on one grid, to check their crossings
     D0, initial = F0.scaled
     Dc, chords = C._lamination.scaled
-    denom = lcm(D0, Dc)
-    up, upc = denom // D0, denom // Dc
-    frontier = [(x * up, y * up) for x, y in initial]
-    acc_pairs = set(frontier)
-    acc_pairs.update((x * upc, y * upc) for x, y in chords)
-    with_chords = Lamination._on_grid(d, denom, sorted(acc_pairs))
+    E = lcm(D0, Dc)
+    up, upc = E // D0, E // Dc
+    placed = {(x * up, y * up) for x, y in initial} | {(x * upc, y * upc) for x, y in chords}
+    with_chords = Lamination._on_grid(d, E, sorted(placed))
     bad = validate_prelamination(with_chords)
     inner = [v for v in bad if all(l in F0 for l in v.leaves)]
     if inner:
@@ -395,43 +389,47 @@ def pullback(
                 f"initial leaf {l} maps to {leaf_image(d, l)} outside the initial set"
             )
 
-    # each critical endpoint starts one arc; the endpoints go onto the
-    # stage's grid with the placed chords
-    arc_starts = {e[1]: s for s, b in enumerate(C._sectors) for e in b if e[0] == 1}
-    cut = sorted(arc_starts)
-    arc_sector = [arc_starts[u] for u in cut]
-    cut = [u * upc for u in cut]
-    at_cut = set(cut)
-    # only the placed chords at a critical endpoint can block a chord that
-    # `_dp_matching` scores (see there); they stay at one as the grid scales
-    ends = sorted(e for x, y in acc_pairs if x in at_cut or y in at_cut for e in ((x, y), (y, x)))
+    vals, tables = _slices(C)
+    denom = lcm(D0, *(Dc // gcd(v, Dc) for v in vals))
+    # the critical values over denom, closed by denom, which no endpoint reaches
+    vals = [v * denom // Dc for v in vals] + [denom]
+    # the frontier over denom; over d*denom, the stage-1 grid, F0's pairs,
+    # the critical endpoints and `ends`, the placed chords touching one
+    frontier = [(x * (denom // D0), y * (denom // D0)) for x, y in initial]
+    reuse = {(x * d, y * d) for x, y in frontier}
+    upc = d * denom // Dc
+    at_cut = {x * upc for p in chords for x in p}
+    placed = [*reuse, *((x * upc, y * upc) for x, y in chords)]
+    ends = sorted(e for x, y in placed if x in at_cut or y in at_cut for e in ((x, y), (y, x)))
 
-    # placed chords as integer pairs over denom = D * d^k; the frontier holds
-    # the leaves new at the previous stage and `stage` every leaf, both sorted
     stage = frontier
     stages = [Lamination._on_grid(d, D0, initial)]
     for k in range(1, n + 1):
-        acc_pairs = {(x * d, y * d) for x, y in acc_pairs}
-        ends = [(x * d, y * d) for x, y in ends]
-        cut = [u * d for u in cut]
-        at_cut = set(cut)
-        sectors = (cut, arc_sector)
-        new = []
-        for pair in frontier:
-            for x, y in _best_matching(d, pair, denom, ends, acc_pairs, policy, sectors):
-                if (x, y) in acc_pairs:
-                    continue
-                acc_pairs.add((x, y))
-                if x in at_cut or y in at_cut:
-                    insort(ends, (x, y))
-                    insort(ends, (y, x))
-                new.append((x, y))
+        offsets = [tuple(i * denom for i in row) for row in tables]
+        new: list[tuple[int, int]] = []
+        for x, y in frontier:
+            p, q = bisect_left(vals, x), bisect_left(vals, y)
+            if vals[p] == x or vals[q] == y:
+                got = _dp_matching(d, (x, y), denom, ends, reuse, policy)
+                for c in got:
+                    if c not in reuse and (c[0] in at_cut or c[1] in at_cut):
+                        ends = sorted([*ends, c, c[::-1]])
+                new += got
+            else:
+                ab = zip(offsets[p], offsets[q])
+                new += [(x + a, y + b) if a <= b else (y + b, x + a) for a, b in ab]
+        if reuse:
+            new = [c for c in new if c not in reuse]
+            reuse = set()
         denom *= d
         frontier = sorted(new)
         # the scaled old stage stays sorted, so sorting merges two runs
         stage = sorted([(x * d, y * d) for x, y in stage] + frontier)
         stages.append(Lamination._on_grid(d, denom, stage, depth=k))
-    return PullbackState(d, C, tuple(stages), policy)
+        vals = [v * d for v in vals]
+        at_cut = {u * d for u in at_cut}
+        ends = [(x * d, y * d) for x, y in ends]
+    return tuple(stages)
 
 
 def canonical_lamination(P: FixedPointPortrait, n: int) -> PullbackState:
@@ -441,8 +439,7 @@ def canonical_lamination(P: FixedPointPortrait, n: int) -> PullbackState:
     within the 1/(2 d^k) length bound for d <= 5; at d = 6 the bound can fail.
     """
     C = P._first_choice().as_critical_portrait()
-    state = pullback(P._hull, C, n, policy="shortest")
-    return replace(state, fpp=P)
+    return PullbackState(P.degree, C, _stages(P._hull, C, n, "shortest"), "shortest", P)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +32,7 @@ from lamlab.leaves import (
 )
 from lamlab.pullback import (
     _POLICIES,
+    _slices,
     CriticalPortrait,
     InsufficientDepthError,
     PullbackState,
@@ -258,7 +260,7 @@ def branch_inverse(S, t):
 
     At a shared chord endpoint two preimages lie on the closed boundary; the
     arc start is preferred so adjacent sectors agree at the seam.  The
-    reference for `_best_matching`'s forced matchings: the chord of sector S
+    reference for `pullback`'s forced matchings: the chord of sector S
     joins the branch preimages of the frontier leaf's two endpoints.
     """
     cands = [x for x in preimages(S.degree, t) if contains_point(S, x)]
@@ -902,8 +904,8 @@ def indexed_matchings(d):
     return [frozenset(enumerate(m)) for m in fibre_matchings(d)]
 
 
-def enumerating_best_matching(d, pair, denom, ends, acc_pairs, policy):
-    """Reference for `_best_matching`: rank all Catalan(d) non-crossing fibre matchings.
+def enumerating_best_matching(d, pair, denom, ends, reusable, policy):
+    """Reference for `pullback`'s matchings: rank all Catalan(d) non-crossing fibre matchings.
 
     Candidate chord (i, j) joins the i-th preimage of the leaf's first
     endpoint to the j-th of its second and is valid when it crosses nothing
@@ -925,7 +927,7 @@ def enumerating_best_matching(d, pair, denom, ends, acc_pairs, policy):
             continue
         pairs = tuple(sorted(valid[ij] for ij in chords))
         maxlen = max(min(y - x, full - y + x) for x, y in pairs)
-        reuse = sum(p in acc_pairs for p in pairs)
+        reuse = sum(p in reusable for p in pairs)
         if policy == "shortest":
             ranks.append((maxlen, -reuse, pairs))
         else:
@@ -980,41 +982,115 @@ _MIRROR_PLACED = {(0, 9), (0, 6), (0, 12)}
 _BLOCKED = (2, (0, 2), 4, [(1, 3), (3, 1), (3, 5), (5, 3)], {(1, 3), (3, 5)}, "shortest")
 
 
-def full_index(acc_pairs):
+def full_index(placed):
     """The sorted endpoint index of every placed chord, two entries per chord."""
-    return sorted(e for x, y in acc_pairs for e in ((x, y), (y, x)))
+    return sorted(e for x, y in placed for e in ((x, y), (y, x)))
+
+
+def over(L, E):
+    """The pairs of a lamination on the grid E, which its own grid divides."""
+    D, pairs = L.scaled
+    assert E % D == 0
+    return [(x * (E // D), y * (E // D)) for x, y in pairs]
+
+
+def regrid(pairs, E, F):
+    """Integer pairs over E as pairs over F; every point must lie on F."""
+    assert all(x * F % E == 0 for p in pairs for x in p)
+    return {(x * F // E, y * F // E) for x, y in pairs}
+
+
+def leaf_key(pair, denom):
+    """The leaf pair/denom as its pair over its least grid, a key free of Fractions."""
+    g = gcd(*pair, denom)
+    return pair[0] // g, pair[1] // g, denom // g
+
+
+def rebuilt_matchings(state):
+    """Every matching of a pullback state, rebuilt from its stages and its portrait alone.
+
+    Per stage k >= 1, and per frontier leaf of stage k - 1 in the sorted
+    order `pullback` takes them: (k, pair, denom, placed, chosen).  The leaf
+    is pair/denom.  Over d*denom, `placed` holds every chord placed before
+    the leaf's matching: stage k - 1, the critical chords and the chosen
+    chords of the leaves before it.  `chosen` is the matching, sorted: the
+    stage-k chords onto the leaf that are new, and the placed ones (F0
+    leaves at stage 1) on the fibre points the new chords leave free.
+    `placed` is one set, updated once the next item is asked for.
+    """
+    d = state.degree
+    crit = state.portrait._lamination
+    Df, final = state.final.scaled
+    for k in range(1, state.depth + 1):
+        full = lcm(state.stages[k].scaled[0], crit.scaled[0], d * state.stages[k - 1].scaled[0])
+        denom = full // d
+        onto = {}
+        for x, y in over(state.stages[k], full):
+            # sigma on these grids: x/full -> (x mod denom)/denom
+            onto.setdefault(tuple(sorted((x % denom, y % denom))), []).append((x, y))
+        placed = set(over(state.stages[k - 1], full)) | set(over(crit, full))
+        frontier = [p for p, s in zip(final, state._first_stage) if s == k - 1]
+        for pair in sorted(regrid(frontier, Df, denom)):
+            new = [c for c in onto[pair] if c not in placed]
+            free = {p + i * denom for p in pair for i in range(d)}
+            free.difference_update(x for c in new for x in c)
+            chosen = tuple(sorted(new + [c for c in onto[pair] if c in placed and free.issuperset(c)]))
+            assert len(chosen) == d, "the state does not determine the leaf's matching"
+            yield k, pair, denom, placed, chosen
+            placed.update(chosen)
+
+
+def spied_dp(monkeypatch):
+    """Replace `_dp_matching` by a spy; the list it returns collects (problem, answer) per call."""
+    module = importlib.import_module("lamlab.pullback")
+    dp, calls = module._dp_matching, []
+
+    def spy(*problem):
+        got = dp(*problem)
+        calls.append((problem, got))
+        return got
+
+    monkeypatch.setattr(module, "_dp_matching", spy)
+    return calls
 
 
 def recorded_matchings(monkeypatch, runs):
-    """The `_best_matching` calls of each pullback (F0, C, n), under both policies.
+    """The matchings of each pullback (F0, C, n), under both policies.
 
-    Every answer is compared, as it is made, with the enumerator reading
-    every placed chord, not just the index `pullback` passed.  Per run, a
-    list of (problem, answer, whether the DP ran).
+    Every matching, rebuilt from the state by `rebuilt_matchings`, is
+    compared with the enumerator reading every placed chord, and a spy
+    marks the leaves that reached `_dp_matching`.  Per run, a list of
+    ((d, pair, denom), answer, whether the DP ran).
     """
-    module = importlib.import_module("lamlab.pullback")
-    best, dp = module._best_matching, module._dp_matching
-    calls, ran = [], []
-
-    def checked(*problem):
-        ran.clear()
-        got = best(*problem)
-        d, pair, denom, _, acc_pairs, policy = problem[:6]
-        assert got == enumerating_best_matching(d, pair, denom, full_index(acc_pairs), acc_pairs, policy)
-        calls[-1].append((problem, got, bool(ran)))
-        return got
-
-    def dp_spy(*problem):
-        ran.append(True)
-        return dp(*problem)
-
-    monkeypatch.setattr(module, "_best_matching", checked)
-    monkeypatch.setattr(module, "_dp_matching", dp_spy)
+    dp_calls = spied_dp(monkeypatch)
+    calls = []
     for F0, C, n in runs:
         calls.append([])
         for policy in _POLICIES:
-            pullback(F0, C, n, policy=policy)
+            dp_calls.clear()
+            state = pullback(F0, C, n, policy=policy)
+            ran = {leaf_key(problem[1], problem[2]) for problem, _ in dp_calls}
+            for _, pair, denom, placed, got in rebuilt_matchings(state):
+                d = state.degree
+                assert got == enumerating_best_matching(d, pair, denom, full_index(placed), placed, policy)
+                calls[-1].append(((d, pair, denom), got, leaf_key(pair, denom) in ran))
     return calls
+
+
+# every canonical placement to these depths, and perfbench's correspondence
+# grid; d = 2's one portrait has no hull leaf to pull back
+BOUNDARY = {3: 5, 4: 4, 5: 3, 6: 2, 7: 2}
+
+
+def boundary_runs(d):
+    """The pullbacks (F0, C, n) of every canonical placement at BOUNDARY[d], or of the grid at n = 3."""
+    if d == "corr":
+        return [(F0, C, 3) for F0, C in unicritical_portraits(CORR_GRID)]
+    return [
+        (Lamination(d, P.hull_leaves), choice.as_critical_portrait(), BOUNDARY[d])
+        for P in enumerate_fpps(d)
+        for choice in canonical_portraits(P)
+    ]
 
 
 class TestMatchingOracle:
@@ -1046,7 +1122,7 @@ class TestMatchingOracle:
         forced = 0
         for (_, C, _), calls in zip(runs, recorded_matchings(monkeypatch, runs)):
             secs = critical_sectors(C)
-            for (d, pair, denom, *_), got, ran in calls:
+            for (d, pair, denom), got, ran in calls:
                 if ran:
                     continue
                 l = _leaf(pair, denom)
@@ -1057,20 +1133,24 @@ class TestMatchingOracle:
 
     def test_dp_runs_only_at_critical_endpoints(self, monkeypatch):
         # d=3 `0-1` at depth 6: exactly the frontier leaves with a fibre point
-        # on a critical chord endpoint reach `_fibre_matching`
+        # on a critical chord endpoint reach `_fibre_matching`, and only
+        # through `_dp_matching`
         module = importlib.import_module("lamlab.pullback")
-        best, fibre = module._best_matching, module._fibre_matching
+        dp, fibre = module._dp_matching, module._fibre_matching
         current, dp_leaves = [], []
 
-        def best_spy(d, pair, denom, *rest):
+        def dp_spy(d, pair, denom, *rest):
             current[:] = [_leaf(pair, denom)]
-            return best(d, pair, denom, *rest)
+            try:
+                return dp(d, pair, denom, *rest)
+            finally:
+                current.clear()
 
         def fibre_spy(chords):
-            dp_leaves.append(current[0])
+            dp_leaves.append(current[0] if current else None)
             return fibre(chords)
 
-        monkeypatch.setattr(module, "_best_matching", best_spy)
+        monkeypatch.setattr(module, "_dp_matching", dp_spy)
         monkeypatch.setattr(module, "_fibre_matching", fibre_spy)
         state = canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 6)
         critical = {t for c in state.portrait.chords for t in c.endpoints}
@@ -1086,59 +1166,46 @@ class TestMatchingOracle:
         # the second DP run, over the chords within the bottleneck, is the only repeat
         assert len(dp_leaves) <= 2 * len(boundary)
 
-    # every canonical placement to these depths, and perfbench's correspondence
-    # grid; d = 2's one portrait has no hull leaf to pull back
-    BOUNDARY = {3: 5, 4: 4, 5: 3, 6: 2, 7: 2}
-
     @pytest.mark.parametrize("d", [*sorted(BOUNDARY), "corr"])
     def test_reduced_index_matches_full_index(self, d, monkeypatch):
-        # `pullback` indexes only the placed chords at critical endpoints; at
-        # every call that reaches the DP, the DP reading every placed chord
-        # must choose the same matching
-        module = importlib.import_module("lamlab.pullback")
-        dp = module._dp_matching
-        calls = []
-
-        def checked(*problem):
-            got = dp(*problem)
-            ends, acc_pairs = problem[3:5]
-            assert got == dp(*problem[:3], full_index(acc_pairs), *problem[4:])
-            calls.append(len(ends) < 2 * len(acc_pairs))
-            return got
-
-        monkeypatch.setattr(module, "_dp_matching", checked)
-        if d == "corr":
-            runs = [(F0, C, 3) for F0, C in unicritical_portraits(CORR_GRID)]
-        else:
-            runs = [
-                (Lamination(d, P.hull_leaves), choice.as_critical_portrait(), self.BOUNDARY[d])
-                for P in enumerate_fpps(d)
-                for choice in canonical_portraits(P)
-            ]
-        for F0, C, n in runs:
+        # `pullback` indexes only the placed chords at critical endpoints and
+        # offers only F0's pairs for reuse, at stage 1; at every call that
+        # reaches the DP, the DP reading every placed chord, rebuilt from the
+        # state, must choose the same matching
+        dp = importlib.import_module("lamlab.pullback")._dp_matching
+        calls = spied_dp(monkeypatch)
+        smaller = []
+        for F0, C, n in boundary_runs(d):
             for policy in _POLICIES:
-                pullback(F0, C, n, policy=policy)
+                calls.clear()
+                state = pullback(F0, C, n, policy=policy)
+                deg = state.degree
+                at = {leaf_key(problem[1], problem[2]): (problem, got) for problem, got in calls}
+                for _, pair, e, placed, _ in rebuilt_matchings(state):
+                    if leaf_key(pair, e) not in at:
+                        continue
+                    (_, pair, denom, ends, _, _), got = at.pop(leaf_key(pair, e))
+                    full = regrid(placed, deg * e, deg * denom)
+                    assert got == dp(deg, pair, denom, full_index(full), full, policy)
+                    smaller.append(len(ends) < 2 * len(full))
+                assert not at
         # the DP ran, and on an index smaller than the full one
-        assert any(calls)
+        assert any(smaller)
 
     def test_index_holds_only_chords_at_critical_endpoints(self, monkeypatch):
-        # d=3 `0-1` at depth 8: every entry passed to `_best_matching` has an
+        # d=3 `0-1` at depth 8: every entry passed to `_dp_matching` has an
         # endpoint on the stage's grid of critical endpoints, and the index
         # grows by a few chords per stage, where one of every placed chord
         # reaches 19,680 entries
-        module = importlib.import_module("lamlab.pullback")
-        best = module._best_matching
-        sizes = []
-
-        def spy(d, pair, denom, ends, acc_pairs, policy, sectors):
-            cut = set(sectors[0])
+        P = FixedPointPortrait(3, ((0, 1),))
+        chords = canonical_portraits(P)[0].as_critical_portrait().chords
+        calls = spied_dp(monkeypatch)
+        canonical_lamination(P, 8)
+        assert calls
+        for (d, _, denom, ends, _, _), _ in calls:
+            cut = {_scaled(t, d * denom) for c in chords for t in c.endpoints}
             assert all(x in cut or y in cut for x, y in ends)
-            sizes.append(len(ends))
-            return best(d, pair, denom, ends, acc_pairs, policy, sectors)
-
-        monkeypatch.setattr(module, "_best_matching", spy)
-        canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 8)
-        assert max(sizes) <= 54
+        assert max(len(problem[3]) for problem, _ in calls) <= 54
 
     @settings(max_examples=300)
     @given(matching_problems())
@@ -1160,6 +1227,90 @@ class TestMatchingOracle:
         tie = (*_MIRROR_TIE, _MIRROR_PLACED)
         assert dp(*tie, "shortest") == ((0, 3), (6, 9), (12, 15))
         assert dp(*tie, "prefer-existing") == ((0, 9), (3, 6), (12, 15))
+
+
+class TestSlices:
+    """`_slices`: every table entry against a per-point sector lookup."""
+
+    @staticmethod
+    def assert_tables_match_sectors(C):
+        vals, tables = _slices(C)
+        d, D = C.degree, C._lamination.scaled[0]
+        secs = critical_sectors(C)
+        bounds = [0, *vals, D]
+        assert len(tables) == len(bounds) - 1
+        for p, row in enumerate(tables):
+            lo, hi = bounds[p], bounds[p + 1]
+            if lo == hi:
+                continue  # [0, v_0) when v_0 = 0
+            assert sorted(row) == list(range(d))
+            # over 4D: each end of the slice and its middle; [0, v_0) holds 0
+            for x in {4 * lo + (p > 0), 2 * (lo + hi), 4 * hi - 1}:
+                for s, i in enumerate(row):
+                    assert contains_point(secs[s], _point(x + 4 * D * i, 4 * D * d), closed=False)
+
+    def test_end_slices_keep_their_own_tables(self):
+        # d=2, q=7: the one critical value 2/127 is not 0, so [0, 2/127) and
+        # (2/127, 1) lie on one arc between critical values, yet sector 0
+        # holds offset 1 of a point in the first and offset 0 of one in the last
+        C = CriticalPortrait(2, frozenset({lf("1/127", "129/254")}))
+        assert _slices(C) == ([4], [(1, 0), (0, 1)])
+        self.assert_tables_match_sectors(C)
+
+    def test_tables_on_canonical_placements(self):
+        for _, C in canonical_critical_portraits(7):
+            self.assert_tables_match_sectors(C)
+
+    def test_tables_on_unicritical_portraits(self):
+        for _, C in unicritical_portraits(CORR_GRID):
+            self.assert_tables_match_sectors(C)
+
+
+class TestStageFacts:
+    """Facts (b) and (c) of `pullback`, on every canonical placement and the correspondence grid."""
+
+    @pytest.mark.parametrize("d", [*sorted(BOUNDARY), "corr"])
+    def test_reuse_only_at_stage_one_and_forced_chords_avoid_critical_endpoints(self, d, monkeypatch):
+        calls = spied_dp(monkeypatch)
+        forced = 0
+        for F0, C, n in boundary_runs(d):
+            for policy in _POLICIES:
+                calls.clear()
+                state = pullback(F0, C, n, policy=policy)
+                deg = state.degree
+                at = {leaf_key(problem[1], problem[2]): (problem[2], got) for problem, got in calls}
+                for k, pair, e, placed, chosen in rebuilt_matchings(state):
+                    if leaf_key(pair, e) in at:
+                        denom, got = at.pop(leaf_key(pair, e))
+                        chosen = regrid(got, deg * denom, deg * e)
+                    else:
+                        cut = {_scaled(t, deg * e) for c in C.chords for t in c.endpoints}
+                        assert not cut.intersection(x for c in chosen for x in c)
+                        forced += 1
+                    if k > 1:
+                        assert not placed.intersection(chosen)
+                assert not at
+        assert forced
+
+    @pytest.mark.parametrize("d", [*sorted(BOUNDARY), "corr"])
+    def test_stages_come_out_reduced(self, d, monkeypatch):
+        # every grid a pullback hands to `_reduce` is already the least one;
+        # an empty stage (a portrait with no hull leaf) reduces to d - 1
+        runs = boundary_runs(d)
+        module = importlib.import_module("lamlab.leaves")
+        reduce, reduced = module._reduce, []
+
+        def spy(n, E, pairs):
+            out = reduce(n, E, pairs)
+            if pairs:
+                reduced.append(out[0] == E)
+            return out
+
+        monkeypatch.setattr(module, "_reduce", spy)
+        for F0, C, n in runs:
+            for policy in _POLICIES:
+                pullback(F0, C, n, policy=policy)
+        assert reduced and all(reduced)
 
 
 # SHA-256 of the written document for degree 6 to 12 pullbacks under the first
