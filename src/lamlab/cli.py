@@ -318,6 +318,11 @@ def _orbit_tuples(d: int, q: int, one_rotation: bool) -> int | None:
     return per * sum(1 for s in range(q) if math.gcd(s, q) == 1)
 
 
+def _orbit_angles(D: int, nums: tuple[int, ...]) -> list[str]:
+    """format_angle of each point nums[i]/D, read off the orbit's integer view."""
+    return [f"{x // g}/{D // g}" for x in nums for g in (math.gcd(x, D),)]
+
+
 def _cmd_rot_orbits(args: argparse.Namespace) -> int:
     d = _check_degree_arg(args.degree)
     q = args.period
@@ -353,10 +358,7 @@ def _cmd_rot_orbits(args: argparse.Namespace) -> int:
             "rotation": None if p is None else f"{p}/{q}",
             "count": len(orbits),
             "orbits": [
-                {
-                    "points": [format_angle(x) for x in o.points],
-                    "rotation": str(o.rotation),
-                }
+                {"points": _orbit_angles(*o._scaled), "rotation": str(o.rotation)}
                 for o in orbits
             ],
         }

@@ -163,8 +163,9 @@ class Lamination:
 
     Stored as its integer view `scaled`, which answers `len` and `in`; a
     frozen dataclass over the degree, the depth and that view, which give
-    `==` and `hash`.  `leaves`, `sorted_leaves` and the invariant faces are
-    built on first use.
+    `==` and `hash`.  `leaves`, `sorted_leaves`, the face sweep `_faces` and
+    the invariant faces are built on first use; `_faces` is kept, about 7.9 MiB
+    on the 29,524-leaf degree-3 stage (portrait 0-1, depth 9; tracemalloc).
     """
 
     degree: int
@@ -222,18 +223,23 @@ class Lamination:
         return frozenset(self.sorted_leaves)
 
     @cached_property
+    def _faces(self) -> list[list[tuple[int, ...]]]:
+        """`_face_sweep(self)`, swept once for every later reader."""
+        return _face_sweep(self)
+
+    @cached_property
     def _invariant_faces(self) -> tuple[tuple[tuple[tuple[int, ...], ...], frozenset[int]], ...]:
         """The faces whose vertices map into the face's vertices, each with that vertex set.
 
-        `_face_sweep` boundaries from one sweep, kept for every later reader:
-        the vertex tests run on the integer view, where sigma is x -> d*x mod D.
+        `_faces` boundaries, kept for every later reader: the vertex tests run
+        on the integer view, where sigma is x -> d*x mod D.
         Few faces pass, so each is first tested on the image of its first
         element's first endpoint alone: every vertex is an endpoint of some
         element, and the vertex set is built only when the image is one.
         """
         d, D = self.degree, self._D
         out = []
-        for boundary in _face_sweep(self):
+        for boundary in self._faces:
             u = d * boundary[0][1] % D
             for e in boundary:
                 if u == e[1] or u == e[2]:
@@ -457,7 +463,10 @@ def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation,
 
 
 def _point(x: int, D: int) -> CirclePoint:
-    return CirclePoint(Fraction(x, D))
+    """CirclePoint(Fraction(x, D)) for D > 0, storing the value its __post_init__ would."""
+    t = object.__new__(CirclePoint)
+    object.__setattr__(t, "value", Fraction(x % D, D))
+    return t
 
 
 def _leaf(pair: tuple[int, int], D: int) -> Leaf:

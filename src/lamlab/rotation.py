@@ -9,9 +9,9 @@ critical q(d'-1)-gon.
 Everything runs on integer numerators over a common denominator D, where
 the d-tupling map is x -> d*x mod D: the points of a period-q orbit lie on
 the grid over d^q - 1.  Each RotationalOrbit keeps one such view, its
-sorted points as numerators over their least common denominator.
-CirclePoint, Leaf and Face objects are built only for returned values and
-error messages.
+sorted points as numerators over their least common denominator, and
+builds its CirclePoints on first read.  Leaf and Face objects are built
+only for returned values and error messages.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .circle import CirclePoint, angle, check_degree
@@ -28,10 +29,8 @@ from .leaves import (
     Leaf,
     Polygon,
     _closure,
-    _cross,
     _cycles,
     _face,
-    _face_sweep,
     _image,
     _leaf,
     _numerators,
@@ -113,35 +112,43 @@ def rotation_number(d: int, points: Iterable[CirclePoint | Fraction]) -> Fractio
     return _rotation(d, D, sorted(set(nums)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class RotationalOrbit:
     """A finite rotational set: sorted points plus their rotation number.
 
     Despite the name this may hold several periodic orbits at once, as long
-    as the union still rotates with one constant shift.  The integer view
-    `_scaled` is (D, nums): the least common denominator of the points and
-    the sorted numerators over it.
+    as the union still rotates with one constant shift.  Stored as the
+    integer view `_scaled` (D, nums): the least common denominator of the
+    points and the sorted numerators over it.  The degree, that view and
+    the rotation give `==` and `hash`; `points` is built on first read.
     """
 
     degree: int
-    points: tuple[CirclePoint, ...]
-    rotation: Fraction | None = None
+    _scaled: tuple[int, tuple[int, ...]]
+    rotation: Fraction
 
-    def __post_init__(self) -> None:
-        check_degree(self.degree)
-        pts = [angle(x) for x in self.points]
+    def __init__(self, degree: int, points: Iterable, rotation: Fraction | None = None) -> None:
+        check_degree(degree)
+        pts = [angle(x) for x in points]
         D, nums = _numerators([t.value for t in pts])
         if len(set(nums)) != len(nums):
             raise ValueError("rotational set points must be distinct")
         order = sorted(range(len(nums)), key=nums.__getitem__)
         view = (D, tuple(nums[i] for i in order))
-        object.__setattr__(self, "points", tuple(pts[i] for i in order))
-        rho = _rotation(self.degree, *view)
-        if self.rotation is None:
-            object.__setattr__(self, "rotation", rho)
-        elif Fraction(self.rotation) != rho:
-            raise ValueError(f"stated rotation {self.rotation} but the set rotates by {rho}")
-        object.__setattr__(self, "_scaled", view)
+        rho = _rotation(degree, *view)
+        if rotation is not None and Fraction(rotation) != rho:
+            raise ValueError(f"stated rotation {rotation} but the set rotates by {rho}")
+        self.__dict__.update(degree=degree, _scaled=view, points=tuple(pts[i] for i in order))
+        self.__dict__["rotation"] = rho if rotation is None else rotation
+
+    @cached_property
+    def points(self) -> tuple[CirclePoint, ...]:
+        D, nums = self._scaled
+        return tuple(_point(x, D) for x in nums)
+
+    def __repr__(self) -> str:
+        pts = self.points
+        return f"RotationalOrbit(degree={self.degree}, points={pts}, rotation={self.rotation!r})"
 
     def hull_sides(self) -> tuple[Leaf, ...]:
         """Sides of the convex hull; a pair gives one leaf, a point none."""
@@ -162,10 +169,7 @@ def _orbit(
     if rotation is None:
         rotation = _rotation(d, D, nums)
     orb = object.__new__(RotationalOrbit)
-    object.__setattr__(orb, "degree", d)
-    object.__setattr__(orb, "points", tuple(_point(x, D) for x in nums))
-    object.__setattr__(orb, "rotation", rotation)
-    object.__setattr__(orb, "_scaled", (D, nums))
+    orb.__dict__.update(degree=d, _scaled=(D, nums), rotation=rotation)
     return orb
 
 
@@ -294,6 +298,21 @@ def major_minor(d: int, sides: Iterable[Leaf]) -> MajorMinor:
     )
 
 
+def _gon_fits(d: int, D: int, nums: Sequence[int], a: int) -> bool:
+    """Whether the d-gon with vertices v_j = a/D + j/d crosses no hull side of the points nums[i]/D.
+
+    For k, r = divmod(d*(x - a) mod d*D, D), x/D lies on the closed arc
+    [v_k, v_k+1], and on [v_k-1, v_k] too when r = 0, x being v_k.  A hull
+    side crosses no gon side exactly when both its ends are vertices or
+    both lie on one such arc, so the test costs O(q) for q points.
+    """
+    slots = [divmod(d * (x - a) % (d * D), D) for x in nums]
+    for (k, r), (m, s) in _sides(slots):
+        if k != m and (r or s) and (r or (k - m) % d != 1) and (s or (m - k) % d != 1):
+            return False
+    return True
+
+
 def unicritical_anchor(d: int, orbit: RotationalOrbit) -> tuple[CirclePoint, ...] | None:
     """Vertices of a compatible all-critical d-gon hung at a major endpoint.
 
@@ -302,9 +321,8 @@ def unicritical_anchor(d: int, orbit: RotationalOrbit) -> tuple[CirclePoint, ...
     tried, the smaller first; a tied major contributes every tied side's
     endpoints.  Returns None when no placement works, which is exactly the
     situation where the orbit admits no unicritical lamination of this
-    degree.  Over the orbit's view (D, nums) the gon's vertices are
-    d*a + j*D over d*D.  No tied major has given an anchor: of the 11,987
-    single orbits with d <= 7 and q <= 7, the 66 with a tied major have none.
+    degree.  No tied major has given an anchor: of the 11,987 single orbits
+    with d <= 7 and q <= 7, the 66 with a tied major have none.
 
     A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
@@ -317,10 +335,9 @@ def unicritical_anchor(d: int, orbit: RotationalOrbit) -> tuple[CirclePoint, ...
         # only the orbit's own map is known to carry its sides onto each other
         _check_sides(d, D, [_scaled_pair(s, D) for s in frozenset(orbit.hull_sides())])
     anchors = sorted({x for side in _closest(d, D, sides) for x in side})
-    hull = [(d * x, d * y) for x, y in sides]
     for a in anchors:
-        verts = sorted((d * a + j * D) % (d * D) for j in range(d))
-        if not any(_cross(g, s) for g in _sides(verts) for s in hull):
+        if _gon_fits(d, D, nums, a):
+            verts = sorted((d * a + j * D) % (d * D) for j in range(d))
             return tuple(_point(v, d * D) for v in verts)
     return None
 
@@ -344,7 +361,7 @@ class CoRootSet:
 def _central_gap(
     state: PullbackState, polygon: RotationalOrbit
 ) -> tuple[tuple[int, int], list[tuple[int, ...]], tuple[CirclePoint, ...]]:
-    """The polygon's major over its view, and central_gap's face as a `_face_sweep` boundary."""
+    """The polygon's major over its view, and central_gap's face as a `_faces` boundary."""
     if state.degree != polygon.degree:
         raise ValueError("degree mismatch between lamination and polygon")
     if polygon.rotation == 0:
@@ -360,7 +377,7 @@ def _central_gap(
         for group in state.portrait.vertex_groups
     ]
     hits = []
-    for boundary in _face_sweep(L):
+    for boundary in L._faces:
         verts = {v for e in boundary if e[0] == 0 for v in e[1:3]}
         if ends <= verts:
             hits += [(boundary, group) for group, want in wanted if want <= verts]
@@ -383,7 +400,7 @@ def central_gap(
     a shallow stage can sweep a wanted point inside a boundary arc without
     ever resolving the gap.  Exactly one such face must exist; anything else
     signals insufficient depth or an incompatible polygon.  The search reads
-    the `_face_sweep` boundaries of the deepest stage by their integer vertex
+    the `_faces` boundaries of the deepest stage by their integer vertex
     sets, a point off that stage's grid being no vertex of any face, and
     builds the Face of the one hit only.
 
@@ -399,14 +416,14 @@ def _coroots(
     """find_coroots on integers: (gap boundary, group, Q, sorted co-roots over Q = d^q - 1)."""
     major, boundary, group = _central_gap(state, polygon)
     d = state.degree
-    q = len(polygon.points)
+    D, nums = polygon._scaled
+    q = len(nums)
     if polygon.rotation.denominator != q:
         raise ValueError(f"the polygon's {q} points form several cycles")
     local_degree = len(group)
     # one q-cycle lies on the grid over Q = d^q - 1, where the candidates
     # meet the gap boundary over the stage's grid
     Q = d**q - 1
-    D = polygon._scaled[0]
     majors = {x * (Q // D) for x in major}
     on_closure = _closure(boundary, state.final.scaled[0], Q)
     found: list[int] = []
@@ -469,10 +486,10 @@ class CorrespondencePair:
     local_degree: int
 
     def __post_init__(self) -> None:
-        q = len(self.polygon.points)
-        if len(self.max_polygon.points) != q * (self.local_degree - 1):
+        (D, nums), (G, grown) = self.polygon._scaled, self.max_polygon._scaled
+        if len(grown) != len(nums) * (self.local_degree - 1):
             raise ValueError("maximally critical polygon has the wrong vertex count")
-        if not set(self.polygon.points) <= set(self.max_polygon.points):
+        if not {_regrid(x, D, G) for x in nums} <= set(grown):
             raise ValueError("the q-gon's vertices must survive into the larger polygon")
         if len(self.majors) != self.local_degree - 1:
             raise ValueError("one major per side orbit is required")
@@ -507,9 +524,9 @@ def uni_to_max(state: PullbackState, polygon: RotationalOrbit) -> Correspondence
     """
     d = state.degree
     _, group, Q, coroots = _coroots(state, polygon)
-    q = len(polygon.points)
     local_degree = len(group)
     D, nums = polygon._scaled
+    q = len(nums)
     verts = {x * (Q // D) for x in nums}
     verts.update(x for cycle in _cycles(lambda x: d * x % Q, coroots) for x in cycle)
     if len(verts) != q * (local_degree - 1):

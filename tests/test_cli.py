@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from lamlab import cli, fpp, leaves, rotation
+from lamlab import cli, fpp, leaves
 from lamlab.cli import main
 from lamlab.docio import document_from_state, write_document, write_portrait
 from lamlab.fpp import FixedPointPortrait
@@ -649,7 +649,7 @@ class TestClassifyCommand:
             return face_sweep(L)
 
         face_sweep = leaves._face_sweep
-        for module in (leaves, fpp, pullback_module, rotation):
+        for module in (leaves, fpp, pullback_module):
             monkeypatch.setattr(module, "_face_sweep", sweep_spy)
         _, out, _ = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
         assert len(out.splitlines()) == 4, out

@@ -19,6 +19,7 @@ from lamlab.leaves import (
     Violation,
     _face,
     _face_sweep,
+    _point,
     check_invariance,
     leaf_image,
     validate_prelamination,
@@ -121,6 +122,18 @@ class TestLeafBasics:
         (arc,) = short_arcs(lf(fr(1, 8), fr(7, 8)))
         assert arc == (angle(fr(7, 8)), angle(fr(1, 8)))
         assert len(short_arcs(lf(0, fr(1, 2)))) == 2
+
+
+class TestPoint:
+    def test_matches_constructor(self):
+        # the value CirclePoint.__post_init__ stores, term for term
+        for D in (1, 2, 6, 7, 63, 80):
+            for x in range(-2 * D, 3 * D):
+                got, want = _point(x, D), CirclePoint(Fraction(x, D))
+                assert type(got) is CirclePoint and type(got.value) is Fraction
+                v, w = got.value, want.value
+                assert (v.numerator, v.denominator) == (w.numerator, w.denominator), (x, D)
+                assert got == want and hash(got) == hash(want)
 
 
 class TestLaminationFrozen:

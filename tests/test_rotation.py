@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamlab.circle import angle, check_degree, sigma
-from lamlab.leaves import Lamination, Leaf, Polygon, _closure, leaf_image
+from lamlab import leaves
+from lamlab.leaves import Lamination, Leaf, Polygon, _closure, _cross, _sides, leaf_image
 from lamlab.pullback import CriticalPortrait, pullback
 from lamlab.rotation import (
     CoRootSet,
@@ -20,6 +21,7 @@ from lamlab.rotation import (
     NotRotational,
     RotationalOrbit,
     _central_gap,
+    _gon_fits,
     _itineraries,
     central_gap,
     enumerate_rotational_orbits,
@@ -167,6 +169,13 @@ def anchored_states(d, q):
         yield pullback(F0, CriticalPortrait(d, frozenset(sides)), 2), o
 
 
+def pairwise_gon_fits(d, D, nums, a):
+    """`_gon_fits` by testing each side of the gon against each hull side with `_cross`, over d*D."""
+    verts = sorted((d * a + j * D) % (d * D) for j in range(d))
+    hull = [(d * x, d * y) for x, y in _sides(nums)]
+    return not any(_cross(g, s) for g in _sides(verts) for s in hull)
+
+
 def rabbit_orbit():
     return RotationalOrbit(2, pts("1/7", "2/7", "4/7"))
 
@@ -220,6 +229,25 @@ class TestRotationalOrbit:
     def test_hull_sides_of_triangle(self):
         sides = rabbit_orbit().hull_sides()
         assert set(sides) == set(Polygon(pts("1/7", "2/7", "4/7")).sides)
+
+    def test_repr_pinned(self):
+        assert repr(enumerate_rotational_orbits(2, 3)[0]) == (
+            "RotationalOrbit(degree=2, points=(1/7, 2/7, 4/7), rotation=Fraction(1, 3))"
+        )
+
+    def test_enumeration_builds_no_points(self):
+        for d, q in [(2, 6), (3, 4), (5, 3), (7, 2)]:
+            assert not any("points" in o.__dict__ for o in enumerate_rotational_orbits(d, q))
+
+    def test_enumerated_orbit_equals_constructed(self):
+        # the orbit built from its integer view against the one built from its points
+        for d in range(2, 5):
+            for q in range(1, 6):
+                for o in enumerate_rotational_orbits(d, q):
+                    built = RotationalOrbit(d, o.points)
+                    assert built == o, o
+                    assert hash(built) == hash(o)
+                    assert repr(built) == repr(o)
 
 
 class TestEnumeration:
@@ -359,6 +387,19 @@ class TestUnicriticalAnchor:
                         tied.append(orbit)
         assert len(tied) == 22
         assert all(unicritical_anchor(o.degree, o) is None for o in tied)
+
+    def test_slot_test_matches_pairwise_crossings(self):
+        # every orbit point and every point one grid step past one as the
+        # anchor, under the gons of degrees 2 to 5, the orbit's own or not
+        for d in range(2, 7):
+            for q in range(2, 7):
+                for o in enumerate_rotational_orbits(d, q):
+                    D, nums = o._scaled
+                    for a in set(nums) | {(x + 1) % D for x in nums}:
+                        for e in range(2, 6):
+                            assert _gon_fits(e, D, nums, a) == pairwise_gon_fits(e, D, nums, a), (
+                                e, o, a
+                            )
 
 
 class TestCentralGap:
@@ -540,6 +581,24 @@ class TestCorrespondence:
             assert back.polygon.points == orbit.points
             assert back.local_degree == pair.local_degree
             assert set(back.majors) == set(pair.majors)
+
+    def test_both_directions_sweep_the_final_stage_once(self, monkeypatch):
+        o = RotationalOrbit(3, pts("1/8", "3/8"))
+        F0 = Lamination(3, frozenset(o.hull_sides()))
+        C = CriticalPortrait(3, frozenset(Polygon(unicritical_anchor(3, o)).sides))
+        state = pullback(F0, C, 2)
+        swept = []
+
+        def sweep_spy(L):
+            swept.append(L)
+            return face_sweep(L)
+
+        face_sweep = leaves._face_sweep
+        monkeypatch.setattr(leaves, "_face_sweep", sweep_spy)
+        there = uni_to_max(state, o)
+        back = max_to_uni(state, Polygon(there.max_polygon.points))
+        assert back.polygon == o
+        assert len(swept) == 1 and swept[0] is state.final
 
     def test_coroot_count_tracks_local_degree(self):
         for state, orbit in [
