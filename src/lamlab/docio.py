@@ -18,9 +18,9 @@ from operator import eq, lt, mul
 
 from . import __version__
 from .circle import CirclePoint, _rational, check_degree, parse_angle, render_dnary
-from .fpp import FixedPointPortrait
+from .fpp import CriticalPortrait, FixedPointPortrait
 from .leaves import Lamination, Leaf, _leaf, _numerators, _point, _reduce
-from .pullback import CriticalPortrait, PullbackState
+from .pullback import PullbackState
 
 __all__ = [
     "LaminationDocument",

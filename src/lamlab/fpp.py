@@ -1,23 +1,24 @@
-"""Portraits of fixed points: non-crossing groupings, sectors, and critical placements.
+"""Portraits: fixed point portraits, their sectors and placements, and critical portraits.
 
 The d-tupling map fixes the d-1 points i/(d-1).  A portrait groups some of
 them into blocks whose hulls (leaves or polygons) are forward invariant and
 pairwise disjoint; the hulls cut the disk into fixed sectors.  Each sector
-supports finitely many canonical placements of all-critical chords/polygons
-anchored at its fixed points, which seed the pullback constructions.
+supports canonical placements of all-critical chords/polygons anchored at its
+fixed points; together they form a critical portrait, which the pullback follows.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .circle import CirclePoint, check_degree
-from .leaves import Arc, Lamination, Leaf, Polygon, _cross, _face_sweep, _point, _sides
+from .leaves import Arc, Lamination, Leaf, Polygon, _cross, _point, _sides, validate_prelamination
 
 __all__ = [
     "CanonicalPortraitChoice",
+    "CriticalPortrait",
     "FixedPointPortrait",
     "FixedSector",
     "canonical_portraits",
@@ -54,6 +55,37 @@ def _noncrossing(blocks: list[tuple[int, ...]]) -> bool:
         if i == b[-1]:
             stack.pop()
     return True
+
+
+def _groups(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """The endpoint-connected groups of integer chords: each endpoint mapped to its group.
+
+    A union-find that relabels the smaller group on each merge.  The
+    members of a group share one list, whose first member stays first, so
+    each group is listed once as the entry x: g with x == g[0].
+    """
+    group: dict[int, list[int]] = {}
+    for x, y in pairs:
+        gx = group.get(x) or group.setdefault(x, [x])
+        gy = group.get(y) or group.setdefault(y, [y])
+        if gx is not gy:
+            if len(gx) < len(gy):
+                gx, gy = gy, gx
+            gx += gy
+            for v in gy:
+                group[v] = gx
+    return group
+
+
+def _grouped(group: dict[int, list[int]]) -> list[list[int]]:
+    """The groups of a `_groups` map as sorted vertex lists, sorted."""
+    return sorted(sorted(g) for x, g in group.items() if g[0] == x)
+
+
+def _criticality(pairs: Iterable[tuple[int, int]]) -> int:
+    """Sum over the groups of (vertex count - 1): the vertex count less the group count."""
+    group = _groups(pairs)
+    return len(group) - sum(g[0] == x for x, g in group.items())
 
 
 @dataclass(frozen=True)
@@ -209,6 +241,20 @@ class FixedSector:
         n = self.degree - 1
         return tuple((int(l.a.value * n), int(l.b.value * n)) for l in sorted(self.boundary_leaves))
 
+    @cached_property
+    def _objects(self) -> tuple[tuple[list[int], tuple[Leaf, ...]], ...]:
+        """Hull components and lone fixed points as (sorted points, sorted leaves), sorted.
+
+        Every point is a fixed point i/n, n = d - 1, kept as i: the union-find runs on that grid.
+        """
+        leaves, pairs = sorted(self.boundary_leaves), self._pairs
+        # a fixed point of the sector starts one of its unit arcs or, past a run's end, a leaf
+        group = _groups(pairs + tuple((i, i) for i in self._units))
+        return tuple(
+            (g, tuple(l for l, (x, _) in zip(leaves, pairs) if group[x] is group[g[0]]))
+            for g in _grouped(group)
+        )
+
 
 def _sectors(
     P: FixedPointPortrait,
@@ -227,7 +273,7 @@ def _sectors(
     n = P.degree - 1
     ls = P._hull.sorted_leaves
     out = []
-    for boundary in _face_sweep(P._hull):
+    for boundary in P._hull._faces:
         runs = sorted((e[1], (e[2] - e[1] - 1) % n + 1) for e in boundary if e[0] == 1)
         if runs:
             units = sorted((u + k) % n for u, r in runs for k in range(r))
@@ -250,6 +296,63 @@ def fixed_sectors(P: FixedPointPortrait) -> list[FixedSector]:
 
 
 @dataclass(frozen=True)
+class CriticalPortrait:
+    """A maximal collection of pairwise non-crossing critical chords.
+
+    Chords may share endpoints; a connected group on k endpoints counts
+    k - 1 toward the criticality total, which must be exactly degree - 1.
+    """
+
+    degree: int
+    chords: frozenset[Leaf]
+
+    def __post_init__(self) -> None:
+        check_degree(self.degree)
+        object.__setattr__(self, "chords", frozenset(self.chords))
+        L = self._lamination
+        D, pairs = L.scaled
+        for i, (x, y) in enumerate(pairs):
+            if self.degree * (y - x) % D:
+                raise ValueError(f"chord {L._leaf_at(i)} is not critical for degree {self.degree}")
+        bad = validate_prelamination(L)
+        if bad:
+            c1, c2 = bad[0].leaves
+            raise ValueError(f"critical chords {c1} and {c2} cross")
+        total = _criticality(pairs)
+        if total != self.degree - 1:
+            raise ValueError(f"criticality {total} does not match degree - 1 = {self.degree - 1}")
+
+    @cached_property
+    def _lamination(self) -> Lamination:
+        """The chords as a lamination: their integer grid."""
+        return Lamination(self.degree, self.chords)
+
+    @cached_property
+    def _sectors(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The d critical sectors, as `_faces` boundaries of `_lamination`.
+
+        Each sector's arcs total 1/d.  They are the arc-bearing faces, sorted by
+        least arc start; the interior of an all-critical polygon bears no arc and
+        is no sector.  Every chord endpoint starts exactly one face arc, which
+        runs to the next endpoint.
+        """
+        out = [tuple(b) for b in self._lamination._faces if any(e[0] == 1 for e in b)]
+        out.sort(key=lambda b: min(e[1] for e in b if e[0] == 1))
+        return tuple(out)
+
+    @cached_property
+    def vertex_groups(self) -> tuple[tuple[CirclePoint, ...], ...]:
+        """Endpoint-connected chord groups as sorted vertex tuples."""
+        D, pairs = self._lamination.scaled
+        return tuple(tuple(_point(x, D) for x in g) for g in _grouped(_groups(pairs)))
+
+    @cached_property
+    def criticality(self) -> int:
+        """Sum over endpoint-connected chord groups of (vertex count - 1)."""
+        return _criticality(self._lamination.scaled[1])
+
+
+@dataclass(frozen=True)
 class CanonicalPortraitChoice:
     """One all-critical placement per arc run, jointly carrying criticality d-1."""
 
@@ -266,9 +369,7 @@ class CanonicalPortraitChoice:
                 out.update(p.sides)
         return frozenset(out)
 
-    def as_critical_portrait(self):
-        from .pullback import CriticalPortrait
-
+    def as_critical_portrait(self) -> CriticalPortrait:
         return CriticalPortrait(self.portrait.degree, self.chords)
 
 

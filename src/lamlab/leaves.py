@@ -24,6 +24,7 @@ __all__ = [
     "Face",
     "Lamination",
     "Leaf",
+    "NotRotational",
     "Polygon",
     "Violation",
     "check_invariance",
@@ -288,6 +289,14 @@ class Violation:
     leaves: tuple[Leaf, ...] = ()
 
 
+class NotRotational(ValueError):
+    """A point set fails order preservation or invariance; carries the index."""
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 def _crossers(ends: list[tuple[int, ...]], x: int, y: int) -> Iterator[tuple[int, ...]]:
     """Lazily, the entries of `ends` whose chords the chord x < y crosses.
 
@@ -382,6 +391,30 @@ def _cycles(step: Callable, items: Iterable) -> list[list]:
         left.difference_update(cycle)
         out.append(cycle)
     return out
+
+
+def _rotation(d: int, D: int, nums: Sequence[int]) -> Fraction:
+    """The rotation number of the sorted distinct points nums[i]/D.
+
+    x -> d*x mod D must permute them with a constant index shift p; the
+    result is p/q.  Raises NotRotational at the first point whose image
+    leaves the set or whose shift differs from the earlier ones.
+    """
+    if not nums:
+        raise ValueError("rotation number needs at least one point")
+    q = len(nums)
+    index = {x: i for i, x in enumerate(nums)}
+    shift: int | None = None
+    for i, x in enumerate(nums):
+        j = index.get(d * x % D)
+        if j is None:
+            raise NotRotational(f"the image of point {i} ({_point(x, D)}) leaves the set", i)
+        s = (j - i) % q
+        if shift is None:
+            shift = s
+        elif s != shift:
+            raise NotRotational(f"the index shift breaks at point {i} ({_point(x, D)})", i)
+    return Fraction(shift, q)
 
 
 def validate_prelamination(L: Lamination) -> tuple[Violation, ...]:

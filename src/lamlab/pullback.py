@@ -1,48 +1,49 @@
-"""Critical portraits, inverse branches, and the stagewise preimage scheme.
+"""Inverse branches along a critical portrait, and the stagewise preimage scheme.
 
 A maximal critical portrait cuts the disk into d sectors on which the
 d-tupling map is injective, so chord systems can be pulled back stage by
 stage: every leaf added at the previous stage receives a full set of d
 pairwise disjoint preimage chords compatible with the portrait, forced by
 the sectors away from the critical values and chosen by an interval DP at
-them.  The stages nest and stay sibling invariant.  On top of the raw
-scheme this module checks the diagnostics of canonically constructed states
-(length decay, escape to the initial set, invariant gap faces per fixed
-sector) and classifies the fixed objects carried by each sector.
+them.  The stages nest, and each passes `check_invariance`: every image has
+a full non-crossing sibling collection, which need not hold the leaf itself
+(ROADMAP item 4).  The module also checks the diagnostics of canonically
+built states (length decay, escape to the initial set, invariant gap faces
+per fixed sector) and classifies the fixed objects each sector carries.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .circle import CirclePoint, check_degree, sigma
-from .fpp import FixedPointPortrait, FixedSector, canonical_portraits, fixed_sectors
+from .circle import CirclePoint, sigma
+from .fpp import CriticalPortrait, FixedPointPortrait, FixedSector
+from .fpp import canonical_portraits, fixed_sectors
 from .leaves import (
     Face,
     Lamination,
     Leaf,
+    NotRotational,
     Polygon,
     _closure,
     _cross,
     _crossers,
     _face,
-    _face_sweep,
     _fibre_matching,
     _image,
     _iterates_onto,
     _leaf,
     _point,
+    _rotation,
     leaf_image,
     validate_prelamination,
 )
 
 __all__ = [
-    "CriticalPortrait",
     "InsufficientDepthError",
     "PullbackState",
     "SectorClassification",
@@ -59,96 +60,6 @@ __all__ = [
 
 class InsufficientDepthError(ValueError):
     """The available stages are too shallow to certify the requested structure."""
-
-
-@dataclass(frozen=True)
-class CriticalPortrait:
-    """A maximal collection of pairwise non-crossing critical chords.
-
-    Chords may share endpoints; a connected group on k endpoints counts
-    k - 1 toward the criticality total, which must be exactly degree - 1.
-    """
-
-    degree: int
-    chords: frozenset[Leaf]
-
-    def __post_init__(self) -> None:
-        check_degree(self.degree)
-        object.__setattr__(self, "chords", frozenset(self.chords))
-        L = self._lamination
-        D, pairs = L.scaled
-        for i, (x, y) in enumerate(pairs):
-            if self.degree * (y - x) % D:
-                raise ValueError(f"chord {L._leaf_at(i)} is not critical for degree {self.degree}")
-        bad = validate_prelamination(L)
-        if bad:
-            c1, c2 = bad[0].leaves
-            raise ValueError(f"critical chords {c1} and {c2} cross")
-        total = _criticality(pairs)
-        if total != self.degree - 1:
-            raise ValueError(
-                f"criticality {total} does not match degree - 1 = {self.degree - 1}"
-            )
-
-    @cached_property
-    def _lamination(self) -> Lamination:
-        """The chords as a lamination: their integer grid."""
-        return Lamination(self.degree, self.chords)
-
-    @cached_property
-    def _sectors(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The d critical sectors, as `_face_sweep` boundaries of `_lamination`.
-
-        Each sector's arcs total 1/d.  They are the arc-bearing faces, sorted by
-        least arc start; the interior of an all-critical polygon bears no arc and
-        is no sector.  Every chord endpoint starts exactly one face arc, which
-        runs to the next endpoint.
-        """
-        out = [tuple(b) for b in _face_sweep(self._lamination) if any(e[0] == 1 for e in b)]
-        out.sort(key=lambda b: min(e[1] for e in b if e[0] == 1))
-        return tuple(out)
-
-    @cached_property
-    def vertex_groups(self) -> tuple[tuple[CirclePoint, ...], ...]:
-        """Endpoint-connected chord groups as sorted vertex tuples."""
-        D, pairs = self._lamination.scaled
-        return tuple(tuple(_point(x, D) for x in g) for g in _grouped(_groups(pairs)))
-
-    @cached_property
-    def criticality(self) -> int:
-        """Sum over endpoint-connected chord groups of (vertex count - 1)."""
-        return _criticality(self._lamination.scaled[1])
-
-
-def _groups(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    """The endpoint-connected groups of integer chords: each endpoint mapped to its group.
-
-    A union-find that relabels the smaller group on each merge.  The
-    members of a group share one list, whose first member stays first, so
-    each group is listed once as the entry x: g with x == g[0].
-    """
-    group: dict[int, list[int]] = {}
-    for x, y in pairs:
-        gx = group.get(x) or group.setdefault(x, [x])
-        gy = group.get(y) or group.setdefault(y, [y])
-        if gx is not gy:
-            if len(gx) < len(gy):
-                gx, gy = gy, gx
-            gx += gy
-            for v in gy:
-                group[v] = gx
-    return group
-
-
-def _grouped(group: dict[int, list[int]]) -> list[list[int]]:
-    """The groups of a `_groups` map as sorted vertex lists, sorted."""
-    return sorted(sorted(g) for x, g in group.items() if g[0] == x)
-
-
-def _criticality(pairs: Iterable[tuple[int, int]]) -> int:
-    """Sum over the groups of (vertex count - 1): the vertex count less the group count."""
-    group = _groups(pairs)
-    return len(group) - sum(g[0] == x for x, g in group.items())
 
 
 @dataclass(frozen=True)
@@ -689,7 +600,7 @@ def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool
     # the crossing tests run on the grid E of both L and the chords
     E = lcm(D, Dc)
     up, upc = E // D, E // Dc
-    faces = [(b, _closure(b, D, Dc)) for b in _face_sweep(L)]
+    faces = [(b, _closure(b, D, Dc)) for b in L._faces]
     # a chord that is a leaf of L bounds a carrier on each side, so it fails
     for x, y in chords:
         c = (x * upc, y * upc)
@@ -732,20 +643,6 @@ class SectorClassification:
     rotation: Fraction | None = None
 
 
-def _boundary_objects(S: FixedSector) -> list[tuple[list[int], tuple[Leaf, ...]]]:
-    """S's hull components and lone fixed points as (sorted points, sorted leaves), sorted.
-
-    Every point is a fixed point i/n, n = d - 1, kept as i: the union-find runs on that grid.
-    """
-    leaves, pairs = sorted(S.boundary_leaves), S._pairs
-    # a fixed point of S starts one of its unit arcs or, past a run's end, a leaf
-    group = _groups(pairs + tuple((i, i) for i in S._units))
-    return [
-        (g, tuple(l for l, (x, _) in zip(leaves, pairs) if group[x] is group[g[0]]))
-        for g in _grouped(group)
-    ]
-
-
 def _holds(u: int, n: int, pts: Iterable[int], others: Iterable[int], D: int) -> bool:
     """Whether the open arc of length n from u holds all of pts and none of others, over D."""
     return all(0 < (p - u) % D < n for p in pts) and not any(0 < (q - u) % D < n for q in others)
@@ -777,7 +674,7 @@ def classify_sector(L: Lamination, C: CriticalPortrait, S: FixedSector) -> Secto
         raise ValueError("degree mismatch")
     if L.depth < 1:
         raise InsufficientDepthError("insufficient depth: need at least stage 1 leaves")
-    raw = _boundary_objects(S)
+    raw = S._objects
     D, pairs = L.scaled
     n = S.degree - 1
     m = D // n
@@ -801,25 +698,24 @@ def classify_sector(L: Lamination, C: CriticalPortrait, S: FixedSector) -> Secto
 
 
 def _rotational_polygon_witness(L: Lamination, S: FixedSector) -> tuple[Face, Fraction]:
-    from .rotation import NotRotational, rotation_number
-
-    cands: list[tuple[Face, Fraction]] = []
-    for b in _sector_candidates(L, S):
-        if not _is_polygon(b):
+    """S's one invariant polygon face with a nonzero rotation number, and that number."""
+    D = L.scaled[0]
+    cands: list[tuple[tuple[tuple[int, ...], ...], Fraction]] = []
+    for b, verts in L._invariant_faces:
+        if not _is_polygon(b) or not _within(S, verts, D):
             continue
-        f = _face(L, b)
         try:
-            rho = rotation_number(L.degree, f.vertices)
+            rho = _rotation(L.degree, D, sorted(verts))
         except NotRotational:
             continue
-        if rho == 0:
-            continue
-        cands.append((f, rho))
+        if rho:
+            cands.append((b, rho))
     if len(cands) != 1:
         raise InsufficientDepthError(
             f"insufficient depth: found {len(cands)} rotational polygon faces, expected 1"
         )
-    return cands[0]
+    b, rho = cands[0]
+    return _face(L, b), rho
 
 
 def _gap_witness(L: Lamination, S: FixedSector, points: list[list[int]], flags: list[bool]) -> Face:
@@ -881,7 +777,7 @@ class FlowerLike:
 def _recurring(d: int, D: int, boundary: list[tuple[int, ...]], cap: int) -> bool:
     """Whether within cap steps a face's vertices map into themselves, and its leaves recur.
 
-    The face is a `_face_sweep` boundary over D; its vertices are its leaves' endpoints.
+    The face is a `_faces` boundary over D; its vertices are its leaves' endpoints.
     """
     leaves = [(e[1], e[2]) for e in boundary if e[0] == 0]
     vset = {x for leaf in leaves for x in leaf}
@@ -922,7 +818,7 @@ def flower_like(L: Lamination, G: Polygon | Face | Leaf) -> FlowerLike:
     D = L.scaled[0]
     cap = L.depth + 2
     petals = []
-    for b in _face_sweep(L):
+    for b in L._faces:
         leaves = {e[3] for e in b if e[0] == 0}
         if leaves != ids and leaves & ids and _recurring(L.degree, D, b, cap):
             petals.append(b)

@@ -27,6 +27,7 @@ from .circle import CirclePoint, angle, check_degree
 from .leaves import (
     Face,
     Leaf,
+    NotRotational,  # for the callers of rotation_number, which raises it
     Polygon,
     _closure,
     _cycles,
@@ -36,17 +37,18 @@ from .leaves import (
     _numerators,
     _point,
     _regrid,
+    _rotation,
     _scaled_pair,
     _sides,
 )
-from .pullback import CriticalPortrait, PullbackState
+from .fpp import CriticalPortrait
+from .pullback import PullbackState
 
 __all__ = [
     "CoRootSet",
     "CorrespondencePair",
     "MajorMinor",
     "MajorTieError",
-    "NotRotational",
     "RotationalOrbit",
     "central_gap",
     "enumerate_rotational_orbits",
@@ -60,44 +62,12 @@ __all__ = [
 ]
 
 
-class NotRotational(ValueError):
-    """A point set fails order preservation or invariance; carries the index."""
-
-    def __init__(self, message: str, index: int | None = None) -> None:
-        super().__init__(message)
-        self.index = index
-
-
 class MajorTieError(ValueError):
     """Two distinct sides are equally close to critical length."""
 
     def __init__(self, message: str, candidates: tuple[Leaf, ...]) -> None:
         super().__init__(message)
         self.candidates = candidates
-
-
-def _rotation(d: int, D: int, nums: Sequence[int]) -> Fraction:
-    """The rotation number of the sorted distinct points nums[i]/D.
-
-    x -> d*x mod D must permute them with a constant index shift p; the
-    result is p/q.  Raises NotRotational at the first point whose image
-    leaves the set or whose shift differs from the earlier ones.
-    """
-    if not nums:
-        raise ValueError("rotation number needs at least one point")
-    q = len(nums)
-    index = {x: i for i, x in enumerate(nums)}
-    shift: int | None = None
-    for i, x in enumerate(nums):
-        j = index.get(d * x % D)
-        if j is None:
-            raise NotRotational(f"the image of point {i} ({_point(x, D)}) leaves the set", i)
-        s = (j - i) % q
-        if shift is None:
-            shift = s
-        elif s != shift:
-            raise NotRotational(f"the index shift breaks at point {i} ({_point(x, D)})", i)
-    return Fraction(shift, q)
 
 
 def rotation_number(d: int, points: Iterable[CirclePoint | Fraction]) -> Fraction:
@@ -249,13 +219,12 @@ def _closest(d: int, D: int, sides: Sequence[tuple[int, int]]) -> list[tuple[int
     """The sorted distinct sides over D closest to critical length, as major_minor ranks them.
 
     A length n/D is at least 1/(d+1) when n*(d+1) >= D, and its distance
-    to 1/d is |d*n - D| / (d*D).
+    to 1/d is |d*n - D| / (d*D).  The map carries the sides into the sides
+    without collapse, so one is that long: were the longest, l, shorter,
+    its image, of length d*l or 1 - d*l, would be longer than l.
     """
     lengths = [min(y - x, D - y + x) for x, y in sides]
     pool = [i for i, n in enumerate(lengths) if n * (d + 1) >= D]
-    if not pool:
-        longest = max(lengths)
-        pool = [i for i, n in enumerate(lengths) if n == longest]
     gaps = {i: abs(d * lengths[i] - D) for i in pool}
     best = min(gaps.values())
     return sorted(sides[i] for i in pool if gaps[i] == best)
@@ -275,8 +244,8 @@ def _major(d: int, D: int, sides: Sequence[tuple[int, int]]) -> tuple[int, int]:
 def major_minor(d: int, sides: Iterable[Leaf]) -> MajorMinor:
     """Pick the major (closest to critical length) of a leaf orbit.
 
-    Only sides of length at least 1/(d+1) compete; if none is that long the
-    longest sides compete instead.  The minor is the major's image.  A tie
+    Only sides of length at least 1/(d+1) compete, and the longest side of
+    an orbit is always that long.  The minor is the major's image.  A tie
     between distinct survivors raises MajorTieError rather than guessing.
 
     A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.

@@ -1,5 +1,4 @@
 """Tests for the command line interface, driven through main()."""
-import importlib
 import json
 import math
 import tracemalloc
@@ -8,15 +7,13 @@ from functools import lru_cache
 
 import pytest
 
-from lamlab import cli, fpp, leaves
+from lamlab import cli, leaves
 from lamlab.cli import main
 from lamlab.docio import document_from_state, write_document, write_portrait
 from lamlab.fpp import FixedPointPortrait
 from lamlab.leaves import Lamination
 from lamlab.pullback import CriticalPortrait, canonical_lamination, pullback
 from states import lf, rabbit_state
-
-pullback_module = importlib.import_module("lamlab.pullback")
 
 
 def run(capsys, *argv):
@@ -91,6 +88,22 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "lam", "check", "--file", "/no/such/file.json")
         assert rc == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("rot orbits --degree 2 --period 0", "period must be >= 1"),
+            ("fpp canonical --degree 3 --fpp 0-1 --depth -1 --out x.json", "depth must be >= 0"),
+            ("fpp canonical --degree 3 --fpp 0-x --depth 1 --out x.json", "malformed block '0-x'"),
+        ],
+    )
+    def test_out_of_range_arguments(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, *argv.split())
+        assert rc == 2
+        assert out == ""
+        assert message in err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestFppEnum:
@@ -379,6 +392,20 @@ class TestLamCheck:
         assert inv["status"] == "fail"
         assert "not contained" in inv["error"]
 
+    def test_invariance_violations_fail(self, capsys, tmp_path):
+        # one leaf carried onto itself lacks its sibling
+        f = tmp_path / "t.json"
+        f.write_text('{"degree": 2, "leaves": [["1/3", "2/3"]]}')
+        rc, out, _ = run(capsys, "lam", "check", "--file", str(f), "--against", str(f))
+        assert rc == 1
+        assert jline(out, 0)["status"] == "ok"
+        inv = jline(out, 1)
+        assert inv["status"] == "fail"
+        assert inv["check"] == "invariance"
+        assert inv["violations"] == [
+            {"kind": "sibling", "detail": "no full sibling collection over Leaf(1/3, 2/3)"}
+        ]
+
     def test_malformed_document_fails_with_report(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text('{"degree": 2}')
@@ -649,8 +676,7 @@ class TestClassifyCommand:
             return face_sweep(L)
 
         face_sweep = leaves._face_sweep
-        for module in (leaves, fpp, pullback_module):
-            monkeypatch.setattr(module, "_face_sweep", sweep_spy)
+        monkeypatch.setattr(leaves, "_face_sweep", sweep_spy)
         _, out, _ = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
         assert len(out.splitlines()) == 4, out
         # one sweep of the hull lists the sectors, one of the document classifies them all
@@ -668,6 +694,17 @@ class TestClassifyCommand:
 
 
 class TestRenderCommand:
+    def test_dnary_labels_refused_past_degree_ten(self, capsys, tmp_path):
+        doc, svg = tmp_path / "e.json", tmp_path / "e.svg"
+        doc.write_text('{"degree": 11, "leaves": []}')
+        argv = ("render", "--file", str(doc), "--out", str(svg), "--labels", "dnary")
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 1
+        obj = jline(out)
+        assert obj["status"] == "fail"
+        assert "base-d labels are limited to d <= 10" in obj["error"]
+        assert not svg.exists()
+
     def test_empty_degree_five(self, capsys, tmp_path):
         doc, svg = tmp_path / "e.json", tmp_path / "e.svg"
         doc.write_text('{"degree": 5, "leaves": []}')

@@ -143,8 +143,7 @@ class TestStateRoundTrip:
             return face_sweep(L)
 
         face_sweep = importlib.import_module("lamlab.leaves")._face_sweep
-        for name in ("leaves", "fpp", "pullback"):
-            monkeypatch.setattr(importlib.import_module(f"lamlab.{name}"), "_face_sweep", sweep_spy)
+        monkeypatch.setattr(importlib.import_module("lamlab.leaves"), "_face_sweep", sweep_spy)
         doc = read_document(text)
         clp_checks(doc.pullback_state())
         L = doc.lamination()
@@ -189,6 +188,12 @@ class TestJsonCodec:
         back = read_document(write_document(doc))
         assert back.command == "rabbit build"
         assert back.tool_version == doc.tool_version
+
+    @pytest.mark.parametrize("meta", ['["rabbit"]', '"rabbit"', "7"])
+    def test_metadata_must_be_an_object(self, meta):
+        text = '{"degree": 2, "leaves": [["1/7", "2/7"]], "metadata": %s}' % meta
+        with pytest.raises(ValueError, match="'metadata' must be an object"):
+            read_document(text)
 
     def test_not_json_rejected(self):
         with pytest.raises(ValueError, match="not valid JSON"):
@@ -458,6 +463,9 @@ class TestGridReader:
             # a literal too long for int(), after a degenerate leaf and on its own
             ({"degree": 3, "leaves": [["1/2", "2/4"], [LONG, "1/3"]]}, "degenerate leaf at 1/2"),
             ({"degree": 3, "leaves": [["0/1", "1/2"], [LONG, "1/3"]]}, "Exceeds the limit"),
+            # a literal with an empty numerator or denominator
+            ({"degree": 3, "leaves": [["/3", "1/3"]]}, "malformed angle literal '/3'"),
+            ({"degree": 3, "leaves": [["0/1", "3/"]]}, "malformed angle literal '3/'"),
         ],
     )
     def test_first_flaw_equals_leaf_reader(self, payload, error):
@@ -588,6 +596,15 @@ class TestPortraitCodec:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match=r"unknown portrait keys: \['x'\]"):
             read_portrait('{"degree": 2, "chords": [["0/1", "1/2"]], "x": 1}')
+
+    def test_not_json_rejected(self):
+        with pytest.raises(ValueError, match="portrait is not valid JSON"):
+            read_portrait('{"degree": 2, "chords": [')
+
+    @pytest.mark.parametrize("degree", ['"2"', "2.0", "null"])
+    def test_non_integer_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match="'degree' must be an integer"):
+            read_portrait('{"degree": %s, "chords": [["0/1", "1/2"]]}' % degree)
 
 
 class TestRenderSpec:

@@ -344,6 +344,28 @@ class TestMajorMinor:
         major = major_minor(2, rabbit_orbit().hull_sides()).major
         assert abs(major.length - fr(1, 2)) == fr(1, 14)
 
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_majors_reach_the_length_floor(self, data):
+        # a leaf between points of period dividing q has a closed forward
+        # orbit, whose longest side is at least 1/(d+1); so the major, or
+        # every tied candidate, is too, and no shorter side ever competes
+        d = data.draw(st.integers(2, 6), label="d")
+        q = data.draw(st.integers(2 if d == 2 else 1, 4), label="q")
+        m = d**q - 1
+        a, b = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        leaf, sides = lf(fr(a, m), fr(b, m)), set()
+        while leaf not in sides:
+            sides.add(leaf)
+            leaf = leaf_image(d, leaf)
+        try:
+            winners = [major_minor(d, sides).major]
+        except MajorTieError as exc:
+            winners = list(exc.candidates)
+        floor = Fraction(1, d + 1)
+        assert max(s.length for s in sides) >= floor
+        assert all(w.length >= floor for w in winners), (d, sorted(sides))
+
 
 class TestUnicriticalAnchor:
     def test_rabbit(self):

@@ -114,3 +114,47 @@ def test_private_names_imported_only_from_the_primitives(stem):
             names = [a.name for a in node.names]
             private = [n for n in names if n.startswith("_") and not n.endswith("__")]
             assert not private, (stem, node.module, private)
+
+
+# the layers in the order the paper reads them: portraits, then pullbacks,
+# then the correspondence, with the document and command layers on top
+LAYERS = ("circle", "leaves", "fpp", "pullback", "rotation", "docio", "cli")
+
+
+def test_layers_cover_the_modules():
+    assert set(LAYERS) == set(SOURCES) - {"__init__"}
+
+
+@pytest.mark.parametrize("stem", sorted(SOURCES))
+def test_imports_only_at_module_level(stem):
+    # an import made at call time hides a dependency from the module's head
+    for node in ast.walk(SOURCES[stem]):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for inner in ast.walk(node):
+                assert not isinstance(inner, (ast.Import, ast.ImportFrom)), (stem, inner.lineno)
+
+
+def imported_modules(tree):
+    """The modules a module's import statements name, anywhere in it.
+
+    A sibling is named relatively, `from .x import ...` naming x; an absolute
+    import keeps its dotted name.  `from . import __version__` reads the
+    package, which sets the version before it imports any module.
+    """
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level and not node.module:
+            out += [a.name for a in node.names if a.name != "__version__"]
+        elif isinstance(node, ast.ImportFrom):
+            out.append(node.module)
+    return out
+
+
+@pytest.mark.parametrize("stem", LAYERS)
+def test_modules_import_only_earlier_layers(stem):
+    earlier = LAYERS[: LAYERS.index(stem)]
+    for m in imported_modules(SOURCES[stem]):
+        # the standard library is no layer; lamlab's own modules are named relatively
+        assert m in earlier or (m not in LAYERS and m.split(".")[0] != "lamlab"), (stem, m)
