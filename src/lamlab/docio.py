@@ -376,8 +376,10 @@ def read_document(text: str) -> LaminationDocument:
         if not isinstance(raw_stages, list) or set(map(type, raw_stages)) - {int}:
             raise ValueError("'stages' must be a list of integers")
         stages = tuple(raw_stages)
-    meta = payload.get("metadata") or {}
-    if not isinstance(meta, dict):
+    meta = payload.get("metadata")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
         raise ValueError("'metadata' must be an object")
     return LaminationDocument(
         degree=degree,

@@ -440,11 +440,88 @@ def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation,
     For every leaf of L_prev: (a) its image lies in L_next or collapses;
     (b) some preimage leaf lies in L_next; (c) a full collection of d disjoint
     non-crossing leaves with the same image as the leaf exists within L_next.
-    Critical leaves are exempt from (c), having no leaf image.  One pass over
-    L_next's integer view indexes each image leaf by the fibre positions
-    (i, j) of its preimage leaves there: the i-th preimage of the image's a
-    joined to the j-th of its b.  (c) asks `_fibre_matching` whether those
-    chords hold a non-crossing perfect matching, once per image.
+    Critical leaves are exempt from (c), having no leaf image.  `_fibre_index`
+    indexes each image leaf by the fibre positions of its preimage leaves in
+    L_next, and (c) asks `_full_siblings` about those positions, once per
+    image.  The collection need not hold the leaf itself; `_strict_siblings`
+    asks that it does.
+    """
+    d = L_prev.degree
+    prev, present, over = _fibre_index(L_prev, L_next)
+    D = L_next.scaled[0]
+    out: list[Violation] = []
+    full: dict[tuple[int, int], bool] = {}  # whether an image has a full sibling collection
+    for k, pair in enumerate(prev):
+        fibre = _fibre_position(d, D, pair)
+        if fibre is not None and fibre[0] not in present:
+            l = L_prev._leaf_at(k)
+            detail = f"image {_leaf(fibre[0], D)} of {l} missing"
+            out.append(Violation("forward", detail, (l,)))
+        if pair not in over:
+            l = L_prev._leaf_at(k)
+            out.append(Violation("backward", f"no preimage of {l} present", (l,)))
+        if fibre is None:
+            continue
+        img = fibre[0]
+        if img not in full:
+            full[img] = _full_siblings(d, over.get(img, ()))
+        if not full[img]:
+            detail = f"no full sibling collection over {_leaf(img, D)}"
+            out.append(Violation("sibling", detail, (L_prev._leaf_at(k),)))
+    return tuple(out)
+
+
+def _strict_siblings(L_prev: Lamination, L_next: Lamination) -> tuple[Violation, ...]:
+    """The non-critical leaves of L_prev that no full sibling collection in L_next holds.
+
+    Sibling invariance asks every leaf for d pairwise disjoint leaves with
+    one image, the leaf itself among them (Blokh, Mimbs, Oversteegen and
+    Valkenburg, "Laminations in the language of leaves", Trans. AMS 365,
+    2013); `check_invariance`'s test (c) asks only for some collection over
+    the image.  Here `_full_siblings` marks the leaf's own fibre position.
+    Raises ValueError as `check_invariance` does.
+    """
+    d = L_prev.degree
+    prev, _, over = _fibre_index(L_prev, L_next)
+    D = L_next.scaled[0]
+    out: list[Violation] = []
+    for k, pair in enumerate(prev):
+        fibre = _fibre_position(d, D, pair)
+        # L_next holds the leaf, so the index holds its image
+        if fibre is not None and not _full_siblings(d, over[fibre[0]], fibre[1]):
+            l = L_prev._leaf_at(k)
+            detail = f"no full sibling collection over {_leaf(fibre[0], D)} holds {l}"
+            out.append(Violation("sibling", detail, (l,)))
+    return tuple(out)
+
+
+def _fibre_position(
+    d: int, D: int, pair: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The image (u, v), u < v, of the leaf pair x < y over D, and the leaf's fibre position (i, j).
+
+    The leaf joins the i-th preimage of u to the j-th of v, counted from 0
+    up the circle: x = (t + i)/d with t in [0, 1) has floor(d x) = i.
+    None when the leaf collapses.
+    """
+    x, y = pair
+    ia, ib = d * x % D, d * y % D
+    if ia == ib:
+        return None
+    i, j = d * x // D, d * y // D
+    return ((ia, ib), (i, j)) if ia < ib else ((ib, ia), (j, i))
+
+
+def _fibre_index(
+    L_prev: Lamination, L_next: Lamination
+) -> tuple[
+    list[tuple[int, int]], set[tuple[int, int]], dict[tuple[int, int], set[tuple[int, int]]]
+]:
+    """L_prev's pairs on L_next's grid, L_next's pairs, and each image leaf's fibre positions.
+
+    Raises ValueError unless both have one degree and L_prev lies in
+    L_next.  One pass over L_next's integer view maps each image leaf of
+    its pairs to the `_fibre_position`s of its preimage leaves there.
     """
     if L_prev.degree != L_next.degree:
         raise ValueError("degree mismatch between stages")
@@ -453,46 +530,40 @@ def check_invariance(L_prev: Lamination, L_next: Lamination) -> tuple[Violation,
     D_prev, prev_pairs = L_prev.scaled
     present = set(pairs)
     # every endpoint denominator of a subset divides D
-    up = D // D_prev
-    if D % D_prev or not all((x * up, y * up) in present for x, y in prev_pairs):
+    up, rem = divmod(D, D_prev)
+    prev = [(x * up, y * up) for x, y in prev_pairs]
+    if rem or not present.issuperset(prev):
         raise ValueError("earlier stage is not contained in the later stage")
     over: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for x, y in pairs:
-        ia, ib = d * x % D, d * y % D
-        if ia != ib:
-            # x = (t + i)/d with t in [0, 1) has floor(d x) = i
-            i, j = d * x // D, d * y // D
-            if ia < ib:
-                over.setdefault((ia, ib), set()).add((i, j))
-            else:
-                over.setdefault((ib, ia), set()).add((j, i))
-    out: list[Violation] = []
-    full: dict[tuple[int, int], bool] = {}  # whether an image has a full sibling collection
-    for k, (x, y) in enumerate(prev_pairs):
-        x, y = x * up, y * up
-        ia, ib = d * x % D, d * y % D
-        img = (ia, ib) if ia < ib else (ib, ia)
-        critical = ia == ib
-        if not critical and img not in present:
-            l = L_prev._leaf_at(k)
-            detail = f"image {_leaf(img, D)} of {l} missing"
-            out.append(Violation("forward", detail, (l,)))
-        if (x, y) not in over:
-            l = L_prev._leaf_at(k)
-            out.append(Violation("backward", f"no preimage of {l} present", (l,)))
-        if critical:
-            continue
-        if img not in full:
-            # a-preimage i sits at point 2i of the sorted fibres and b-preimage j at 2j + 1
-            chords: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * d)]
-            for i, j in sorted(over.get(img, ())):
-                p, q = (2 * i, 2 * j + 1) if i <= j else (2 * j + 1, 2 * i)
-                chords[p].append((q, 0, 0))
-            full[img] = _fibre_matching(chords) is not None
-        if not full[img]:
-            detail = f"no full sibling collection over {_leaf(img, D)}"
-            out.append(Violation("sibling", detail, (L_prev._leaf_at(k),)))
-    return tuple(out)
+    for pair in pairs:
+        fibre = _fibre_position(d, D, pair)
+        if fibre is not None:
+            over.setdefault(fibre[0], set()).add(fibre[1])
+    return prev, present, over
+
+
+def _full_siblings(
+    d: int, positions: Iterable[tuple[int, int]], mark: tuple[int, int] | None = None
+) -> bool:
+    """Whether the fibre positions (i, j) over one image hold a non-crossing full sibling collection.
+
+    With a mark, whether some such collection holds the marked position.
+    The 2d sorted fibre points alternate: the i-th preimage of the image's
+    first endpoint sits at point 2i and the j-th of its second at 2j + 1.
+    `_fibre_matching` maximises gain and the marked chord alone has gain 1,
+    so the matching it returns holds the mark exactly when some matching
+    does.
+    """
+    chords: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * d)]
+    held = None
+    for i, j in sorted(positions):
+        p, q = (2 * i, 2 * j + 1) if i <= j else (2 * j + 1, 2 * i)
+        marked = (i, j) == mark
+        if marked:
+            held = (p, q)
+        chords[p].append((q, 0, marked))
+    found = _fibre_matching(chords)
+    return found is not None and (mark is None or held in found[1])
 
 
 def _point(x: int, D: int) -> CirclePoint:

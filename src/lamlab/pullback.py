@@ -6,8 +6,9 @@ stage: every leaf added at the previous stage receives a full set of d
 pairwise disjoint preimage chords compatible with the portrait, forced by
 the sectors away from the critical values and chosen by an interval DP at
 them.  The stages nest, and each passes `check_invariance`: every image has
-a full non-crossing sibling collection, which need not hold the leaf itself
-(ROADMAP item 4).  The module also checks the diagnostics of canonically
+a full non-crossing sibling collection, which need not hold the leaf itself.
+`leaves._strict_siblings` asks that it does; ROADMAP item 4B wires it into
+`check_invariance`.  The module also checks the diagnostics of canonically
 built states (length decay, escape to the initial set, invariant gap faces
 per fixed sector) and classifies the fixed objects each sector carries.
 """
@@ -367,25 +368,21 @@ class PortraitPullbackReport:
 def cp_pullback_equality(P: FixedPointPortrait, n: int) -> PortraitPullbackReport:
     """Whether every canonical placement of P pulls back to the same stages.
 
-    Stage leaf sets are compared with each run's own critical chords removed,
-    for every stage 1..n.
+    Stages 1..n are compared as `Lamination`s, each on its least grid, so two
+    are equal exactly when their leaf sets are.  Leaf sets are built only to
+    count the leaves of a mismatch.
 
     A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
     """
-    runs = []
-    for choice in canonical_portraits(P):
-        st = pullback(P._hull, choice.as_critical_portrait(), n)
-        runs.append((choice.chords, st))
+    runs = [pullback(P._hull, c.as_critical_portrait(), n) for c in canonical_portraits(P)]
     mismatches: list[str] = []
-    ref_chords, ref_state = runs[0]
     for k in range(1, n + 1):
-        ref = ref_state.stages[k].leaves - ref_chords
-        for idx, (ch, st) in enumerate(runs[1:], start=1):
-            got = st.stages[k].leaves - ch
-            if got != ref:
+        ref = runs[0].stages[k]
+        for idx, st in enumerate(runs[1:], start=1):
+            if st.stages[k] != ref:
                 mismatches.append(
                     f"stage {k}: choice {idx} differs from choice 0 "
-                    f"by {len(got ^ ref)} leaves"
+                    f"by {len(st.stages[k].leaves ^ ref.leaves)} leaves"
                 )
                 break
     return PortraitPullbackReport(P, n, len(runs), not mismatches, tuple(mismatches))

@@ -195,6 +195,17 @@ class TestJsonCodec:
         with pytest.raises(ValueError, match="'metadata' must be an object"):
             read_document(text)
 
+    @pytest.mark.parametrize("meta", ["[]", "0", "false", '""', "null"])
+    def test_falsy_metadata(self, meta):
+        # null means absent, as it does for 'portrait', 'fpp' and 'stages'
+        text = '{"degree": 2, "leaves": [["1/7", "2/7"]], "metadata": %s}' % meta
+        if meta == "null":
+            doc = read_document(text)
+            assert (doc.tool_version, doc.command) == ("", "")
+        else:
+            with pytest.raises(ValueError, match="'metadata' must be an object"):
+                read_document(text)
+
     def test_not_json_rejected(self):
         with pytest.raises(ValueError, match="not valid JSON"):
             read_document("{nope")
@@ -327,8 +338,10 @@ def leaf_read_document(text):
         if not isinstance(raw_stages, list) or not all(type(s) is int for s in raw_stages):
             raise ValueError("'stages' must be a list of integers")
         stages = tuple(raw_stages)
-    meta = payload.get("metadata") or {}
-    if not isinstance(meta, dict):
+    meta = payload.get("metadata")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
         raise ValueError("'metadata' must be an object")
     return LaminationDocument(
         degree=degree,

@@ -20,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 from lamlab.circle import CirclePoint, angle, sigma
 from lamlab.fpp import FixedPointPortrait, canonical_portraits, enumerate_fpps, fixed_sectors
 from lamlab.leaves import (
+    Arc,
+    Face,
     Lamination,
     Leaf,
     Polygon,
@@ -586,6 +588,26 @@ class TestDiagnosticsKernel:
         for L, G in ((rabbit, triangle), (quintic, Leaf(angle(0), angle("1/4")))):
             assert flower_like(L, G) == reference_flower_like(L, G)
             assert flower_like(L, G).petal_count == 2
+
+    def test_flower_equals_reference_on_face_centres(self):
+        # every face of the final stage whose vertices map into themselves
+        petals = 0
+        for state in (st for d in (3, 4, 5) for st in canonical_states(d)):
+            L = state.final
+            for b, _ in L._invariant_faces:
+                G = _face(L, b)
+                got = flower_like(L, G)
+                assert got == reference_flower_like(L, G), (state.fpp, G)
+                petals += got.petal_count
+        assert petals > 0
+
+    def test_face_centre_must_map_into_itself(self):
+        # 3 * 1/7 = 3/7 is no vertex of the face
+        G = Face((Leaf(angle("1/7"), angle("2/7")), Arc(angle("2/7"), angle("1/7"))))
+        L = canonical_states(3)[-1].final
+        for run in (flower_like, reference_flower_like):
+            with pytest.raises(ValueError, match="center vertex 1/7 maps outside the center"):
+                run(L, G)
 
 
 class TestNoLeafInDiagnostics:

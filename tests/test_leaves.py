@@ -20,6 +20,7 @@ from lamlab.leaves import (
     _face,
     _face_sweep,
     _point,
+    _strict_siblings,
     check_invariance,
     leaf_image,
     validate_prelamination,
@@ -625,6 +626,65 @@ class TestCheckInvarianceHighDegree:
         assert got == probing_check_invariance(prev, L_next)
         assert [v.check for v in got] == ["sibling"]
         assert check_invariance(prev, state.stages[1]) == ()
+
+
+def probing_strict_siblings(L_prev, L_next):
+    """Reference: the non-critical leaves of L_prev that no present full sibling matching holds."""
+    d = L_prev.degree
+    out = []
+    for l in L_prev.sorted_leaves:
+        img = leaf_image(d, l)
+        if not isinstance(img, Leaf):
+            continue
+        xs, ys = preimages(d, img.a), preimages(d, img.b)
+        sets = [{Leaf(xs[i], ys[j]) for i, j in enumerate(m)} for m in fibre_matchings(d)]
+        if not any(l in s and s <= L_next.leaves for s in sets):
+            detail = f"no full sibling collection over {img} holds {l}"
+            out.append(Violation("sibling", detail, (l,)))
+    return tuple(out)
+
+
+class TestStrictSiblings:
+    """`_strict_siblings` against the enumerating oracle; it asks more than `check_invariance`'s (c)."""
+
+    @staticmethod
+    def assert_matches_oracle(L_prev, L_next):
+        got = _strict_siblings(L_prev, L_next)
+        assert got == probing_strict_siblings(L_prev, L_next)
+        loose = {v.leaves for v in check_invariance(L_prev, L_next) if v.check == "sibling"}
+        assert loose <= {v.leaves for v in got}
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equals_probing_oracle_on_canonical_stages(self, d):
+        for state in canonical_states(d):
+            for prev, nxt in zip(state.stages, state.stages[1:]):
+                new = sorted(nxt.leaves - prev.leaves)
+                for dropped in (new[::3], new[1::2]):
+                    self.assert_matches_oracle(prev, Lamination(d, nxt.leaves - frozenset(dropped)))
+                self.assert_matches_oracle(prev, nxt)
+
+    @settings(max_examples=200)
+    @given(small_leaf_sets, st.integers(2, 4), st.integers(0, 2**12 - 1))
+    def test_equals_probing_oracle(self, leaves, d, mask):
+        L_next = Lamination(d, leaves)
+        kept = (l for i, l in enumerate(L_next.sorted_leaves) if mask >> i & 1)
+        self.assert_matches_oracle(Lamination(d, frozenset(kept)), L_next)
+
+    def test_rabbit_siblings(self):
+        # each rabbit leaf's sibling is a leaf of the triangle {1/14, 9/14, 11/14}
+        extra = {lf(fr(1, 14), fr(9, 14)), lf(fr(1, 14), fr(11, 14)), lf(fr(9, 14), fr(11, 14))}
+        L = Lamination(2, RABBIT)
+        assert _strict_siblings(L, Lamination(2, RABBIT | extra)) == ()
+        assert [v.leaves for v in _strict_siblings(L, L)] == [(l,) for l in L.sorted_leaves]
+
+    def test_rejects_what_check_invariance_rejects(self):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            _strict_siblings(Lamination(2, RABBIT), Lamination(3, RABBIT))
+        with pytest.raises(ValueError, match="not contained"):
+            _strict_siblings(
+                Lamination(2, frozenset({lf(0, fr(1, 4))})),
+                Lamination(2, frozenset({lf(0, fr(1, 3))})),
+            )
 
 
 class TestPolygon:

@@ -26,6 +26,7 @@ from lamlab.leaves import (
     _leaf,
     _point,
     _scaled,
+    _strict_siblings,
     check_invariance,
     leaf_image,
     validate_prelamination,
@@ -631,6 +632,45 @@ class TestPortraitChoiceIndependence:
         assert report.equal
         assert report.choice_count == 1
 
+    def test_mismatch_reported(self, monkeypatch):
+        # the second placement's run loses one leaf of its last stage
+        module = importlib.import_module("lamlab.pullback")
+        real = module.pullback
+        runs = []
+
+        def lossy(F0, C, n):
+            state = real(F0, C, n)
+            runs.append(state)
+            if len(runs) != 2:
+                return state
+            last = Lamination(state.degree, state.final.leaves - {min(state.frontier(n))}, depth=n)
+            return replace(state, stages=state.stages[:-1] + (last,))
+
+        monkeypatch.setattr(module, "pullback", lossy)
+        report = cp_pullback_equality(FixedPointPortrait(3, ((0, 1),)), 2)
+        assert report.mismatches == ("stage 2: choice 1 differs from choice 0 by 1 leaves",)
+        assert not report.equal and report.choice_count == len(runs) == 4
+
+    def test_no_leaf_built_when_placements_agree(self, monkeypatch):
+        # the placements come ready-built; comparing the runs builds no Leaf
+        P = FixedPointPortrait(4, ((0, 1),))
+        choices = canonical_portraits(P)
+        for choice in choices:
+            choice.chords
+        module = importlib.import_module("lamlab.pullback")
+        monkeypatch.setattr(module, "canonical_portraits", lambda _: choices)
+        built = []
+        post_init = Leaf.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Leaf, "__post_init__", counting)
+        report = cp_pullback_equality(P, 3)
+        assert report.equal and report.choice_count == 6
+        assert built == []
+
 
 class TestCanonicalConstruction:
     def test_quintic_first_stage(self):
@@ -719,6 +759,19 @@ class TestStageDiagnostics:
         assert len(set(map(id, swept))) == len(swept)
         assert all(any(L is stage for stage in state.stages[1:]) for L in swept)
 
+    def test_escape_and_unresolved_rows(self):
+        # a stage-1 leaf whose image 0-2/3 is no leaf of F0 = {0-1/3}
+        P = FixedPointPortrait(4, ((0, 1),))
+        stray = lf("1/2", "2/3")
+        L1 = Lamination(4, P.hull_leaves | {stray}, depth=1)
+        C = P._first_choice().as_critical_portrait()
+        report = clp_checks(PullbackState(4, C, (P._hull, L1), "prefer-existing", P))
+        assert report.escape_failures == ((1, stray),)
+        # the second sector's gap is bounded by the stray leaf, which never reaches 0-1/3
+        facts = [(sr.gap_depth, sr.vertex_count, sr.unresolved) for sr in report.sector_reports]
+        assert facts == [(1, 2, ()), (1, 4, (stray,))]
+        assert not report.ok
+
     def test_length_bound_fails_at_degree_six(self):
         # the 1/(2 d^k) bound holds through d = 5 only: here 1/10 > 1/12
         P = FixedPointPortrait(6, ((0, 1, 2),))
@@ -772,6 +825,78 @@ class TestStageInvariance:
         state = pullback(rabbit_triangle(), C, 2)
         for prev, nxt in zip(state.stages, state.stages[1:]):
             assert check_invariance(prev, nxt) == ()
+
+
+@lru_cache(maxsize=None)
+def full_preimage_states():
+    """Each portrait with d <= 6 and its first placement's "prefer-existing" pullback of the hull.
+
+    Three stages, two at d = 6.  These pull the hull back to its full
+    preimage (ROADMAP item 4); no pinned output reads them.
+    """
+    return tuple(
+        (P, pullback(P._hull, C, 3 if d < 6 else 2, policy="prefer-existing"))
+        for d in range(2, 7)
+        for P in enumerate_fpps(d)
+        for C in [P._first_choice().as_critical_portrait()]
+    )
+
+
+class TestFullPreimage:
+    """ROADMAP item 4A: the invariants of the "prefer-existing" pullback of the hull."""
+
+    def test_every_portrait(self):
+        assert len(full_preimage_states()) == 64
+
+    def test_strict_siblings_at_every_stage(self):
+        for P, state in full_preimage_states():
+            for prev, nxt in zip(state.stages, state.stages[1:]):
+                assert _strict_siblings(prev, nxt) == (), (P, nxt.depth)
+
+    def test_shortest_drops_the_hull_siblings(self):
+        # "shortest" pulls the triangle 0, 1/3, 2/3 back to shorter chords, so
+        # each image has a full collection but none holds the hull leaf
+        P = FixedPointPortrait(4, ((0, 1, 2),))
+        state = pullback(P._hull, P._first_choice().as_critical_portrait(), 1, policy="shortest")
+        got = _strict_siblings(*state.stages)
+        assert [v.leaves for v in got] == [(lf(0, "1/3"),), (lf(0, "2/3"),), (lf("1/3", "2/3"),)]
+        assert check_invariance(*state.stages) == ()
+
+    def test_stage_sizes(self):
+        for P, state in full_preimage_states():
+            d = P.degree
+            assert [len(L) for L in state.stages] == [len(P._hull) * d**k for k in range(state.depth + 1)]
+
+    def test_longest_addition(self):
+        # d^k times the longest stage-k addition is at most (d - 2)/(d - 1), attained
+        worst = {}
+        for P, state in full_preimage_states():
+            d = P.degree
+            scaled = [d**k * l.length for k in range(1, state.depth + 1) for l in state.frontier(k)]
+            longest = max(scaled, default=Fraction(0))
+            assert longest <= Fraction(d - 2, d - 1), P
+            worst[d] = max(worst.get(d, longest), longest)
+        assert worst == {d: Fraction(d - 2, d - 1) for d in range(2, 7)}
+
+    def test_every_sector_decided(self):
+        for P, state in full_preimage_states():
+            for S in fixed_sectors(P):
+                classify_sector(state.final, state.portrait, S)
+
+    @pytest.mark.parametrize("move", ["rotate", "reflect"])
+    def test_dihedral_equivariance(self, move):
+        # t -> t + 1/(d - 1) and t -> -t commute with sigma and permute the fixed points
+        states = dict(full_preimage_states())
+        for P, state in states.items():
+            n = P.degree - 1
+            step = (lambda i: (i + 1) % n) if move == "rotate" else (lambda i: -i % n)
+            other = states[FixedPointPortrait(P.degree, tuple(tuple(map(step, b)) for b in P.blocks))]
+            for L, M in zip(state.stages, other.stages):
+                D, pairs = L.scaled
+                shift = D // n if move == "rotate" else 0
+                sign = 1 if move == "rotate" else -1
+                moved = {tuple(sorted(((sign * x + shift) % D, (sign * y + shift) % D))) for x, y in pairs}
+                assert M.scaled == (D, tuple(sorted(moved))), (P, move, L.depth)
 
 
 class TestHyperbolicityCheck:
@@ -859,6 +984,20 @@ class TestSectorClassification:
         S = fixed_sectors(FixedPointPortrait(4, ()))[0]
         with pytest.raises(InsufficientDepthError):
             classify_sector(state.final, state.portrait, S)
+
+    def test_non_rotational_polygon_is_no_witness(self):
+        # both cubic fixed points are subtended, and the one invariant polygon,
+        # {1/8, 3/8, 11/24}, sends 1/8 and 11/24 both to 3/8
+        P = FixedPointPortrait(3, ())
+        tri = Polygon((angle("1/8"), angle("3/8"), angle("11/24")))
+        around = {lf("11/12", "1/12"), lf("23/48", "25/48")}
+        L = Lamination(3, frozenset(tri.sides) | around, depth=1)
+        polygons = [verts for b, verts in L._invariant_faces if all(e[0] == 0 for e in b)]
+        assert polygons == [frozenset(_scaled(t, L.scaled[0]) for t in tri.vertices)]
+        (S,) = fixed_sectors(P)
+        C = P._first_choice().as_critical_portrait()
+        with pytest.raises(InsufficientDepthError, match="found 0 rotational polygon faces"):
+            classify_sector(L, C, S)
 
 
 class TestFlowerLike:
