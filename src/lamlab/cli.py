@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .circle import CirclePoint, _rational, parse_angle
 from .fpp import FixedPointPortrait, enumerate_fpps, fixed_sectors, fpps_up_to_rotation
-from .leaves import Polygon, check_invariance, validate_prelamination
+from .leaves import _MAX_FIXED_POINTS, Polygon, check_invariance, validate_prelamination
 from .pullback import canonical_lamination, classify_sector
 from .rotation import (
     RotationalOrbit,
@@ -46,14 +46,12 @@ __all__ = ["main"]
 # pullback, whose time grows with the leaf count (about 5.5 us per leaf at
 # depths 8 to 10)
 MAX_LEAVES = 50_000
-# `fpp canonical` refuses a degree whose d - 1 fixed points exceed this
-# before it builds anything.  The leaf cap alone does not bound the
-# work: a sibling matching that meets a critical endpoint costs about d^3
-# (about 0.15 s at degree 201), and without this bound `--fpp none --depth 0`
-# at degree 10^6 passes the leaf cap.  At the bound, degree 101, the full
-# polygon's 100 hull leaves at depth 1 (10,200 leaves) take about 2 s and
-# 24 MB max RSS on a 2-CPU Xeon, and `--fpp none --depth 0` 0.25 s and 20 MB
-MAX_FIXED_POINTS = 100
+# `fpp canonical` refuses a degree whose d - 1 fixed points exceed the
+# library's bound before it builds the portrait.  The leaf cap alone does not
+# bound the work: without this bound `--fpp none --depth 0` at degree 10^6
+# passes the leaf cap.  At the bound, degree 101, `--fpp none --depth 0`
+# takes about 0.25 s and 20 MB max RSS on a 2-CPU Xeon
+MAX_FIXED_POINTS = _MAX_FIXED_POINTS
 # `render` refuses a document's degree whose d - 1 fixed points exceed this
 # before it draws, since it draws one dot per fixed point; a one-leaf
 # document at the bound, degree 100,001, takes about 0.35 s and 42 MB max RSS

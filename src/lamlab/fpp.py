@@ -143,9 +143,11 @@ class FixedPointPortrait:
         The choices are the product of the runs' sorted placements, so the
         first takes each run's first.  A run of r arcs has r + 1 placements of
         r + 1 vertices, so building only this choice costs at most about d^2
-        points, where all choices number up to 2^(d - 1).
+        points, where all choices number up to 2^(d - 1).  Only the held
+        placements become objects.
         """
-        return CanonicalPortraitChoice(self, tuple(opts[0] for opts in _run_options(self)))
+        firsts = tuple(_placement(self.degree, opts[0]) for opts in _run_options(self))
+        return CanonicalPortraitChoice(self, firsts)
 
     def rotated(self, k: int = 1) -> "FixedPointPortrait":
         n = self.degree - 1
@@ -373,28 +375,32 @@ class CanonicalPortraitChoice:
         return CriticalPortrait(self.portrait.degree, self.chords)
 
 
-def _run_placements(d: int, s: int, r: int) -> list[Leaf | Polygon]:
+def _run_placements(d: int, s: int, r: int) -> list[tuple[int, ...]]:
     """The all-critical placements in the run of r unit arcs from fixed point s, sorted.
 
-    Over G = d(d - 1) fixed point i is i*d and a step of 1/d is n = d - 1,
-    so the run spans r*d and r + 1 vertices 1/d apart span r*n = r*d - r.
-    The first vertex from the run's start can therefore sit at s*d + j for
-    j = 0..r; on the full circle, r = n, j = n gives the polygon of j = 0.
+    Each placement is its sorted vertex tuple over G = d(d - 1), from which
+    `_placement` builds its object.  Over G fixed point i is i*d and a step
+    of 1/d is n = d - 1, so the run spans r*d and r + 1 vertices 1/d apart
+    span r*n = r*d - r.  The first vertex from the run's start can therefore
+    sit at s*d + j for j = 0..r; on the full circle, r = n, j = n gives the
+    polygon of j = 0.
     """
     n = d - 1
     G = d * n
-    verts = sorted(
+    return sorted(
         tuple(sorted((s * d + j + i * n) % G for i in range(r + 1)))
         for j in range(r + 1 if r < n else n)
     )
-    out: list[Leaf | Polygon] = []
-    for v in verts:
-        pts = tuple(_point(x, G) for x in v)
-        out.append(Leaf(*pts) if r == 1 else Polygon(pts))
-    return out
 
 
-def _run_options(P: FixedPointPortrait) -> list[list[Leaf | Polygon]]:
+def _placement(d: int, verts: tuple[int, ...]) -> Leaf | Polygon:
+    """The leaf or polygon on the sorted vertices verts over G = d(d - 1)."""
+    G = d * (d - 1)
+    pts = tuple(_point(x, G) for x in verts)
+    return Leaf(*pts) if len(pts) == 2 else Polygon(pts)
+
+
+def _run_options(P: FixedPointPortrait) -> list[list[tuple[int, ...]]]:
     """The sorted placements of each arc run of each fixed sector, in sector order."""
     return [_run_placements(P.degree, s, r) for _, runs, _ in _sectors(P) for s, r in runs]
 
@@ -406,4 +412,5 @@ def canonical_portraits(P: FixedPointPortrait) -> list[CanonicalPortraitChoice]:
     is the one the canonical pullback construction uses; `P._first_choice()`
     builds it alone.
     """
-    return [CanonicalPortraitChoice(P, combo) for combo in itertools.product(*_run_options(P))]
+    options = [[_placement(P.degree, v) for v in opts] for opts in _run_options(P)]
+    return [CanonicalPortraitChoice(P, combo) for combo in itertools.product(*options)]

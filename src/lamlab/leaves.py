@@ -97,6 +97,16 @@ def leaf_image(d: int, l: Leaf) -> Leaf | CirclePoint:
     return Leaf(ia, ib)
 
 
+# `pullback` and `canonical_lamination` refuse a degree whose d - 1 fixed
+# points exceed this before they build anything: `_fibre_matching` over the
+# 2d fibre points of a sibling matching that meets a critical endpoint costs
+# about d^3 (about 0.15 s at degree 201), and every hull leaf between fixed
+# points meets one.  At the bound, degree 101, the full polygon's 100 hull
+# leaves at depth 1 (10,200 leaves) take about 2 s and 24 MB max RSS on a
+# 2-CPU Xeon
+_MAX_FIXED_POINTS = 100
+
+
 def _fibre_matching(
     chords: list[list[tuple[int, int, int]]],
 ) -> tuple[int, list[tuple[int, int]]] | None:

@@ -30,9 +30,9 @@ from .leaves import (
     Leaf,
     NotRotational,
     Polygon,
+    _MAX_FIXED_POINTS,
     _closure,
     _cross,
-    _crossers,
     _face,
     _fibre_matching,
     _image,
@@ -133,6 +133,13 @@ class PullbackState:
 _POLICIES = ("prefer-existing", "shortest")
 
 
+def _check_fixed_points(d: int) -> None:
+    if d - 1 > _MAX_FIXED_POINTS:
+        raise ValueError(
+            f"degree {d} means {d - 1} fixed points; the limit is {_MAX_FIXED_POINTS}"
+        )
+
+
 def _dp_matching(
     d: int,
     pair: tuple[int, int],
@@ -164,13 +171,19 @@ def _dp_matching(
       point.
 
     So a chord is valid when every endpoint in `ends` strictly inside it has
-    its partner in the closed span.  A valid chord is reused when it is in
-    `reusable`: F0's pairs at stage 1 and none later, as no other placed
-    chord maps onto the leaf (see `pullback`).  `_fibre_matching` runs at
-    most twice over the valid chords.  The first run finds the policy's
-    longest chord tau: the least bottleneck ("shortest", zero gains), or the
-    least bottleneck among the matchings that reuse the most placed chords
-    ("prefer-existing", reuse as the gain).  The second keeps the chords no
+    its partner in the closed span.  One sweep per fibre point x finds its
+    valid chords: a bisect finds the first endpoint above x, and as the far
+    end y grows the endpoints below y are taken in.  A taken-in partner
+    below x crosses this chord and every longer one from x, which ends the
+    row; otherwise the chord to y is valid when the largest partner taken in
+    is at most y.  An endpoint at y itself is taken in for the next y.
+
+    A valid chord is reused when it is in `reusable`: F0's pairs at stage 1
+    and none later, as no other placed chord maps onto the leaf (see
+    `pullback`).  `_fibre_matching` runs at most twice over the valid chords.
+    The first run finds the policy's longest chord tau: the least bottleneck
+    ("shortest", zero gains), or the least bottleneck among the matchings
+    that reuse the most placed chords ("prefer-existing", reuse as the gain).  The second keeps the chords no
     longer than tau and maximises reuse, taking the least sorted chord pairs
     among ties.  So the winner is the least (maxlen, -reuse, pairs), or
     (-reuse, maxlen, pairs), over every non-crossing matching of valid
@@ -180,16 +193,21 @@ def _dp_matching(
     full = d * denom
     prefer = policy == "prefer-existing"
     valid: list[list[tuple[int, int, int]]] = []
+    n_ends = len(ends)
     for l, x in enumerate(pts):
         row = []
+        # ends[i:] are the endpoints not yet taken in, reach the largest partner taken in
+        i, reach = bisect_left(ends, (x + 1,)), x
         for m in range(l + 1, 2 * d, 2):
             y = pts[m]
-            crosser = next(_crossers(ends, x, y), None)
-            if crosser is None:
-                row.append((m, min(y - x, full - y + x), prefer and (x, y) in reusable))
-            elif crosser[1] < x:
-                # that chord also crosses every longer chord from x
+            while i < n_ends and ends[i][0] < y and ends[i][1] >= x:
+                reach = max(reach, ends[i][1])
+                i += 1
+            if i < n_ends and ends[i][0] < y:
+                # that chord's partner is below x: it crosses every longer chord from x
                 break
+            if reach <= y:
+                row.append((m, min(y - x, full - y + x), prefer and (x, y) in reusable))
         valid.append(row)
     first = _fibre_matching(valid)
     if first is None:
@@ -264,7 +282,10 @@ def pullback(
       F0's leaves map into F0 and the critical chords onto points.  So only
       stage 1 can reuse a placed chord, and only an F0 leaf.  Forced chords
       never touch a critical endpoint, so `ends` grows only from DP answers.
+
+    A degree with more than 100 fixed points raises ValueError before any work.
     """
+    _check_fixed_points(F0.degree)
     return PullbackState(F0.degree, C, _stages(F0, C, n, policy), policy)
 
 
@@ -349,7 +370,9 @@ def canonical_lamination(P: FixedPointPortrait, n: int) -> PullbackState:
 
     Matchings use the "shortest" policy, which keeps every stage-k addition
     within the 1/(2 d^k) length bound for d <= 5; at d = 6 the bound can fail.
+    Like `pullback`, it refuses more than 100 fixed points before any work.
     """
+    _check_fixed_points(P.degree)
     C = P._first_choice().as_critical_portrait()
     return PullbackState(P.degree, C, _stages(P._hull, C, n, "shortest"), "shortest", P)
 

@@ -426,6 +426,21 @@ class TestCanonicalPlacements:
         monkeypatch.undo()
         assert built == [(P, P._first_choice().placements)]
 
+    def test_first_choice_builds_only_held_placements(self, monkeypatch):
+        # the same portrait: twelve runs of one arc, each with two placements
+        # of two vertices, so the held placements have 24 vertices of 48
+        P = FixedPointPortrait(13, tuple((i, i + 1) for i in range(0, 12, 2)))
+        point, built = fpp._point, []
+
+        def spy(x, D):
+            built.append((x, D))
+            return point(x, D)
+
+        monkeypatch.setattr(fpp, "_point", spy)
+        choice = P._first_choice()
+        monkeypatch.undo()
+        assert len(built) == sum(len(l.endpoints) for l in choice.placements) == 24
+
     def test_quarter_small_sector(self):
         P = FixedPointPortrait(5, ((0, 1),))
         choices = canonical_portraits(P)

@@ -506,6 +506,18 @@ class TestPullbackStages:
         with pytest.raises(ValueError, match="degree mismatch"):
             pullback(lam(3, []), diameter_portrait(), 1)
 
+    def test_fixed_point_bound_checked_before_any_work(self, monkeypatch):
+        # degree 102 has 101 fixed points, one past the bound
+        C = FixedPointPortrait(102)._first_choice().as_critical_portrait()
+        module = importlib.import_module("lamlab.pullback")
+
+        def refuse(*args):
+            raise AssertionError("stages built")
+
+        monkeypatch.setattr(module, "_stages", refuse)
+        with pytest.raises(ValueError, match="degree 102 means 101 fixed points; the limit is 100"):
+            pullback(lam(102, []), C, 0)
+
     def test_portrait_of_another_degree_rejected(self):
         state = canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 2)
         quartic = canonical_portraits(FixedPointPortrait(4, ()))[0].as_critical_portrait()
@@ -710,6 +722,21 @@ class TestCanonicalConstruction:
         state = canonical_lamination(FixedPointPortrait(2, ()), 3)
         assert all(not L.leaves for L in state.stages)
         assert leaf_set(state.portrait.chords) == pairs([(0, fr(1, 2))])
+
+    def test_fixed_point_bound_checked_before_the_portrait(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("critical portrait built")
+
+        monkeypatch.setattr(FixedPointPortrait, "_first_choice", refuse)
+        with pytest.raises(ValueError, match="degree 102 means 101 fixed points; the limit is 100"):
+            canonical_lamination(FixedPointPortrait(102), 0)
+
+    def test_fixed_point_bound_is_inclusive(self):
+        state = canonical_lamination(FixedPointPortrait(101), 0)
+        assert state.degree == 101
+        assert not state.initial.leaves
+        # the sides of the all-critical polygon on the 101 points i/101
+        assert len(state.portrait.chords) == 101
 
     def test_policy_recorded(self):
         state = quintic_canonical(1)
@@ -1110,6 +1137,45 @@ def matching_problems(draw):
     return d, (x, y), denom, ends, placed, draw(st.sampled_from(_POLICIES))
 
 
+@st.composite
+def fibre_neighbour_problems(draw):
+    """`_dp_matching` arguments but the policy, every placed endpoint a fibre point or its neighbour.
+
+    A placed endpoint then sits exactly at a candidate chord's end or one
+    grid step inside or outside it, and its partner on either side of both
+    ends, where the valid-chord sweep decides what it takes in.
+    """
+    d = draw(st.integers(2, 6))
+    denom = draw(st.integers(3, 8))
+    x = draw(st.integers(0, denom - 2))
+    y = draw(st.integers(x + 1, denom - 1))
+    full = d * denom
+    near = sorted({(p + i * denom + s) % full for i in range(d) for p in (x, y) for s in (-1, 0, 1)})
+    point = st.sampled_from(near)
+    placed = draw(
+        st.sets(
+            st.tuples(point, point).filter(lambda t: t[0] != t[1]).map(lambda t: tuple(sorted(t))),
+            min_size=1,
+            max_size=2 * d,
+        )
+    )
+    ends = sorted(e for u, v in placed for e in ((u, v), (v, u)))
+    return d, (x, y), denom, ends, placed
+
+
+# d=4, leaf 0-3/4 over 4, fibre points 0, 3, 4, ..., 15 over 16: the placed
+# 0-3/4 ends inside the chord 0-15/16 with its partner exactly at x = 0, so
+# that chord stays valid, and the matching of chords 1/16 long uses it
+_PARTNER_AT_X = (4, (0, 3), 4, [(0, 12), (12, 0)], {(0, 12)})
+# d=2, leaf 0-1/3 over 3, fibre points 0, 1, 3, 4 over 6: the placed 1/6-2/3
+# ends exactly at y = 1 of the chord 0-1/6, which it does not cross
+_END_AT_Y = (2, (0, 1), 3, [(1, 4), (4, 1)], {(1, 4)})
+# d=4, leaf 0-1/2 over 4, fibre points 0, 2, ..., 14 over 16: inside the
+# chord 3/8-3/4 the placed 1/8-11/16 ends at 11 with its partner 2 below x = 6,
+# behind the end 8 of 1/2-13/16, whose partner 13 is above y = 12
+_BELOW_X_BEHIND = (4, (0, 2), 4, [(2, 11), (8, 13), (11, 2), (13, 8)], {(2, 11), (8, 13)})
+
+
 # d=3 portrait 0-1 at its first stage, over D = 6: the hull leaf (0, 3) and the
 # critical chords (0, 2), (0, 4), scaled to 18.  Under "shortest" its two
 # optimal matchings are mirror images of the same lengths, and only the sorted
@@ -1356,6 +1422,18 @@ class TestMatchingOracle:
         assert outcome(lambda: dp(*problem)) == outcome(
             lambda: enumerating_best_matching(*problem)
         )
+
+    @settings(max_examples=300)
+    @given(fibre_neighbour_problems())
+    @example(_PARTNER_AT_X)
+    @example(_END_AT_Y)
+    @example(_BELOW_X_BEHIND)
+    def test_equals_enumerator_near_fibre_points(self, problem):
+        dp = importlib.import_module("lamlab.pullback")._dp_matching
+        for policy in _POLICIES:
+            assert outcome(lambda: dp(*problem, policy)) == outcome(
+                lambda: enumerating_best_matching(*problem, policy)
+            )
 
     def test_blocked_and_tied_examples(self):
         dp = importlib.import_module("lamlab.pullback")._dp_matching
