@@ -12,14 +12,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress
 from operator import eq, lt, mul
+from typing import NamedTuple
 
 from . import __version__
 from .circle import CirclePoint, _rational, check_degree, parse_angle, render_dnary
 from .fpp import CriticalPortrait, FixedPointPortrait
-from .leaves import Lamination, Leaf, _leaf, _numerators, _point, _reduce
+from .leaves import Lamination, _leaf, _numerators, _point
 from .pullback import PullbackState
 
 __all__ = [
@@ -46,63 +46,29 @@ def format_angle(t: CirclePoint) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-class _GridLeaves(Sequence):
-    """A document's sorted leaves, stored as integer pairs x < y over one denominator D.
+class _Pairs(NamedTuple):
+    """The leaves `read_document` read, as integer pairs x < y over one D, in document order."""
 
-    Length and equality come from the pairs; the `Leaf` forms are built on
-    first use, and the sequence equals the tuple of them.  `read_document`
-    builds it from the literals without building a `Leaf`: a list of ASCII
-    `p/q` literals column by column, any other list one literal at a time.
-    """
-
-    __slots__ = ("D", "pairs", "_leaves")
-
-    def __init__(self, D: int, pairs: tuple[tuple[int, int], ...], leaves=None) -> None:
-        self.D, self.pairs, self._leaves = D, pairs, leaves
-
-    def _tuple(self) -> tuple[Leaf, ...]:
-        if self._leaves is None:
-            D = self.D
-            self._leaves = tuple(_leaf(p, D) for p in self.pairs)
-        return self._leaves
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, i):
-        return self._tuple()[i]
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _GridLeaves):
-            return self.D == other.D and self.pairs == other.pairs
-        if isinstance(other, tuple):
-            return self._tuple() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
-
-    def __repr__(self) -> str:
-        return repr(self._tuple())
+    D: int
+    pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class LaminationDocument:
     """A lamination with its construction data, ready for disk.
 
-    Leaves are kept sorted by (smaller endpoint, larger endpoint), so two
-    documents with the same content compare equal and serialize identically.
-    `stages`, when present, runs parallel to `leaves` and records the first
-    construction depth at which each leaf appeared.  The leaves are stored on
-    their integer grid, as `Lamination.scaled` gives it; `leaves` reads as a
-    tuple of `Leaf`s, built on first use.
+    `leaves` is the document's `Lamination`, at the depth of the deepest
+    stage tag (0 without tags): it iterates the sorted `Leaf`s and keeps
+    them as the pairs of its integer grid, `scaled`, building the `Leaf`
+    forms on first use.  A `Lamination` of the document's degree and depth
+    is kept as it is; any other leaf collection is checked for duplicates,
+    sorted with its stage tags and built onto the grid once.  `stages`, when
+    present, runs parallel to `leaves` and records the first construction
+    depth at which each leaf appeared.
     """
 
     degree: int
-    leaves: tuple[Leaf, ...]
+    leaves: Lamination
     portrait: CriticalPortrait | None = None
     fpp: FixedPointPortrait | None = None
     stages: tuple[int, ...] | None = None
@@ -111,35 +77,37 @@ class LaminationDocument:
 
     def __post_init__(self) -> None:
         n = check_degree(self.degree) - 1
-        ls = self.leaves
-        if isinstance(ls, _GridLeaves):
-            D, pairs = _reduce(n, ls.D, ls.pairs)
-            # the Leaf forms, if built, still hold when the grid stays
-            ls = ls._leaves if D == ls.D else None
+        ls, st = self.leaves, self.stages
+        if isinstance(ls, Lamination):
+            D, pairs = ls.scaled
+        elif isinstance(ls, _Pairs):
+            D, pairs = ls
         else:
-            ls = tuple(ls)
             D, nums = _numerators([t.value for l in ls for t in (l.a, l.b)], n)
             pairs = tuple(zip(nums[::2], nums[1::2]))
-        # pairs in strictly increasing order are sorted and distinct
-        ordered = all(map(lt, pairs, pairs[1:]))
+        # pairs in strictly increasing order, as a Lamination's are, are sorted and distinct
+        ordered = isinstance(ls, Lamination) or all(map(lt, pairs, pairs[1:]))
         if not ordered and len(set(pairs)) != len(pairs):
             raise ValueError("document contains a duplicate leaf")
-        st = self.stages
         if st is not None:
-            st = tuple(map(int, st))
+            st = tuple(st)
+            # `type` refuses bools, which are ints, as well as floats and strings
+            if set(map(type, st)) - {int}:
+                raise ValueError("stage annotations must be integers")
             if len(st) != len(pairs):
                 raise ValueError("stage annotations must cover the leaves exactly")
             if min(st, default=0) < 0:
                 raise ValueError("stage annotations must be >= 0")
+        depth = max(st, default=0) if st is not None else 0
         if not ordered:
             # pairs order as their leaves do, and are distinct, so the rest never breaks a tie
             order = sorted(range(len(pairs)), key=pairs.__getitem__)
             pairs = tuple(pairs[i] for i in order)
-            if ls is not None:
-                ls = tuple(ls[i] for i in order)
             if st is not None:
                 st = tuple(st[i] for i in order)
-        object.__setattr__(self, "leaves", _GridLeaves(D, pairs, ls))
+        if not isinstance(ls, Lamination) or (ls.degree, ls.depth) != (self.degree, depth):
+            ls = Lamination._on_grid(self.degree, D, pairs, depth)
+        object.__setattr__(self, "leaves", ls)
         object.__setattr__(self, "stages", st)
         if self.portrait is not None and self.portrait.degree != self.degree:
             raise ValueError("portrait degree disagrees with the document")
@@ -147,38 +115,33 @@ class LaminationDocument:
             raise ValueError("fixed point portrait degree disagrees with the document")
 
     def lamination(self) -> Lamination:
-        """The document's leaves as a Lamination at its deepest stage, built on the first call."""
-        return self._lamination
-
-    @cached_property
-    def _lamination(self) -> Lamination:
-        depth = max(self.stages, default=0) if self.stages is not None else 0
-        return Lamination._on_grid(self.degree, self.leaves.D, self.leaves.pairs, depth)
+        """The document's leaves as a Lamination at its deepest stage: `leaves` itself."""
+        return self.leaves
 
     def pullback_state(self) -> PullbackState:
         """Rebuild the staged construction recorded in this document.
 
         Requires a critical portrait.  Without stage annotations the whole
-        leaf set is treated as a single stage.  The final stage is
-        `lamination()` itself, so both share what it keeps, such as its faces.
+        leaf set is treated as a single stage.  The final stage is `leaves`
+        itself, so both share what it keeps, such as its faces.
         """
         if self.portrait is None:
             raise ValueError("document has no critical portrait to rebuild a state from")
-        D, pairs = self.leaves.D, self.leaves.pairs
+        D, pairs = self.leaves.scaled
         tags = self.stages or (0,) * len(pairs)
         lams = [
             Lamination._on_grid(self.degree, D, compress(pairs, [s <= k for s in tags]), k)
-            for k in range(max(tags, default=0))
+            for k in range(self.leaves.depth)
         ]
-        lams.append(self.lamination())
-        return PullbackState(self.degree, self.portrait, tuple(lams), "document", self.fpp)
+        lams.append(self.leaves)
+        return PullbackState(self.degree, self.portrait, tuple(lams), self.fpp)
 
 
 def document_from_state(state: PullbackState, command: str = "") -> LaminationDocument:
     """Package a pullback state, tagging each leaf with its first stage."""
     return LaminationDocument(
         degree=state.degree,
-        leaves=_GridLeaves(*state.final.scaled),
+        leaves=state.final,
         portrait=state.portrait,
         fpp=state.fpp,
         stages=state._first_stage,
@@ -203,7 +166,7 @@ def _chords_block(C: CriticalPortrait) -> str:
 def write_document(doc: LaminationDocument) -> str:
     out = ["{"]
     out.append(f'  "degree": {doc.degree},')
-    out.append(f'  "leaves": {_pair_block(doc.leaves.D, doc.leaves.pairs)},')
+    out.append(f'  "leaves": {_pair_block(*doc.leaves.scaled)},')
     out.append(
         '  "portrait": '
         + ("null" if doc.portrait is None else _chords_block(doc.portrait))
@@ -305,7 +268,7 @@ def _bulk_numerators(raw: list, n: int) -> tuple[int, list[int]] | None:
     return D, xs
 
 
-def _read_pairs(raw: object, degree: int, where: str, what: str) -> _GridLeaves:
+def _read_pairs(raw: object, degree: int, where: str, what: str) -> _Pairs:
     """A document's list of angle pairs on its grid, D = lcm(d - 1, every denominator).
 
     `_bulk_numerators` reads the ASCII `p/q` form; any other list goes
@@ -325,13 +288,13 @@ def _read_pairs(raw: object, degree: int, where: str, what: str) -> _GridLeaves:
     D, xs = grid
     a, b = xs[::2], xs[1::2]
     if all(map(lt, a, b)):
-        return _GridLeaves(D, tuple(zip(a, b)))
-    return _GridLeaves(D, tuple((x, y) if x < y else (y, x) for x, y in zip(a, b)))
+        return _Pairs(D, tuple(zip(a, b)))
+    return _Pairs(D, tuple((x, y) if x < y else (y, x) for x, y in zip(a, b)))
 
 
 def _read_chords(raw: object, degree: int, where: str) -> CriticalPortrait:
-    chords = _read_pairs(raw, degree, where, "portrait chord")
-    return CriticalPortrait(check_degree(degree), frozenset(chords))
+    D, pairs = _read_pairs(raw, degree, where, "portrait chord")
+    return CriticalPortrait(check_degree(degree), frozenset(_leaf(p, D) for p in pairs))
 
 
 def read_document(text: str) -> LaminationDocument:
@@ -525,7 +488,7 @@ def write_svg(doc: LaminationDocument, spec: RenderSpec = RenderSpec()) -> str:
         f'fill="none" stroke="{_CIRCLE_COLOR}" stroke-width="1.5"/>',
     ]
 
-    D, pairs = doc.leaves.D, doc.leaves.pairs
+    D, pairs = doc.leaves.scaled
     stages = doc.stages if doc.stages is not None else (0,) * len(pairs)
     by_depth: dict[int, list[str]] = {}
     for path, s in zip(chord_paths(D, pairs), stages):

@@ -67,14 +67,12 @@ class InsufficientDepthError(ValueError):
 class PullbackState:
     """Nested stages F_0 <= F_1 <= ... <= F_n of the preimage construction.
 
-    `policy` records how sibling matchings were selected; `fpp` is set when
-    the initial set came from a fixed point portrait's hull.
+    `fpp` is set when the initial set came from a fixed point portrait's hull.
     """
 
     degree: int
     portrait: CriticalPortrait
     stages: tuple[Lamination, ...]
-    policy: str
     fpp: FixedPointPortrait | None = None
 
     def __post_init__(self) -> None:
@@ -286,7 +284,7 @@ def pullback(
     A degree with more than 100 fixed points raises ValueError before any work.
     """
     _check_fixed_points(F0.degree)
-    return PullbackState(F0.degree, C, _stages(F0, C, n, policy), policy)
+    return PullbackState(F0.degree, C, _stages(F0, C, n, policy))
 
 
 def _stages(F0: Lamination, C: CriticalPortrait, n: int, policy: str) -> tuple[Lamination, ...]:
@@ -374,7 +372,7 @@ def canonical_lamination(P: FixedPointPortrait, n: int) -> PullbackState:
     """
     _check_fixed_points(P.degree)
     C = P._first_choice().as_critical_portrait()
-    return PullbackState(P.degree, C, _stages(P._hull, C, n, "shortest"), "shortest", P)
+    return PullbackState(P.degree, C, _stages(P._hull, C, n, "shortest"), P)
 
 
 @dataclass(frozen=True)

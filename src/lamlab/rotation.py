@@ -313,12 +313,18 @@ def unicritical_anchor(d: int, orbit: RotationalOrbit) -> tuple[CirclePoint, ...
 
 @dataclass(frozen=True)
 class CoRootSet:
-    """Co-roots on a central gap boundary, with the all-critical vertex group."""
+    """Co-roots on a central gap boundary, with the all-critical vertex group.
+
+    The local degree d' is the size of that group, and d' - 2 co-roots are required.
+    """
 
     gap: Face
     all_critical: tuple[CirclePoint, ...]
     coroots: tuple[CirclePoint, ...]
-    local_degree: int
+
+    @property
+    def local_degree(self) -> int:
+        return len(self.all_critical)
 
     def __post_init__(self) -> None:
         if len(self.coroots) != self.local_degree - 2:
@@ -440,19 +446,26 @@ def find_coroots(state: PullbackState, polygon: RotationalOrbit) -> CoRootSet:
     """
     boundary, group, Q, found = _coroots(state, polygon)
     coroots = tuple(_point(x, Q) for x in found)
-    return CoRootSet(_face(state.final, boundary), group, coroots, len(group))
+    return CoRootSet(_face(state.final, boundary), group, coroots)
 
 
 @dataclass(frozen=True)
 class CorrespondencePair:
-    """A unicritical q-gon matched with its maximally critical q(d'-1)-gon."""
+    """A unicritical q-gon matched with its maximally critical q(d'-1)-gon.
+
+    The local degree d' is the size of the all-critical group; the pair
+    holds d' - 1 majors and d' - 2 co-roots.
+    """
 
     polygon: RotationalOrbit
     all_critical: tuple[CirclePoint, ...]
     max_polygon: RotationalOrbit
     majors: tuple[Leaf, ...]
     coroots: tuple[CirclePoint, ...]
-    local_degree: int
+
+    @property
+    def local_degree(self) -> int:
+        return len(self.all_critical)
 
     def __post_init__(self) -> None:
         (D, nums), (G, grown) = self.polygon._scaled, self.max_polygon._scaled
@@ -515,7 +528,6 @@ def uni_to_max(state: PullbackState, polygon: RotationalOrbit) -> Correspondence
         max_polygon=grown,
         majors=tuple(_leaf(m, G) for m in majors),
         coroots=tuple(_point(c, Q) for c in coroots),
-        local_degree=local_degree,
     )
 
 
@@ -558,7 +570,6 @@ def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
         max_polygon=grown,
         majors=tuple(_leaf(m, D) for m in majors),
         coroots=tuple(_point(x, D) for x in sorted(shared)),
-        local_degree=local_degree,
     )
 
 

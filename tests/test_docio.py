@@ -26,7 +26,7 @@ from lamlab.docio import (
     write_portrait,
     write_svg,
 )
-from lamlab.fpp import FixedPointPortrait, canonical_portraits, fixed_sectors
+from lamlab.fpp import FixedPointPortrait, canonical_portraits, enumerate_fpps, fixed_sectors
 from lamlab.leaves import Lamination, Leaf, check_invariance, validate_prelamination
 from lamlab.pullback import (
     CriticalPortrait,
@@ -36,7 +36,7 @@ from lamlab.pullback import (
     clp_checks,
     pullback,
 )
-from states import lf, rabbit_state
+from states import canonical_states, lf, rabbit_state
 
 
 @lru_cache(maxsize=None)
@@ -51,7 +51,7 @@ def rabbit_doc():
 class TestDocumentModel:
     def test_leaves_sorted_on_construction(self):
         doc = LaminationDocument(degree=2, leaves=(lf("2/7", "4/7"), lf("1/7", "2/7")))
-        assert doc.leaves == (lf("1/7", "2/7"), lf("2/7", "4/7"))
+        assert tuple(doc.leaves) == (lf("1/7", "2/7"), lf("2/7", "4/7"))
 
     def test_stage_annotations_sort_with_their_leaves(self):
         doc = LaminationDocument(
@@ -59,7 +59,7 @@ class TestDocumentModel:
             leaves=(lf("2/7", "4/7"), lf("1/7", "2/7")),
             stages=(1, 0),
         )
-        assert doc.leaves == (lf("1/7", "2/7"), lf("2/7", "4/7"))
+        assert tuple(doc.leaves) == (lf("1/7", "2/7"), lf("2/7", "4/7"))
         assert doc.stages == (0, 1)
 
     def test_duplicate_leaf_rejected(self):
@@ -73,6 +73,11 @@ class TestDocumentModel:
     def test_negative_stage_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             LaminationDocument(degree=2, leaves=(lf("1/7", "2/7"),), stages=(-1,))
+
+    @pytest.mark.parametrize("tag", [1.9, "1", True])
+    def test_non_integer_stage_rejected(self, tag):
+        with pytest.raises(ValueError, match="stage annotations must be integers"):
+            LaminationDocument(degree=2, leaves=(lf("1/7", "2/7"),), stages=(tag,))
 
     def test_portrait_degree_must_match(self):
         C = CriticalPortrait(2, frozenset({lf("1/14", "4/7")}))
@@ -88,6 +93,17 @@ class TestDocumentModel:
         assert doc.lamination().depth == 2
         bare = LaminationDocument(degree=2, leaves=(lf("1/7", "2/7"),))
         assert bare.lamination().depth == 0
+
+    def test_lamination_kept_only_at_the_documents_degree_and_depth(self):
+        L = Lamination(2, {lf("1/7", "2/7"), lf("2/7", "4/7")}, depth=1)
+        assert LaminationDocument(degree=2, leaves=L, stages=(0, 1)).leaves is L
+        for stages, depth in (((0, 3), 3), (None, 0)):
+            doc = LaminationDocument(degree=2, leaves=L, stages=stages)
+            assert doc.leaves == Lamination(2, L.leaves, depth=depth)
+        quartic = LaminationDocument(degree=4, leaves=L, stages=(0, 1))
+        # the grid grows from lcm(1, 7) to lcm(3, 7)
+        assert quartic.leaves.scaled == (21, ((3, 6), (6, 12)))
+        assert quartic.leaves == Lamination(4, L.leaves, depth=1)
 
 
 class TestStateRoundTrip:
@@ -123,6 +139,33 @@ class TestStateRoundTrip:
         assert st_out.final.leaves == {lf("1/7", "2/7")}
         assert replace(doc, stages=(0,)).pullback_state() == st_out
 
+    def test_document_holds_the_states_final_stage(self):
+        held = [
+            s for d in range(2, 6) for s in canonical_states(d) if max(s._first_stage, default=0) == 3
+        ]
+        assert held
+        for state in held:
+            doc = document_from_state(state)
+            assert doc.lamination() is doc.leaves is state.final
+            assert doc.pullback_state().final is state.final
+
+    def test_state_round_trip(self):
+        # A blockless portrait has no hull leaf, so its stages are all empty;
+        # a document keeps no empty stage, and rebuilds such a state at depth 0.
+        # The 72 states are the 88 with d <= 5 and depth <= 3 less those 16.
+        states = [
+            canonical_lamination(P, n)
+            for d in range(2, 6)
+            for P in enumerate_fpps(d)
+            if P.hull_leaves
+            for n in range(4)
+        ]
+        assert len(states) == 72
+        for state in states:
+            doc = document_from_state(state)
+            assert doc.pullback_state() == state
+            assert read_document(write_document(doc)).pullback_state() == state
+
     def test_final_stage_is_the_lamination(self):
         doc = document_from_state(quintic_state(), "build")
         L = doc.lamination()
@@ -155,6 +198,11 @@ class TestStateRoundTrip:
 
 
 class TestJsonCodec:
+    def test_read_lamination_is_the_leaves(self):
+        doc = read_document(write_document(rabbit_doc()))
+        assert isinstance(doc.leaves, Lamination)
+        assert doc.lamination() is doc.leaves
+
     def test_round_trip_equality(self):
         doc = rabbit_doc()
         text = write_document(doc)
@@ -267,7 +315,7 @@ class TestJsonCodec:
 
     def test_dnary_angles_accepted_on_read(self):
         doc = read_document('{"degree": 2, "leaves": [["_001", "_010"]]}')
-        assert doc.leaves == (lf("1/7", "2/7"),)
+        assert tuple(doc.leaves) == (lf("1/7", "2/7"),)
 
     @given(
         st.lists(
@@ -494,7 +542,7 @@ class TestGridReader:
         doc = read_document(text)
         assert calls == [0]
         assert doc == leaf_read_document(text)
-        assert doc.leaves.D == 6
+        assert doc.leaves.scaled[0] == 6
 
 
 def count_terms(monkeypatch):

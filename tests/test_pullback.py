@@ -432,8 +432,8 @@ class TestPullbackStages:
         # s2's D, 100, does not divide s0's, 4
         for stages in ((s0, s1, thinned), (s0, s2, s1), (s1, s0), (s2, s0)):
             with pytest.raises(ValueError, match="stages must be nested"):
-                PullbackState(5, state.portrait, stages, "shortest")
-        assert PullbackState(5, state.portrait, (s0, s0, s2), "shortest").frontier(1) == set()
+                PullbackState(5, state.portrait, stages)
+        assert PullbackState(5, state.portrait, (s0, s0, s2)).frontier(1) == set()
 
     def test_frontier_sizes(self):
         state = quintic_canonical(2)
@@ -524,14 +524,14 @@ class TestPullbackStages:
         with pytest.raises(ValueError, match="portrait degree disagrees with the state"):
             replace(state, portrait=quartic)
         with pytest.raises(ValueError, match="portrait degree disagrees with the state"):
-            PullbackState(3, quartic, state.stages, "shortest")
+            PullbackState(3, quartic, state.stages)
 
     def test_fpp_of_another_degree_rejected(self):
         state = canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 2)
         with pytest.raises(ValueError, match="fixed point portrait degree disagrees with the state"):
             replace(state, fpp=FixedPointPortrait(4, ((0, 1),)))
         with pytest.raises(ValueError, match="fixed point portrait degree disagrees with the state"):
-            PullbackState(3, state.portrait, state.stages, "shortest", FixedPointPortrait(4, ()))
+            PullbackState(3, state.portrait, state.stages, FixedPointPortrait(4, ()))
 
 
 def reference_new_pairs(lo, hi):
@@ -598,14 +598,14 @@ class TestFirstStageRecord:
 
     def test_repeated_stage(self):
         s0, s1, s2 = quintic_canonical(2).stages
-        state = PullbackState(5, quintic_canonical(2).portrait, (s0, s0, s2), "shortest")
+        state = PullbackState(5, quintic_canonical(2).portrait, (s0, s0, s2))
         self.assert_matches_references(state)
         assert set(state._first_stage) == {0, 2}
 
     def test_record_is_not_a_field(self):
         state = quintic_canonical(2)
         assert "_first_stage" not in repr(state)
-        assert replace(state, policy="document")._first_stage == state._first_stage
+        assert replace(state, fpp=None)._first_stage == state._first_stage
 
     def test_nesting_agrees_with_pairwise_reference(self):
         state = quintic_canonical(2)
@@ -620,11 +620,11 @@ class TestFirstStageRecord:
                 )
                 if nested:
                     self.assert_matches_references(
-                        PullbackState(5, state.portrait, stages, "shortest")
+                        PullbackState(5, state.portrait, stages)
                     )
                 else:
                     with pytest.raises(ValueError, match="stages must be nested"):
-                        PullbackState(5, state.portrait, stages, "shortest")
+                        PullbackState(5, state.portrait, stages)
 
 
 class TestPortraitChoiceIndependence:
@@ -740,8 +740,10 @@ class TestCanonicalConstruction:
 
     def test_policy_recorded(self):
         state = quintic_canonical(1)
-        assert state.policy == "shortest"
-        assert state.fpp == FixedPointPortrait(5, ((0, 1),))
+        P = FixedPointPortrait(5, ((0, 1),))
+        C = P._first_choice().as_critical_portrait()
+        assert state.stages == pullback(P._hull, C, 1, policy="shortest").stages
+        assert state.fpp == P
 
 
 class TestStageDiagnostics:
@@ -792,7 +794,7 @@ class TestStageDiagnostics:
         stray = lf("1/2", "2/3")
         L1 = Lamination(4, P.hull_leaves | {stray}, depth=1)
         C = P._first_choice().as_critical_portrait()
-        report = clp_checks(PullbackState(4, C, (P._hull, L1), "prefer-existing", P))
+        report = clp_checks(PullbackState(4, C, (P._hull, L1), P))
         assert report.escape_failures == ((1, stray),)
         # the second sector's gap is bounded by the stray leaf, which never reaches 0-1/3
         facts = [(sr.gap_depth, sr.vertex_count, sr.unresolved) for sr in report.sector_reports]

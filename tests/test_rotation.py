@@ -102,7 +102,7 @@ def scanning_find_coroots(state, polygon):
         for a, b in itertools.combinations(found, 2):
             if a.distance(b) <= Fraction(1, d):
                 raise ValueError(f"co-roots {a} and {b} are within 1/{d} of each other")
-    return CoRootSet(gap, group, tuple(sorted(found)), local_degree)
+    return CoRootSet(gap, group, tuple(sorted(found)))
 
 
 def inline_coroot_closure(boundary, DL, Q):
@@ -497,6 +497,13 @@ class TestCoRoots:
         assert values(cr.coroots) == [fr(2, 21), fr(53, 63)]
         assert cr.local_degree == 4
 
+    def test_local_degree_is_the_critical_group_size(self):
+        cr = find_coroots(cubic_state(), RotationalOrbit(3, pts("1/8", "3/8")))
+        assert cr.local_degree == len(cr.all_critical) == 3
+        # one critical point left: local degree 1 cannot hold the one co-root
+        with pytest.raises(ValueError, match="co-roots recorded for local degree 1"):
+            dataclasses.replace(cr, all_critical=cr.all_critical[:1])
+
     def test_matches_scan_on_examples(self):
         configs = [
             (rabbit_state(), rabbit_orbit()),
@@ -630,6 +637,13 @@ class TestCorrespondence:
             pair = uni_to_max(state, orbit)
             assert len(pair.coroots) == pair.local_degree - 2
             assert len(pair.majors) == pair.local_degree - 1
+
+    def test_local_degree_is_the_critical_group_size(self):
+        pair = uni_to_max(cubic_state(), RotationalOrbit(3, pts("1/8", "3/8")))
+        assert pair.local_degree == len(pair.all_critical) == 3
+        # two critical points: local degree 2 disagrees with the four-gon
+        with pytest.raises(ValueError):
+            dataclasses.replace(pair, all_critical=pair.all_critical[:2])
 
 
 @lru_cache(maxsize=None)
@@ -1083,7 +1097,7 @@ def fraction_find_coroots(state, polygon):
         for a, b in itertools.combinations(found, 2):
             if a.distance(b) <= Fraction(1, d):
                 raise ValueError(f"co-roots {a} and {b} are within 1/{d} of each other")
-    return CoRootSet(gap, group, tuple(sorted(found)), local_degree)
+    return CoRootSet(gap, group, tuple(sorted(found)))
 
 
 def assert_orbit_layer_agrees(d, values):
