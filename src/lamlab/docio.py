@@ -138,7 +138,13 @@ class LaminationDocument:
 
 
 def document_from_state(state: PullbackState, command: str = "") -> LaminationDocument:
-    """Package a pullback state, tagging each leaf with its first stage."""
+    """Package a pullback state, tagging each leaf with its first stage.
+
+    A document keeps no empty stage, so a state whose last stages add no
+    leaves reads back at the depth of its deepest leaf.  The known case is
+    `canonical_lamination` of a portrait with no blocks: its stages are all
+    empty, and its document reads back at depth 0.
+    """
     return LaminationDocument(
         degree=state.degree,
         leaves=state.final,

@@ -348,11 +348,6 @@ class CriticalPortrait:
         D, pairs = self._lamination.scaled
         return tuple(tuple(_point(x, D) for x in g) for g in _grouped(_groups(pairs)))
 
-    @cached_property
-    def criticality(self) -> int:
-        """Sum over endpoint-connected chord groups of (vertex count - 1)."""
-        return _criticality(self._lamination.scaled[1])
-
 
 @dataclass(frozen=True)
 class CanonicalPortraitChoice:

@@ -568,8 +568,8 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
                 for x, y in sorted((e[1] * up, e[2] * up) for e in boundary if e[0] == 0)
                 if not _iterates_onto(d, D, (x, y), hull, state.depth)
             )
-            # a face's vertices are its leaves' endpoints and its arcs' ends
-            verts = {v for e in boundary if e[0] == 0 or e[1] != e[2] for v in e[1:3]}
+            # a face's vertices are its leaves' endpoints: its arcs run between them
+            verts = {v for e in boundary if e[0] == 0 for v in e[1:3]}
             sector_reports.append(SectorGapReport(S, gap_depth, len(verts), unresolved))
     return CanonicalReport(
         d,

@@ -479,18 +479,19 @@ class CorrespondencePair:
             raise ValueError("co-root count disagrees with the local degree")
 
 
-def _majors(
-    d: int, grown: RotationalOrbit, q: int, local_degree: int
-) -> tuple[list[tuple[int, int]], set[int]]:
-    """The sorted majors of the sides' d' - 1 cycles of period q, and the endpoints they share.
+def _majors(d: int, grown: RotationalOrbit) -> tuple[list[tuple[int, int]], set[int]]:
+    """The sorted majors of the side cycles of `grown`, and the endpoints they share.
 
-    Both are over the view of `grown`, a rotational set, whose sides the
-    map carries onto its sides.
+    Both are over the view of `grown`, a rotational set whose N points the
+    map shifts by a constant s.  From 3 points on, its N sides shift by s
+    too, so they form gcd(s, N) cycles of N/gcd(s, N) sides: d' - 1 cycles
+    of the period q for N = q(d' - 1) points rotating by p/q.  A period-2
+    leaf is its own one side, fixed as a set while its ends swap: when its
+    gap carries a single critical chord (d' = 2), the leaf is its own
+    maximally critical polygon and its own major.
     """
     D, nums = grown._scaled
     cycles = _cycles(lambda s: _image(d, D, s), _sides(nums))
-    if len(cycles) != local_degree - 1 or any(len(c) != q for c in cycles):
-        raise ValueError("sides do not split into d' - 1 cycles of the period")
     majors = sorted(_major(d, D, c) for c in cycles)
     shared = {x for m1, m2 in itertools.combinations(majors, 2) for x in m1 if x in m2}
     return majors, shared
@@ -500,25 +501,22 @@ def uni_to_max(state: PullbackState, polygon: RotationalOrbit) -> Correspondence
     """Grow a unicritical rotational polygon into its maximally critical one.
 
     The new vertex set is the polygon's orbit united with the forward orbits
-    of its co-roots.  The result must again rotate with the same number, its
-    sides must fall into d' - 1 cycles of the polygon's period, and the
-    per-cycle majors must chain through the co-roots as shared endpoints.
+    of its d' - 2 co-roots, and must again be a rotational set.  Its cycles
+    all rotate alike, so it rotates with the polygon's number.  Each co-root
+    has a cycle of its own, which is not the polygon's: a second point of
+    one cycle on the gap would be met before the first return.  So the set
+    has q(d' - 1) points, and its sides fall into d' - 1 cycles of the
+    polygon's period, whose majors must chain through the co-roots as shared
+    endpoints.  A period-2 leaf whose gap carries a single critical chord is
+    its own maximally critical polygon.
     """
     d = state.degree
     _, group, Q, coroots = _coroots(state, polygon)
-    local_degree = len(group)
     D, nums = polygon._scaled
-    q = len(nums)
     verts = {x * (Q // D) for x in nums}
     verts.update(x for cycle in _cycles(lambda x: d * x % Q, coroots) for x in cycle)
-    if len(verts) != q * (local_degree - 1):
-        raise ValueError(
-            f"combined vertex count {len(verts)} != {q} * ({local_degree} - 1)"
-        )
     grown = _orbit(d, Q, tuple(sorted(verts)))
-    if grown.rotation != polygon.rotation:
-        raise ValueError("rotation number changed while adding co-root orbits")
-    majors, shared = _majors(d, grown, q, local_degree)
+    majors, shared = _majors(d, grown)
     G = grown._scaled[0]
     if shared != {c * G // Q for c in coroots}:
         raise ValueError("major leaves do not chain through the co-roots")
@@ -534,9 +532,13 @@ def uni_to_max(state: PullbackState, polygon: RotationalOrbit) -> Correspondence
 def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
     """Recover the unicritical q-gon inside a maximally critical polygon.
 
-    The vertex cycles of the polygon are separated into co-root cycles,
-    recognized because their points are shared endpoints of two majors, and
-    a single surviving cycle which is the unicritical rotational orbit.
+    The polygon, of 3 or more vertices, must be a rotational set; its
+    vertex cycles all have one period q and rotate alike, and d' - 1 is
+    their number.  The d' - 2 co-roots are the shared endpoints of two
+    majors.  A shared endpoint is a vertex both of whose sides are majors,
+    so two in one vertex cycle would give one side cycle two majors: the
+    co-roots sit in d' - 2 cycles, and the one cycle left is the
+    unicritical rotational orbit.
     """
     d = state.degree
     grown = RotationalOrbit(d, gon.vertices)
@@ -544,23 +546,12 @@ def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
         raise ValueError("the polygon does not rotate")
     D, nums = grown._scaled
     vertex_cycles = _cycles(lambda x: d * x % D, nums)
-    sizes = {len(c) for c in vertex_cycles}
-    if len(sizes) != 1:
-        raise ValueError("vertex cycles have mixed periods")
-    q = sizes.pop()
     local_degree = len(vertex_cycles) + 1
-    majors, shared = _majors(d, grown, q, local_degree)
+    majors, shared = _majors(d, grown)
     if len(shared) != local_degree - 2:
         raise ValueError("the majors are not adjacent through shared endpoints")
-    coroot_cycles = [c for c in vertex_cycles if shared.intersection(c)]
-    if len(coroot_cycles) != local_degree - 2:
-        raise ValueError("shared endpoints do not sit in distinct vertex cycles")
-    rest = [c for c in vertex_cycles if not shared.intersection(c)]
-    if len(rest) != 1:
-        raise ValueError("no single surviving vertex cycle")
-    survivor = _orbit(d, D, tuple(sorted(rest[0])))
-    if survivor.rotation != grown.rotation:
-        raise ValueError("the surviving cycle rotates differently")
+    rest = next(c for c in vertex_cycles if not shared.intersection(c))
+    survivor = _orbit(d, D, tuple(sorted(rest)), grown.rotation)
     _, _, group = _central_gap(state, survivor)
     if len(group) != local_degree:
         raise ValueError("all-critical group size disagrees with the major structure")

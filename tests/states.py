@@ -30,6 +30,14 @@ def rabbit_state():
 
 
 @cache
+def basilica_state():
+    # the period-2 leaf of doubling with its anchor chord, 1/3-5/6
+    F0 = Lamination(2, frozenset({lf("1/3", "2/3")}))
+    C = CriticalPortrait(2, frozenset({lf("1/3", "5/6")}))
+    return pullback(F0, C, 3)
+
+
+@cache
 def cubic_state():
     F0 = Lamination(3, frozenset({lf("1/8", "3/8")}))
     C = CriticalPortrait(

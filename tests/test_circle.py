@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lamlab.circle import (
     CirclePoint,
+    DnaryString,
     angle,
     check_degree,
     parse_angle,
@@ -291,6 +292,18 @@ class TestDnary:
     def test_parse_rejects_large_base(self):
         with pytest.raises(ValueError):
             parse_dnary("_1", 11)
+
+    def test_render_rejects_large_base(self):
+        with pytest.raises(ValueError, match="limited to d <= 10"):
+            render_dnary(fr(1, 7), 11)
+
+    def test_string_fields_checked(self):
+        with pytest.raises(ValueError, match="bases 2..10 only"):
+            DnaryString(11, (), (1,))
+        with pytest.raises(ValueError, match="periodic part must be nonempty"):
+            DnaryString(2, (1,), ())
+        with pytest.raises(ValueError, match="digit 2 out of range for base 2"):
+            DnaryString(2, (2,), (0,))
 
     @given(degrees, angles)
     def test_round_trip(self, d, t):

@@ -13,7 +13,7 @@ from lamlab.docio import document_from_state, write_document, write_portrait
 from lamlab.fpp import FixedPointPortrait
 from lamlab.leaves import Lamination
 from lamlab.pullback import CriticalPortrait, canonical_lamination, pullback
-from states import lf, rabbit_state
+from states import basilica_state, lf, rabbit_state
 
 
 def run(capsys, *argv):
@@ -67,6 +67,12 @@ class TestUsageErrors:
         rc, out, err = run(capsys, "rot", "number", "--degree", "2", "--points", "1/7,zap")
         assert rc == 2
         assert "malformed angle" in err
+        assert out == ""
+
+    def test_empty_point_list(self, capsys):
+        rc, out, err = run(capsys, "rot", "number", "--degree", "2", "--points", ",")
+        assert rc == 2
+        assert "expected a comma separated list of angles" in err
         assert out == ""
 
     def test_degree_too_small(self, capsys):
@@ -548,6 +554,23 @@ class TestCorrCommands:
             "max_polygon": ["1/7", "2/7", "4/7"],
             "max_rotation": "1/3",
             "majors": [["1/7", "4/7"]],
+            "coroots": [],
+        }
+
+    def test_uni_to_max_period_two_leaf(self, capsys, tmp_path):
+        f = tmp_path / "b.json"
+        f.write_text(write_document(document_from_state(basilica_state(), "basilica")))
+        rc, out, _ = run(capsys, "corr", "uni-to-max", "--file", str(f), "--polygon", "1/3,2/3")
+        assert rc == 0
+        assert jline(out) == {
+            "status": "ok",
+            "polygon": ["1/3", "2/3"],
+            "rotation": "1/2",
+            "local_degree": 2,
+            "all_critical": ["1/3", "5/6"],
+            "max_polygon": ["1/3", "2/3"],
+            "max_rotation": "1/2",
+            "majors": [["1/3", "2/3"]],
             "coroots": [],
         }
 

@@ -147,6 +147,10 @@ class TestLaminationFrozen:
             delattr(L, name)
         assert L == Lamination(2, RABBIT) and L.sorted_leaves == tuple(sorted(RABBIT))
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            Lamination(2, RABBIT, depth=-1)
+
     def test_depth_takes_part_in_equality(self):
         L, M = Lamination(2, RABBIT), Lamination(2, RABBIT, depth=1)
         assert L.scaled == M.scaled and L != M
@@ -696,3 +700,8 @@ class TestPolygon:
     def test_too_small(self):
         with pytest.raises(ValueError):
             Polygon((angle(0), angle(fr(1, 2))))
+
+    def test_repeated_vertex_rejected(self):
+        # 1 is the angle 0
+        with pytest.raises(ValueError, match="vertices must be distinct"):
+            Polygon((angle(0), angle(fr(1, 2)), angle(1)))

@@ -143,14 +143,14 @@ class TestPortraitValidation:
         for _, C in itertools.chain(canonical_critical_portraits(7), unicritical_portraits(CORR_GRID)):
             groups = components(C.chords)
             assert C.vertex_groups == tuple(pts for pts, _ in groups), C
-            assert C.criticality == sum(len(pts) - 1 for pts, _ in groups) == C.degree - 1
+            assert sum(len(pts) - 1 for pts, _ in groups) == C.degree - 1
             n += 1
         assert n == 5937 + 100
 
     def test_budget_accepts_shared_endpoint_paths(self):
         # two chords joined at 0 give criticality 2 without a closed polygon
         C = CriticalPortrait(3, frozenset({lf(0, "1/3"), lf(0, "2/3")}))
-        assert C.criticality == 2
+        assert [len(g) for g in C.vertex_groups] == [3]
 
     def test_vertex_groups(self):
         C = triangle_quartic_state().portrait
@@ -159,7 +159,6 @@ class TestPortraitValidation:
             (fr(0), fr(1, 4)),
             (fr(22, 63), fr(151, 252), fr(107, 126)),
         ]
-        assert C.criticality == 3
 
 
 def components(leaves):
@@ -191,7 +190,7 @@ def components(leaves):
 
 
 def reference_boundary_objects(S):
-    """Reference for `_boundary_objects`: the `components` of S's boundary leaves.
+    """Reference for `FixedSector._objects`: the `components` of S's boundary leaves.
 
     Each fixed point of S on no boundary leaf is an object of its own.
     """
@@ -526,6 +525,14 @@ class TestPullbackStages:
         with pytest.raises(ValueError, match="portrait degree disagrees with the state"):
             PullbackState(3, quartic, state.stages)
 
+    def test_state_needs_stage_zero(self):
+        with pytest.raises(ValueError, match="a state needs at least stage 0"):
+            PullbackState(2, diameter_portrait(), ())
+
+    def test_stage_of_another_degree_rejected(self):
+        with pytest.raises(ValueError, match="all stages must share the state's degree"):
+            PullbackState(2, diameter_portrait(), (lam(2, []), lam(3, [])))
+
     def test_fpp_of_another_degree_rejected(self):
         state = canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 2)
         with pytest.raises(ValueError, match="fixed point portrait degree disagrees with the state"):
@@ -801,6 +808,11 @@ class TestStageDiagnostics:
         assert facts == [(1, 2, ()), (1, 4, (stray,))]
         assert not report.ok
 
+    def test_state_without_fpp_rejected(self):
+        state = pullback(lam(2, []), diameter_portrait(), 1)
+        with pytest.raises(ValueError, match="not built from a fixed point portrait"):
+            clp_checks(state)
+
     def test_length_bound_fails_at_degree_six(self):
         # the 1/(2 d^k) bound holds through d = 5 only: here 1/10 > 1/12
         P = FixedPointPortrait(6, ((0, 1, 2),))
@@ -834,6 +846,11 @@ class TestInvariantGap:
         face = invariant_gap(state, fixed_sectors(state.fpp)[0])
         assert face.vertices == ()
         assert len(face.arcs) == 1
+
+    def test_depth_zero_rejected(self):
+        state = canonical_lamination(FixedPointPortrait(3, ()), 0)
+        with pytest.raises(ValueError, match="need at least one pullback stage"):
+            invariant_gap(state, fixed_sectors(state.fpp)[0])
 
     def test_sector_of_another_degree_rejected(self):
         # the fixed points 1/3, 2/3 of a quartic sector are not on a cubic grid
@@ -942,6 +959,16 @@ class TestHyperbolicityCheck:
     def test_empty_lamination_passes(self):
         assert is_hyperbolic_approx(lam(2, []), diameter_portrait(), 2)
 
+    def test_collapsing_boundary_leaf_fails(self):
+        # the chord 0-2/3 lies in the face of 0-1/3's far side, and 0-1/3 is
+        # critical: it collapses to 0 and never recurs
+        C = CriticalPortrait(3, frozenset({lf(0, "2/3"), lf("1/3", "2/3")}))
+        assert not is_hyperbolic_approx(lam(3, [(0, "1/3")]), C, 2)
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            is_hyperbolic_approx(lam(3, []), diameter_portrait(), 1)
+
 
 class TestSectorClassification:
     def test_no_object_subtended(self):
@@ -1007,6 +1034,14 @@ class TestSectorClassification:
                     assert [(o.points, o.leaves) for o in c.objects] == reference_boundary_objects(S)
                     n += 1
         assert n == 2353
+
+    def test_degree_mismatch_rejected(self):
+        state = mixed_quartic_state(2)
+        S = fixed_sectors(FixedPointPortrait(4, ()))[0]
+        with pytest.raises(ValueError, match="degree mismatch"):
+            classify_sector(state.final, diameter_portrait(), S)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            classify_sector(state.final, state.portrait, fixed_sectors(FixedPointPortrait(3, ()))[0])
 
     def test_depth_zero_insufficient(self):
         state = mixed_quartic_state(0)

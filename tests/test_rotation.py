@@ -12,7 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from lamlab.circle import angle, check_degree, sigma
 from lamlab import leaves
-from lamlab.leaves import Lamination, Leaf, Polygon, _closure, _cross, _sides, leaf_image
+from lamlab.leaves import (
+    Lamination,
+    Leaf,
+    Polygon,
+    _closure,
+    _cross,
+    _cycles,
+    _image,
+    _sides,
+    leaf_image,
+)
 from lamlab.pullback import CriticalPortrait, pullback
 from lamlab.rotation import (
     CoRootSet,
@@ -33,7 +43,15 @@ from lamlab.rotation import (
     unicritical_anchor,
     validate_rotational_placement,
 )
-from states import cubic_state, fr, lf, quartic_global_state, quartic_local_state, rabbit_state
+from states import (
+    basilica_state,
+    cubic_state,
+    fr,
+    lf,
+    quartic_global_state,
+    quartic_local_state,
+    rabbit_state,
+)
 from test_circle import fixed_points, in_arc, orbit
 from test_leaves import half_edge_faces, leaves_cross, on_closure
 from test_pullback import CORR_GRID, canonical_critical_portraits, reference_critical_sectors
@@ -201,6 +219,10 @@ class TestRotationNumber:
     def test_duplicates_collapse(self):
         assert rotation_number(2, pts("1/7", "2/7", "4/7", "1/7")) == fr(1, 3)
 
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="needs at least one point"):
+            rotation_number(2, [])
+
     def test_non_constant_shift_rejected(self):
         # forward invariant but order-reversing on the sorted points
         with pytest.raises(NotRotational):
@@ -280,6 +302,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_rotational_orbits(2, 4, p=2)
 
+    def test_period_below_one_rejected(self):
+        with pytest.raises(ValueError, match="period must be at least 1"):
+            enumerate_rotational_orbits(2, 0)
+
     def test_rotation_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             enumerate_rotational_orbits(2, 3, p=3)
@@ -327,6 +353,10 @@ class TestMajorMinor:
         mm = major_minor(2, rabbit_orbit().hull_sides())
         assert mm.major == lf("1/7", "4/7")
         assert mm.minor == lf("1/7", "2/7")
+
+    def test_no_sides_rejected(self):
+        with pytest.raises(ValueError, match="empty side collection"):
+            major_minor(2, [])
 
     def test_two_gon_is_its_own_major(self):
         sides = RotationalOrbit(3, pts("1/8", "3/8")).hull_sides()
@@ -453,6 +483,10 @@ class TestCentralGap:
         with pytest.raises(ValueError):
             central_gap(rabbit_state(), RotationalOrbit(3, pts("1/8", "3/8")))
 
+    def test_fixed_point_rejected(self):
+        with pytest.raises(ValueError, match="must have nonzero rotation number"):
+            central_gap(rabbit_state(), RotationalOrbit(2, pts(0)))
+
     def test_insufficient_depth(self):
         F0 = Lamination(
             2, frozenset({lf("1/7", "2/7"), lf("2/7", "4/7"), lf("4/7", "1/7")})
@@ -554,6 +588,32 @@ class TestCoRoots:
             uni_to_max(cubic_state(), polygon)
 
 
+    def test_several_cycles_rejected_at_their_gap(self):
+        # two 2-cycles of quadrupling rotating by 1/2 as one set, whose one
+        # major has the critical chord 4/15-31/60 on its gap: the gap is
+        # found, and the set is refused as a polygon
+        polygon = RotationalOrbit(4, pts("1/15", "2/15", "4/15", "8/15"))
+        assert polygon.rotation == fr(1, 2)
+        chords = [("1/30", "8/15"), ("8/15", "47/60"), ("1/30", "47/60"), ("4/15", "31/60")]
+        C = CriticalPortrait(4, frozenset(lf(a, b) for a, b in chords))
+        state = pullback(Lamination(4, frozenset(polygon.hull_sides())), C, 2)
+        assert values(central_gap(state, polygon)[1]) == [fr(4, 15), fr(31, 60)]
+        for search in (find_coroots, uni_to_max):
+            with pytest.raises(ValueError, match="the polygon's 4 points form several cycles"):
+                search(state, polygon)
+
+    def test_wrong_coroot_count_rejected(self):
+        # the cubic 2-cycle with a critical chord at its major end and the
+        # other chord ending at 3/4: local degree 2 wants no co-root, and 3/4,
+        # of the cycle {1/4, 3/4}, returns to the gap at itself at any depth
+        o = RotationalOrbit(3, pts("1/8", "3/8"))
+        C = CriticalPortrait(3, frozenset({lf("1/8", "11/24"), lf("1/12", "3/4")}))
+        state = pullback(Lamination(3, frozenset(o.hull_sides())), C, 2)
+        assert values(central_gap(state, o)[1]) == [fr(1, 8), fr(11, 24)]
+        with pytest.raises(ValueError, match="found 1 co-roots where 0 were expected"):
+            find_coroots(state, o)
+
+
 class TestCorrespondence:
     def test_rabbit_identity(self):
         pair = uni_to_max(rabbit_state(), rabbit_orbit())
@@ -592,6 +652,65 @@ class TestCorrespondence:
         assert [v * 63 for v in values(pair.max_polygon.points)] == [22, 23, 25, 29, 37, 53]
         assert set(pair.majors) == {lf("22/63", "53/63"), lf("37/63", "53/63")}
         assert pair.local_degree == 3
+
+    def test_period_two_leaf_is_its_own_max_polygon(self):
+        # a 2-point set has one side, fixed as a set while its ends swap
+        o = RotationalOrbit(2, pts("1/3", "2/3"))
+        assert unicritical_anchor(2, o) == pts("1/3", "5/6")
+        pair = uni_to_max(basilica_state(), o)
+        assert pair.max_polygon.points == pts("1/3", "2/3")
+        assert pair.majors == (lf("1/3", "2/3"),)
+        assert pair.coroots == ()
+        assert pair.local_degree == 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_grown_set_structure_on_anchored_orbits(self, d):
+        # every anchored orbit with q <= 5.  The grown set rotates like the
+        # orbit and has q(d' - 1) points in d' - 1 vertex cycles of period q;
+        # its sides, from 3 points on, form d' - 1 cycles of period q as well
+        # (the period-2 leaf of d = 2 is one side, fixed as a set); each
+        # co-root lies in a cycle of its own, and max_to_uni gives back the
+        # same pair from every grown set of 3 or more points
+        n = 0
+        for q in range(2, 6):
+            for state, o in anchored_states(d, q):
+                pair = uni_to_max(state, o)
+                k = pair.local_degree - 1
+                D, nums = pair.max_polygon._scaled
+                assert pair.max_polygon.rotation == o.rotation
+                assert len(nums) == q * k
+                vertex_cycles = _cycles(lambda x: d * x % D, nums)
+                assert sorted(map(len, vertex_cycles)) == [q] * k
+                side_cycles = _cycles(lambda s: _image(d, D, s), _sides(nums))
+                assert sorted(map(len, side_cycles)) == ([q] * k if len(nums) > 2 else [1])
+                coroots = {c.value * D for c in pair.coroots}
+                assert sum(bool(coroots.intersection(c)) for c in vertex_cycles) == len(coroots)
+                if len(nums) > 2:
+                    assert max_to_uni(state, Polygon(pair.max_polygon.points)) == pair, o
+                n += 1
+        assert n == (d - 1) * sum(math.gcd(p, q) == 1 for q in range(2, 6) for p in range(1, q))
+
+    def test_pair_refuses_inconsistent_parts(self):
+        pair = uni_to_max(cubic_state(), RotationalOrbit(3, pts("1/8", "3/8")))
+        with pytest.raises(ValueError, match="vertices must survive"):
+            dataclasses.replace(pair, polygon=RotationalOrbit(3, pts("5/8", "7/8")))
+        with pytest.raises(ValueError, match="one major per side orbit"):
+            dataclasses.replace(pair, majors=pair.majors[:1])
+        with pytest.raises(ValueError, match="co-root count disagrees"):
+            dataclasses.replace(pair, coroots=())
+
+    def test_max_to_uni_refusals(self):
+        with pytest.raises(ValueError, match="the polygon does not rotate"):
+            max_to_uni(quartic_global_state(), Polygon(pts(0, "1/3", "2/3")))
+        # two 3-cycles of tripling whose majors share no endpoint
+        six = Polygon(pts("1/13", "5/26", "3/13", "15/26", "9/13", "19/26"))
+        with pytest.raises(ValueError, match="the majors are not adjacent"):
+            max_to_uni(cubic_state(), six)
+        # a unicritical triangle read as maximally critical: one vertex cycle
+        # means local degree 2, and its gap carries the critical triangle
+        (state,) = [s for s, o in anchored_states(3, 3) if o.points == pts("1/26", "3/26", "9/26")]
+        with pytest.raises(ValueError, match="all-critical group size disagrees"):
+            max_to_uni(state, Polygon(pts("1/26", "3/26", "9/26")))
 
     def test_rotation_preserved(self):
         pair = uni_to_max(cubic_state(), RotationalOrbit(3, pts("1/8", "3/8")))
