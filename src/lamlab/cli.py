@@ -33,7 +33,6 @@ from .docio import (
     document_from_state,
     format_angle,
     read_document,
-    read_portrait,
     write_document,
     write_svg,
 )
@@ -406,15 +405,9 @@ def _cmd_corr(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     doc = _load_prelamination(args.file)
-    ptext = _read_text(args.portrait)
-    try:
-        C = read_portrait(ptext)
-    except ValueError as exc:
-        raise _invalid(f"{args.portrait}: {exc}") from None
-    if C.degree != doc.degree:
-        raise _invalid(
-            f"portrait degree {C.degree} disagrees with document degree {doc.degree}"
-        )
+    C = doc.portrait
+    if C is None:
+        raise _invalid("document has no critical portrait to classify against")
     P = doc.fpp if doc.fpp is not None else FixedPointPortrait(doc.degree, ())
     L = doc.lamination()
     rc = 0
@@ -515,7 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     classify = top.add_parser("classify", help="classify fixed sectors")
     classify.add_argument("--file", required=True, metavar="PATH")
-    classify.add_argument("--portrait", required=True, metavar="PATH")
     classify.set_defaults(func=_cmd_classify)
 
     render = top.add_parser("render", help="draw a document as SVG")

@@ -364,8 +364,8 @@ def read_document(text: str) -> LaminationDocument:
 def write_portrait(C: CriticalPortrait) -> str:
     """Serialize a critical portrait as the JSON that `read_portrait` reads.
 
-    Python-only: the CLI reads portrait files but writes none; ROADMAP item 1
-    decides its route.
+    Python-only: the CLI takes a portrait from the document it reads and
+    writes no portrait file; ROADMAP item 1 decides its route.
     """
     return (
         "{\n"
@@ -376,6 +376,11 @@ def write_portrait(C: CriticalPortrait) -> str:
 
 
 def read_portrait(text: str) -> CriticalPortrait:
+    """Read a critical portrait from the `{"degree", "chords"}` JSON of `write_portrait`.
+
+    Python-only: the CLI takes a portrait from the document it reads;
+    ROADMAP item 1 decides its route.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

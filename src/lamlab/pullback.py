@@ -685,8 +685,9 @@ def classify_sector(L: Lamination, C: CriticalPortrait, S: FixedSector) -> Secto
     every other object of the sector.  No subtended object yields case 1, all
     yields case 2 (with a rotational polygon witness), a mix yields case 3.
 
-    C is compared only for its degree: no test and no witness reads its
-    chords, so every portrait of L's degree gives the same classification.
+    C is read only for its degree: no test and no witness reads its chords,
+    so every portrait of L's degree gives the same classification.  It stays
+    in the signature because perfbench's check job passes it.
     """
     if L.degree != C.degree or L.degree != S.degree:
         raise ValueError("degree mismatch")

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .circle import CirclePoint, angle, check_degree
+from .circle import CirclePoint, _exact, angle, check_degree
 from .leaves import (
     Face,
     Leaf,
@@ -41,7 +41,6 @@ from .leaves import (
     _scaled_pair,
     _sides,
 )
-from .fpp import CriticalPortrait
 from .pullback import PullbackState
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "rotation_number",
     "uni_to_max",
     "unicritical_anchor",
-    "validate_rotational_placement",
 ]
 
 
@@ -91,6 +89,8 @@ class RotationalOrbit:
     integer view `_scaled` (D, nums): the least common denominator of the
     points and the sorted numerators over it.  The degree, that view and
     the rotation give `==` and `hash`; `points` is built on first read.
+    A stated rotation must equal the computed one, and a float raises
+    TypeError as CirclePoint does; the computed Fraction is stored.
     """
 
     degree: int
@@ -106,10 +106,11 @@ class RotationalOrbit:
         order = sorted(range(len(nums)), key=nums.__getitem__)
         view = (D, tuple(nums[i] for i in order))
         rho = _rotation(degree, *view)
-        if rotation is not None and Fraction(rotation) != rho:
+        if rotation is not None and _exact(rotation) != rho:
             raise ValueError(f"stated rotation {rotation} but the set rotates by {rho}")
-        self.__dict__.update(degree=degree, _scaled=view, points=tuple(pts[i] for i in order))
-        self.__dict__["rotation"] = rho if rotation is None else rotation
+        self.__dict__.update(
+            degree=degree, _scaled=view, points=tuple(pts[i] for i in order), rotation=rho
+        )
 
     @cached_property
     def points(self) -> tuple[CirclePoint, ...]:
@@ -562,62 +563,3 @@ def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
         majors=tuple(_leaf(m, D) for m in majors),
         coroots=tuple(_point(x, D) for x in sorted(shared)),
     )
-
-
-@dataclass(frozen=True)
-class PlacementReport:
-    """Outcome of checking rotation assignments against a critical portrait."""
-
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_rotational_placement(
-    C: CriticalPortrait, assignments: Mapping[int, Fraction | int]
-) -> PlacementReport:
-    """Check rotation-number assignments on the sectors of a portrait.
-
-    Sectors are indexed by least arc start, as `pullback` numbers them.
-    Keys must be ints naming a sector, and rotations ints or Fractions in [0, 1).
-    Two rules apply: a sector with nonzero rotation may not contain a fixed
-    point inside its arcs, and two sectors sharing a critical chord may not
-    both carry nonzero rotation.  Both are tested on the chords' integer
-    grid over D, a multiple of d - 1, where fixed point i is i*D/(d - 1).
-
-    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
-    """
-    sectors = C._sectors
-    rot = {i: Fraction(0) for i in range(len(sectors))}
-    for i, r in assignments.items():
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise ValueError(f"sector index {i!r} is not an int")
-        if not 0 <= i < len(sectors):
-            raise ValueError(f"no sector with index {i}")
-        if not isinstance(r, (int, Fraction)) or isinstance(r, bool):
-            raise ValueError(f"rotation {r!r} of sector {i} is not an int or a Fraction")
-        rot[i] = Fraction(r)
-        if not 0 <= rot[i] < 1:
-            raise ValueError(f"rotation {rot[i]} of sector {i} is outside [0, 1)")
-    D = C._lamination.scaled[0]
-    n = C.degree - 1
-    fixed = [i * D // n for i in range(n)]
-    violations: list[str] = []
-    for i, boundary in enumerate(sectors):
-        if rot[i] == 0:
-            continue
-        # the open arc from u to v holds x when 0 < (x - u) mod D < (v - u) mod D
-        for _, u, v in sorted(e for e in boundary if e[0] == 1):
-            for x in fixed:
-                if 0 < (x - u) % D < (v - u) % D:
-                    violations.append(
-                        f"sector {i} carries rotation {rot[i]} but its arc ({Fraction(u, D)}, "
-                        f"{Fraction(v, D)}) contains the fixed point {Fraction(x, D)}"
-                    )
-    chords = [{e[3] for e in b if e[0] == 0} for b in sectors]
-    for i, j in itertools.combinations(range(len(sectors)), 2):
-        if rot[i] != 0 and rot[j] != 0 and chords[i] & chords[j]:
-            violations.append(f"adjacent sectors {i} and {j} both carry nonzero rotation")
-    return PlacementReport(tuple(violations))

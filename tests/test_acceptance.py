@@ -336,21 +336,19 @@ class TestAcceptance:
     def test_ac12_cli_determinism(self, capsys, tmp_path):
         ok = False
         try:
-            from lamlab.docio import document_from_state, write_document, write_portrait
+            from lamlab.docio import document_from_state, write_document
 
             rdoc = tmp_path / "rabbit.json"
             rdoc.write_text(write_document(document_from_state(rabbit_state(), "")))
             mdoc = tmp_path / "mixed.json"
             mdoc.write_text(write_document(document_from_state(mixed_quartic_state(), "")))
-            mport = tmp_path / "mixed_portrait.json"
-            mport.write_text(write_portrait(mixed_quartic_state().portrait))
 
             stdout_commands = [
                 ["fpp", "enum", "--degree", "5"],
                 ["rot", "orbits", "--degree", "3", "--period", "2"],
                 ["rot", "number", "--degree", "2", "--points", "1/7,2/7,4/7"],
                 ["corr", "uni-to-max", "--file", str(rdoc), "--polygon", "1/7,2/7,4/7"],
-                ["classify", "--file", str(mdoc), "--portrait", str(mport)],
+                ["classify", "--file", str(mdoc)],
             ]
             for argv in stdout_commands:
                 assert main(list(argv)) == 0, argv

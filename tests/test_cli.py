@@ -9,7 +9,7 @@ import pytest
 
 from lamlab import cli, leaves
 from lamlab.cli import main
-from lamlab.docio import document_from_state, write_document, write_portrait
+from lamlab.docio import document_from_state, write_document
 from lamlab.fpp import FixedPointPortrait
 from lamlab.leaves import Lamination
 from lamlab.pullback import CriticalPortrait, canonical_lamination, pullback
@@ -32,7 +32,7 @@ def rabbit_doc_text():
 
 
 @lru_cache(maxsize=None)
-def mixed_quartic_texts():
+def mixed_quartic_text():
     F0 = Lamination(
         4,
         frozenset(
@@ -43,7 +43,7 @@ def mixed_quartic_texts():
         4, frozenset({lf(0, "1/4"), lf("1/3", "5/6"), lf("7/15", "43/60")})
     )
     state = pullback(F0, C, 2)
-    return write_document(document_from_state(state, "mixed")), write_portrait(C)
+    return write_document(document_from_state(state, "mixed"))
 
 
 class TestUsageErrors:
@@ -616,13 +616,9 @@ class TestCorrCommands:
 
 class TestClassifyCommand:
     def test_mixed_sector_document(self, capsys, tmp_path):
-        doc_text, portrait_text = mixed_quartic_texts()
-        f, p = tmp_path / "m.json", tmp_path / "c.json"
-        f.write_text(doc_text)
-        p.write_text(portrait_text)
-        rc, out, _ = run(
-            capsys, "classify", "--file", str(f), "--portrait", str(p)
-        )
+        f = tmp_path / "m.json"
+        f.write_text(mixed_quartic_text())
+        rc, out, _ = run(capsys, "classify", "--file", str(f))
         assert rc == 0
         obj = jline(out)
         assert obj["status"] == "ok"
@@ -641,14 +637,10 @@ class TestClassifyCommand:
         assert {Fraction(s) for s in obj["witness"]} == expected
 
     def test_insufficient_depth_reported_per_sector(self, capsys, tmp_path):
-        f, p = tmp_path / "q.json", tmp_path / "c.json"
+        f = tmp_path / "q.json"
         argv = "fpp canonical --degree 5 --fpp 0-1,2-3 --depth 1 --out".split()
         assert run(capsys, *argv, str(f))[0] == 0
-        doc = json.loads(f.read_text())
-        p.write_text(
-            json.dumps({"degree": 5, "chords": doc["portrait"]}) + "\n"
-        )
-        rc, out, _ = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
+        rc, out, _ = run(capsys, "classify", "--file", str(f))
         assert rc == 1
         lines = [json.loads(l) for l in out.splitlines()]
         assert len(lines) == 3
@@ -657,41 +649,11 @@ class TestClassifyCommand:
         assert lines[0]["status"] == "fail"
         assert "insufficient depth" in lines[0]["error"]
 
-    def test_portrait_degree_mismatch(self, capsys, tmp_path):
-        doc_text, _ = mixed_quartic_texts()
-        f, p = tmp_path / "m.json", tmp_path / "c.json"
-        f.write_text(doc_text)
-        p.write_text('{"degree": 2, "chords": [["1/14", "4/7"]]}')
-        rc, out, _ = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
-        assert rc == 1
-        assert "disagrees" in jline(out)["error"]
-
-    def test_non_list_chords_fails_with_report(self, capsys, tmp_path):
-        doc_text, _ = mixed_quartic_texts()
-        f, p = tmp_path / "m.json", tmp_path / "c.json"
-        f.write_text(doc_text)
-        p.write_text('{"degree": 4, "chords": 7}')
-        rc, out, err = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
-        assert rc == 1
-        assert len(out.splitlines()) == 1
-        assert "'chords' must be a list" in jline(out)["error"]
-        assert err == ""
-
-    def test_unknown_portrait_key_fails_with_report(self, capsys, tmp_path):
-        doc_text, portrait_text = mixed_quartic_texts()
-        f, p = tmp_path / "m.json", tmp_path / "c.json"
-        f.write_text(doc_text)
-        p.write_text(json.dumps({**json.loads(portrait_text), "x": 1}))
-        rc, out, _ = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
-        assert rc == 1
-        assert "unknown portrait keys: ['x']" in jline(out)["error"]
-
     def test_one_face_sweep_classifies_every_sector(self, capsys, tmp_path, monkeypatch):
         P = FixedPointPortrait(5, ((0, 1, 2, 3),))
         state = canonical_lamination(P, 5)
-        f, p = tmp_path / "q.json", tmp_path / "c.json"
+        f = tmp_path / "q.json"
         f.write_text(write_document(document_from_state(state)))
-        p.write_text(write_portrait(state.portrait))
         swept = []
 
         def sweep_spy(L):
@@ -700,20 +662,49 @@ class TestClassifyCommand:
 
         face_sweep = leaves._face_sweep
         monkeypatch.setattr(leaves, "_face_sweep", sweep_spy)
-        _, out, _ = run(capsys, "classify", "--file", str(f), "--portrait", str(p))
+        _, out, _ = run(capsys, "classify", "--file", str(f))
         assert len(out.splitlines()) == 4, out
         # one sweep of the hull lists the sectors, one of the document classifies them all
         assert sorted(swept) == [len(P.hull_leaves), len(state.final)], swept
 
-    def test_missing_portrait_file(self, capsys, tmp_path):
-        doc_text, _ = mixed_quartic_texts()
+    def test_document_without_portrait_fails(self, capsys, tmp_path):
         f = tmp_path / "m.json"
-        f.write_text(doc_text)
-        rc, _, err = run(
-            capsys, "classify", "--file", str(f), "--portrait", "/no/portrait.json"
+        doc = json.loads(mixed_quartic_text())
+        doc["portrait"] = None
+        f.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "classify", "--file", str(f))
+        assert rc == 1
+        assert out == (
+            '{"status": "fail", "error": '
+            '"document has no critical portrait to classify against"}\n'
         )
+        assert err == ""
+
+    def test_portrait_option_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(mixed_quartic_text())
+        rc, out, err = run(capsys, "classify", "--file", str(f), "--portrait", str(f))
         assert rc == 2
-        assert "cannot read" in err
+        assert out == ""
+        assert "unrecognized arguments: --portrait" in err
+
+
+class TestCliOnly:
+    def test_commands_read_the_files_fpp_canonical_writes(self, capsys, tmp_path):
+        # no command needs a file that only Python writes; canonical documents
+        # classify in full at depth 1 (deeper, a sector's gap goes unfound)
+        f1, f2, svg = tmp_path / "d1.json", tmp_path / "d2.json", tmp_path / "d2.svg"
+        for depth, f in ((1, f1), (2, f2)):
+            argv = f"fpp canonical --degree 3 --fpp 0-1 --depth {depth} --out".split()
+            assert run(capsys, *argv, str(f))[0] == 0
+        for argv in (
+            ("lam", "check", "--file", str(f1), "--against", str(f2)),
+            ("classify", "--file", str(f1)),
+            ("render", "--file", str(f2), "--out", str(svg)),
+        ):
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0, (argv, out)
+            assert all(json.loads(l)["status"] == "ok" for l in out.splitlines()), out
 
 
 class TestRenderCommand:
@@ -861,36 +852,33 @@ class TestFacePrecondition:
     """Commands built on the face subdivision reject crossing leaves."""
 
     @pytest.fixture
-    def crossing_files(self, capsys, tmp_path):
-        f, p = tmp_path / "x.json", tmp_path / "c.json"
+    def crossing_file(self, capsys, tmp_path):
+        f = tmp_path / "x.json"
         argv = "fpp canonical --degree 3 --fpp 0-1 --depth 2 --out".split()
         assert run(capsys, *argv, str(f))[0] == 0
         doc = json.loads(f.read_text())
         doc["leaves"].append(["1/4", "3/4"])  # crosses the hull leaf 0-1/2
         doc["stages"].append(2)
         f.write_text(json.dumps(doc))
-        p.write_text(json.dumps({"degree": 3, "chords": doc["portrait"]}))
-        return str(f), str(p)
+        return str(f)
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ("classify", "--portrait", "{p}"),
+            ("classify",),
             ("corr", "uni-to-max", "--polygon", "1/8,3/8"),
             ("corr", "max-to-uni", "--polygon", "0,1/3,2/3"),
         ],
     )
-    def test_crossing_document_rejected(self, capsys, crossing_files, argv):
-        f, p = crossing_files
-        rc, out, _ = run(capsys, *(a.format(p=p) for a in argv), "--file", f)
+    def test_crossing_document_rejected(self, capsys, crossing_file, argv):
+        rc, out, _ = run(capsys, *argv, "--file", crossing_file)
         assert rc == 1
         assert len(out.splitlines()) == 1
         obj = jline(out)
         assert obj["status"] == "fail"
         assert "Leaf(0, 1/2) crosses Leaf(1/4, 3/4)" in obj["error"]
 
-    def test_lam_check_still_reports_crossing(self, capsys, crossing_files):
-        f, _ = crossing_files
-        rc, out, _ = run(capsys, "lam", "check", "--file", f)
+    def test_lam_check_still_reports_crossing(self, capsys, crossing_file):
+        rc, out, _ = run(capsys, "lam", "check", "--file", crossing_file)
         assert rc == 1
         assert jline(out)["violations"][0]["kind"] == "crossing"

@@ -41,7 +41,6 @@ from lamlab.rotation import (
     rotation_number,
     uni_to_max,
     unicritical_anchor,
-    validate_rotational_placement,
 )
 from states import (
     basilica_state,
@@ -52,9 +51,9 @@ from states import (
     quartic_local_state,
     rabbit_state,
 )
-from test_circle import fixed_points, in_arc, orbit
+from test_circle import orbit
 from test_leaves import half_edge_faces, leaves_cross, on_closure
-from test_pullback import CORR_GRID, canonical_critical_portraits, reference_critical_sectors
+from test_pullback import CORR_GRID
 
 
 def major_length_bound_check(d: int, major: Leaf) -> bool:
@@ -236,6 +235,17 @@ class TestRotationalOrbit:
     def test_rotation_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RotationalOrbit(2, pts("1/7", "2/7", "4/7"), rotation=fr(2, 3))
+
+    def test_float_rotation_refused(self):
+        # 0.5 equals the computed 1/2, but floats stay out of the exact layer
+        with pytest.raises(TypeError, match="exact rational"):
+            RotationalOrbit(2, pts("1/3", "2/3"), 0.5)
+
+    def test_stated_rotation_stored_as_computed(self):
+        for points, rho in ((pts(0), 0), (pts("1/3", "2/3"), fr(1, 2))):
+            stated, unstated = RotationalOrbit(2, points, rho), RotationalOrbit(2, points)
+            assert type(stated.rotation) is Fraction
+            assert repr(stated) == repr(unstated)
 
     def test_points_sorted(self):
         orb = RotationalOrbit(2, pts("4/7", "1/7", "2/7"))
@@ -578,14 +588,15 @@ class TestCoRoots:
             n += 1
         assert n == (d - 1) * sum(math.gcd(p, q) == 1 for p in range(1, q))
 
-    def test_multi_cycle_polygon_rejected(self):
-        # two 2-cycles rotating by 1/2 as one 4-point set
+    def test_tied_majors_refused_before_the_gap(self):
+        # two 2-cycles rotating by 1/2 as one 4-point set, whose sides 3/8-3/4
+        # and 3/4-1/8 are equally close to length 1/3: the major tie is
+        # refused before any gap is sought
         polygon = RotationalOrbit(3, pts("1/8", "1/4", "3/8", "3/4"))
         assert polygon.rotation == fr(1, 2)
-        with pytest.raises(ValueError):
-            find_coroots(cubic_state(), polygon)
-        with pytest.raises(ValueError):
-            uni_to_max(cubic_state(), polygon)
+        for search in (find_coroots, uni_to_max):
+            with pytest.raises(MajorTieError):
+                search(cubic_state(), polygon)
 
 
     def test_several_cycles_rejected_at_their_gap(self):
@@ -763,138 +774,6 @@ class TestCorrespondence:
         # two critical points: local degree 2 disagrees with the four-gon
         with pytest.raises(ValueError):
             dataclasses.replace(pair, all_critical=pair.all_critical[:2])
-
-
-@lru_cache(maxsize=None)
-def cached_reference_sectors(C):
-    return reference_critical_sectors(C)
-
-
-def reference_validate_rotational_placement(C, assignments):
-    """Reference: the check on the `Fraction` sectors that `validate_rotational_placement` replaced.
-
-    Returns the violation strings.
-    """
-    sectors = cached_reference_sectors(C)
-    for i in assignments:
-        if not 0 <= i < len(sectors):
-            raise ValueError(f"no sector with index {i}")
-    rot = {i: Fraction(assignments.get(i, 0)) for i in range(len(sectors))}
-    violations = []
-    fixed = fixed_points(C.degree)
-    for i, sector in enumerate(sectors):
-        if rot[i] == 0:
-            continue
-        for arc in sector.arcs:
-            for fp in fixed:
-                if in_arc(fp, arc.start, arc.end):
-                    violations.append(
-                        f"sector {i} carries rotation {rot[i]} but its arc "
-                        f"({arc.start}, {arc.end}) contains the fixed point {fp}"
-                    )
-    for i, j in itertools.combinations(range(len(sectors)), 2):
-        if rot[i] != 0 and rot[j] != 0 and set(sectors[i].chords) & set(sectors[j].chords):
-            violations.append(f"adjacent sectors {i} and {j} both carry nonzero rotation")
-    return violations
-
-
-def placement_assignments(d, rotations=(Fraction(0), Fraction(1, 2), Fraction(1, 3))):
-    """Each assignment of one of the rotations to at most two of d sectors."""
-    yield {}
-    for k in (1, 2):
-        for sectors in itertools.combinations(range(d), k):
-            for rots in itertools.product(rotations, repeat=k):
-                yield dict(zip(sectors, rots))
-
-
-class TestPlacement:
-    def test_adjacent_nonzero_sectors_rejected(self):
-        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
-        report = validate_rotational_placement(C, {0: fr(1, 2), 1: fr(1, 3)})
-        assert not report.ok
-        assert report.violations == (
-            "adjacent sectors 0 and 1 both carry nonzero rotation",
-        )
-
-    def test_fixed_point_inside_nonzero_sector_rejected(self):
-        C = CriticalPortrait(
-            5,
-            frozenset(
-                {lf(0, "1/5"), lf(0, "2/5"), lf(0, "4/5"), lf("2/5", "3/5"), lf("3/5", "4/5")}
-            ),
-        )
-        report = validate_rotational_placement(C, {1: fr(1, 3)})
-        assert not report.ok
-        assert "contains the fixed point 1/4" in report.violations[0]
-
-    def test_clean_assignment(self):
-        C = CriticalPortrait(
-            5,
-            frozenset(
-                {lf(0, "1/5"), lf(0, "2/5"), lf(0, "4/5"), lf("2/5", "3/5"), lf("3/5", "4/5")}
-            ),
-        )
-        assert validate_rotational_placement(C, {0: fr(1, 3)}).ok
-
-    def test_zero_assignments_always_pass(self):
-        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
-        assert validate_rotational_placement(C, {0: fr(0), 1: fr(0)}).ok
-
-    def test_unknown_sector_rejected(self):
-        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
-        with pytest.raises(ValueError):
-            validate_rotational_placement(C, {5: fr(1, 2)})
-
-    def test_float_key_rejected(self):
-        # 0.5 passes a range check, and no sector is ever read under it
-        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
-        with pytest.raises(ValueError, match="not an int"):
-            validate_rotational_placement(C, {0.5: fr(1, 2)})
-
-    def test_bool_key_rejected(self):
-        # True == 1 would otherwise name sector 1
-        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
-        with pytest.raises(ValueError, match="not an int"):
-            validate_rotational_placement(C, {True: fr(1, 2)})
-
-    @pytest.mark.parametrize("r", [0.1, 0.5, "0.5", "1/3", True])
-    def test_inexact_rotation_rejected(self, r):
-        # Fraction(r) would read 0.1 as its binary value and "0.5" as 1/2
-        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
-        with pytest.raises(ValueError, match="not an int or a Fraction"):
-            validate_rotational_placement(C, {1: r})
-
-    def test_fraction_and_int_rotations_accepted(self):
-        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
-        assert validate_rotational_placement(C, {0: fr(1, 2), 1: 0}).ok
-        assert validate_rotational_placement(C, {0: 0, 1: fr(1, 3)}).ok
-
-    def test_rotation_one_rejected(self):
-        # 1 is rotation 0 mod 1, and would be reported as "carries rotation 1"
-        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
-        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
-            validate_rotational_placement(C, {0: 1})
-
-    def test_negative_rotation_rejected(self):
-        C = CriticalPortrait(2, frozenset({lf(0, "1/2")}))
-        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
-            validate_rotational_placement(C, {0: fr(-1, 2)})
-
-    @pytest.mark.parametrize("d", range(2, 7))
-    def test_equals_reference_on_canonical_portraits(self, d):
-        # a zero rotation reads as no entry, so at d = 6, with 837 portraits,
-        # the assignments keep to 1/2 and 1/3
-        rotations = (fr(1, 2), fr(1, 3)) if d == 6 else (fr(0), fr(1, 2), fr(1, 3))
-        n = violated = 0
-        for _, C in canonical_critical_portraits(d):
-            if C.degree != d:
-                continue
-            for assignment in placement_assignments(d, rotations):
-                got = validate_rotational_placement(C, assignment).violations
-                assert list(got) == reference_validate_rotational_placement(C, assignment), (C, assignment)
-                n += 1
-                violated += bool(got)
-        assert n and (violated or d == 2)
 
 
 class TestMajorLengthLemma:

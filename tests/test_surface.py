@@ -26,8 +26,8 @@ PYTHON_ONLY = {
     "invariant_gap": 1,
     "is_hyperbolic_approx": 1,
     "major_minor": 1,
+    "read_portrait": 1,
     "unicritical_anchor": 1,
-    "validate_rotational_placement": 1,
     "write_portrait": 1,
 }
 
