@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .circle import CirclePoint, _rational, parse_angle
 from .fpp import FixedPointPortrait, enumerate_fpps, fixed_sectors, fpps_up_to_rotation
-from .leaves import _MAX_FIXED_POINTS, Polygon, check_invariance, validate_prelamination
+from .leaves import _MAX_FIXED_POINTS, Leaf, Polygon, check_invariance, validate_prelamination
 from .pullback import canonical_lamination, classify_sector
 from .rotation import (
     RotationalOrbit,
@@ -396,7 +396,7 @@ def _cmd_corr(args: argparse.Namespace) -> int:
         if args.op == "uni-to-max":
             pair = uni_to_max(state, RotationalOrbit(doc.degree, pts))
         else:
-            pair = max_to_uni(state, Polygon(pts))
+            pair = max_to_uni(state, Leaf(*pts) if len(pts) == 2 else Polygon(pts))
     except ValueError as exc:
         raise _invalid(str(exc)) from None
     _emit(_correspondence_obj(pair))

@@ -21,7 +21,7 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .circle import CirclePoint, sigma
+from .circle import CirclePoint
 from .fpp import CriticalPortrait, FixedPointPortrait, FixedSector
 from .fpp import canonical_portraits, fixed_sectors
 from .leaves import (
@@ -29,10 +29,8 @@ from .leaves import (
     Lamination,
     Leaf,
     NotRotational,
-    Polygon,
     _MAX_FIXED_POINTS,
     _closure,
-    _cross,
     _face,
     _fibre_matching,
     _image,
@@ -52,9 +50,7 @@ __all__ = [
     "classify_sector",
     "clp_checks",
     "cp_pullback_equality",
-    "flower_like",
     "invariant_gap",
-    "is_hyperbolic_approx",
     "pullback",
 ]
 
@@ -581,61 +577,6 @@ def clp_checks(state: PullbackState) -> CanonicalReport:
     )
 
 
-def _leaves_recur(d: int, D: int, pairs: Iterable[tuple[int, int]], cap: int) -> bool:
-    """Whether each leaf pair over D revisits an earlier image within cap steps, not collapsing."""
-    for b in pairs:
-        seen = {b}
-        cur = b
-        for _ in range(cap):
-            img = _image(d, D, cur)
-            if isinstance(img, int):
-                return False
-            if img in seen:
-                break
-            seen.add(img)
-            cur = img
-        else:
-            return False
-    return True
-
-
-def is_hyperbolic_approx(L: Lamination, C: CriticalPortrait, depth: int) -> bool:
-    """Whether every portrait chord sits inside a face with recurring boundary.
-
-    Finite-depth necessary condition: the face carrying a chord must have all
-    its boundary leaves revisit an earlier image within the iteration cap.  A
-    chord that is itself a leaf of L, or that crosses L, fails.
-
-    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
-    """
-    if L.degree != C.degree:
-        raise ValueError("degree mismatch")
-    if not len(L):
-        return True
-    cap = max(2 * depth + 2, 4)
-    D = L.scaled[0]
-    Dc, chords = C._lamination.scaled
-    # the crossing tests run on the grid E of both L and the chords
-    E = lcm(D, Dc)
-    up, upc = E // D, E // Dc
-    faces = [(b, _closure(b, D, Dc)) for b in L._faces]
-    # a chord that is a leaf of L bounds a carrier on each side, so it fails
-    for x, y in chords:
-        c = (x * upc, y * upc)
-        carriers = [
-            b
-            for b, on in faces
-            if on(x)
-            and on(y)
-            and not any(e[0] == 0 and _cross((e[1] * up, e[2] * up), c) for e in b)
-        ]
-        if len(carriers) != 1 or not _leaves_recur(
-            L.degree, D, [(e[1], e[2]) for e in carriers[0] if e[0] == 0], cap
-        ):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class FixedObject:
     """A connected piece of a sector's fixed boundary: hull component or lone fixed point."""
@@ -778,71 +719,3 @@ def _pinched_off(
         if _holds(x, y - x, beyond, verts, D) or _holds(y, D - y + x, beyond, verts, D):
             return True
     return False
-
-
-@dataclass(frozen=True)
-class FlowerLike:
-    """An invariant center together with the attached recurring faces."""
-
-    center_vertices: tuple[CirclePoint, ...]
-    center_edges: tuple[Leaf, ...]
-    attached: tuple[Face, ...]
-
-    @property
-    def petal_count(self) -> int:
-        return len(self.attached)
-
-
-def _recurring(d: int, D: int, boundary: list[tuple[int, ...]], cap: int) -> bool:
-    """Whether within cap steps a face's vertices map into themselves, and its leaves recur.
-
-    The face is a `_faces` boundary over D; its vertices are its leaves' endpoints.
-    """
-    leaves = [(e[1], e[2]) for e in boundary if e[0] == 0]
-    vset = {x for leaf in leaves for x in leaf}
-    image = vset
-    for _ in range(cap):
-        image = {d * x % D for x in image}
-        if image <= vset:
-            return _leaves_recur(d, D, leaves, cap)
-    return False
-
-
-def flower_like(L: Lamination, G: Polygon | Face | Leaf) -> FlowerLike:
-    """The faces of L sharing an edge with G whose boundaries keep recurring.
-
-    G's vertex set must map into itself.  A neighbor qualifies when some
-    iterate maps its vertex set into itself and each of its boundary leaves
-    revisits an earlier image, both within a cap tied to L's stage depth.
-
-    A Python-only diagnostic until ROADMAP item 1 routes it through `lam diagnose`.
-    """
-    if isinstance(G, Leaf):
-        verts: tuple[CirclePoint, ...] = G.endpoints
-        edges: tuple[Leaf, ...] = (G,)
-    elif isinstance(G, Polygon):
-        verts = G.vertices
-        edges = G.sides
-    else:
-        verts = G.vertices
-        edges = G.leaves
-    vset = set(verts)
-    for v in verts:
-        if sigma(L.degree, v) not in vset:
-            raise ValueError(f"center vertex {v} maps outside the center")
-    edge_set = set(edges)
-    # the edges as indices into L's sorted leaves; an edge that is no leaf of
-    # L keeps None, so no face's leaf indices equal the edges'
-    ids = {L._index(l) for l in edge_set}
-    D = L.scaled[0]
-    cap = L.depth + 2
-    petals = []
-    for b in L._faces:
-        leaves = {e[3] for e in b if e[0] == 0}
-        if leaves != ids and leaves & ids and _recurring(L.degree, D, b, cap):
-            petals.append(b)
-    # by sorted vertices, ties in sweep order; a face bearing leaves has its
-    # arcs' ends among its leaves' endpoints
-    petals.sort(key=lambda b: sorted({x for e in b if e[0] == 0 for x in e[1:3]}))
-    attached = tuple(_face(L, b) for b in petals)
-    return FlowerLike(tuple(sorted(vset)), tuple(sorted(edge_set)), attached)

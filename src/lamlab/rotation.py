@@ -27,7 +27,6 @@ from .circle import CirclePoint, _exact, angle, check_degree
 from .leaves import (
     Face,
     Leaf,
-    NotRotational,  # for the callers of rotation_number, which raises it
     Polygon,
     _closure,
     _cycles,
@@ -530,10 +529,10 @@ def uni_to_max(state: PullbackState, polygon: RotationalOrbit) -> Correspondence
     )
 
 
-def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
+def max_to_uni(state: PullbackState, gon: Polygon | Leaf) -> CorrespondencePair:
     """Recover the unicritical q-gon inside a maximally critical polygon.
 
-    The polygon, of 3 or more vertices, must be a rotational set; its
+    The polygon, or a leaf for a 2-point set, must be a rotational set; its
     vertex cycles all have one period q and rotate alike, and d' - 1 is
     their number.  The d' - 2 co-roots are the shared endpoints of two
     majors.  A shared endpoint is a vertex both of whose sides are majors,
@@ -542,7 +541,7 @@ def max_to_uni(state: PullbackState, gon: Polygon) -> CorrespondencePair:
     unicritical rotational orbit.
     """
     d = state.degree
-    grown = RotationalOrbit(d, gon.vertices)
+    grown = RotationalOrbit(d, gon.endpoints if isinstance(gon, Leaf) else gon.vertices)
     if grown.rotation == 0:
         raise ValueError("the polygon does not rotate")
     D, nums = grown._scaled

@@ -574,6 +574,18 @@ class TestCorrCommands:
             "coroots": [],
         }
 
+    def test_period_two_leaf_round_trip(self, capsys, tmp_path):
+        # a 2-point set is a leaf, not a polygon, and each direction gives the same pair
+        f = tmp_path / "b.json"
+        f.write_text(write_document(document_from_state(basilica_state(), "basilica")))
+        outs = []
+        for op in ("uni-to-max", "max-to-uni"):
+            rc, out, _ = run(capsys, "corr", op, "--file", str(f), "--polygon", "1/3,2/3")
+            assert rc == 0, op
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert jline(outs[1])["max_polygon"] == ["1/3", "2/3"]
+
     def test_max_to_uni_round_trip(self, capsys, tmp_path):
         f = tmp_path / "r.json"
         f.write_text(rabbit_doc_text())

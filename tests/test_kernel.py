@@ -5,10 +5,7 @@ common denominator D, a multiple of d - 1.  The invariant-face filter, leaf
 iteration and the invariance check run on those pairs, with the d-tupling
 map as x -> d*x mod D.  The Fraction versions below are the code they
 replaced, kept as oracles; `half_edge_faces` supplies the faces, so the
-invariant-face oracle does not read the integer view at all.  The
-references of `is_hyperbolic_approx` and `flower_like` read the `Face`s of
-the sweep, which `test_leaves.TestFacesSweep` checks against
-`half_edge_faces`, because the half-edge walk would slow them by a quarter.
+invariant-face oracle does not read the integer view at all.
 """
 from fractions import Fraction
 from functools import cache
@@ -18,13 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamlab.circle import CirclePoint, angle, sigma
-from lamlab.fpp import FixedPointPortrait, canonical_portraits, enumerate_fpps, fixed_sectors
+from lamlab.fpp import FixedPointPortrait, enumerate_fpps, fixed_sectors
 from lamlab.leaves import (
-    Arc,
-    Face,
     Lamination,
     Leaf,
-    Polygon,
     Violation,
     _closure,
     _face,
@@ -36,18 +30,10 @@ from lamlab.leaves import (
     leaf_image,
 )
 from lamlab.pullback import (
-    CriticalPortrait,
     FixedObject,
-    FlowerLike,
-    _leaves_recur,
     _pinched_off,
-    _recurring,
     _sector_candidates,
     _separates,
-    canonical_lamination,
-    flower_like,
-    is_hyperbolic_approx,
-    pullback,
 )
 from states import canonical_states
 from test_circle import fixed_points, in_arc
@@ -60,7 +46,6 @@ from test_leaves import (
     on_closure,
     short_arcs,
 )
-from test_pullback import quintic_canonical, rabbit_triangle
 
 
 def fraction_invariant_faces(d, subdivision, S):
@@ -113,88 +98,6 @@ def fraction_iterates_onto(d, l, targets, cap):
             return False
         cur = img
     return False
-
-
-def fraction_leaves_recur(d, leaves, cap):
-    """Reference: each leaf revisits an earlier image within cap steps, never collapsing."""
-    for b in leaves:
-        seen = {b}
-        cur = b
-        for _ in range(cap):
-            img = leaf_image(d, cur)
-            if isinstance(img, CirclePoint):
-                return False
-            if img in seen:
-                break
-            seen.add(img)
-            cur = img
-        else:
-            return False
-    return True
-
-
-def fraction_recurring_face(d, f, cap):
-    """Reference: within cap steps f's vertices map into themselves, and its leaves recur."""
-    vset = set(f.vertices)
-    image = vset
-    for _ in range(cap):
-        image = {sigma(d, v) for v in image}
-        if image <= vset:
-            return fraction_leaves_recur(d, f.leaves, cap)
-    return False
-
-
-def reference_is_hyperbolic_approx(L, C, depth):
-    """Reference: the `Fraction` carrier search that `is_hyperbolic_approx` replaced.
-
-    Each portrait chord needs exactly one face holding both its endpoints on
-    its closure with no boundary leaf crossing it, and that face's leaves
-    must recur.
-    """
-    if L.degree != C.degree:
-        raise ValueError("degree mismatch")
-    if not len(L):
-        return True
-    cap = max(2 * depth + 2, 4)
-    subdivision = faces(L)
-    for chord in sorted(C.chords):
-        if chord in L:
-            return False
-        carriers = [
-            f
-            for f in subdivision
-            if on_closure(f, chord.a)
-            and on_closure(f, chord.b)
-            and not any(leaves_cross(b, chord) for b in f.leaves)
-        ]
-        if len(carriers) != 1 or not fraction_leaves_recur(L.degree, carriers[0].leaves, cap):
-            return False
-    return True
-
-
-def reference_flower_like(L, G):
-    """Reference: the `Fraction` face filter that `flower_like` replaced."""
-    if isinstance(G, Leaf):
-        verts, edges = G.endpoints, (G,)
-    elif isinstance(G, Polygon):
-        verts, edges = G.vertices, G.sides
-    else:
-        verts, edges = G.vertices, G.leaves
-    vset = set(verts)
-    for v in verts:
-        if sigma(L.degree, v) not in vset:
-            raise ValueError(f"center vertex {v} maps outside the center")
-    edge_set = set(edges)
-    cap = L.depth + 2
-    attached = [
-        f
-        for f in faces(L)
-        if set(f.leaves) != edge_set
-        and set(f.leaves) & edge_set
-        and fraction_recurring_face(L.degree, f, cap)
-    ]
-    attached.sort(key=lambda f: f.vertices)
-    return FlowerLike(tuple(sorted(vset)), tuple(sorted(edge_set)), tuple(attached))
 
 
 def fraction_check_invariance(L_prev, L_next):
@@ -411,26 +314,6 @@ class TestIteratesOntoKernel:
         assert not fraction_iterates_onto(d, L.sorted_leaves[0], hull, 3)
 
 
-class TestRecurrenceKernel:
-    # degree 2 has no portrait with a block, so no leaves to iterate
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_equals_fraction_oracle_on_canonical_stages(self, d):
-        outcomes = set()
-        for state in canonical_states(d):
-            L = state.final
-            D = L.scaled[0]
-            for boundary, f in zip(_face_sweep(L), half_edge_faces(L), strict=True):
-                assert _face(L, boundary) == f
-                pairs = [_scaled_pair(l, D) for l in f.leaves]
-                for cap in (1, 4):
-                    got = _leaves_recur(d, D, pairs, cap)
-                    assert got == fraction_leaves_recur(d, f.leaves, cap)
-                    face = _recurring(d, D, boundary, cap)
-                    assert face == fraction_recurring_face(d, f, cap)
-                    outcomes.add((got, face))
-        assert len(outcomes) >= 2
-
-
 class TestCheckInvarianceKernel:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_equals_fraction_oracle_on_canonical_stages(self, d):
@@ -530,126 +413,3 @@ class TestSectorGeometryKernel:
                 grid = {z for x, y in lam.scaled[1] for z in (x, y, (x + y) // 2)} or range(D)
                 for z in grid:
                     assert on(z) == on_closure(f, angle(Fraction(z, D)))
-
-
-@cache
-def placement_states(d, n):
-    """Every canonical placement of every degree-d portrait, pulled back n stages as canonical_lamination does."""
-    out = []
-    for P in enumerate_fpps(d):
-        F0 = Lamination(d, P.hull_leaves)
-        for choice in canonical_portraits(P):
-            out.append(pullback(F0, choice.as_critical_portrait(), n, policy="shortest"))
-    return out
-
-
-class TestDiagnosticsKernel:
-    """`is_hyperbolic_approx` and `flower_like` on `_face_sweep` against their `Fraction` references."""
-
-    @pytest.mark.parametrize("d, depths", [(2, (1, 2, 3)), (3, (1, 2, 3)), (4, (1, 2, 3)), (5, (1, 2, 3)), (6, (2,))])
-    def test_hyperbolicity_equals_reference_on_placements(self, d, depths):
-        for state in placement_states(d, max(depths)):
-            for k in depths:
-                L = state.stages[k]
-                got = is_hyperbolic_approx(L, state.portrait, k)
-                assert got == reference_is_hyperbolic_approx(L, state.portrait, k), (state.portrait, k)
-
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_hyperbolicity_equals_reference_on_foreign_portraits(self, d):
-        # stages 1 and 2 against the next placement's portrait, whose chords
-        # may cross the stage, lie in it or share its faces
-        states = placement_states(d, 3)
-        outcomes = set()
-        for state, other in zip(states, states[1:] + states[:1]):
-            for k in (1, 2):
-                L = state.stages[k]
-                got = is_hyperbolic_approx(L, other.portrait, k)
-                assert got == reference_is_hyperbolic_approx(L, other.portrait, k), (other.portrait, k)
-                outcomes.add(got)
-        assert outcomes == {False, True}
-
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_flower_equals_reference_on_hull_centres(self, d):
-        petals = 0
-        for state in canonical_states(d):
-            P = state.fpp
-            polygons = [Polygon(tuple(P.point(i) for i in b)) for b in P.blocks if len(b) > 2]
-            for G in sorted(P.hull_leaves) + polygons:
-                got = flower_like(state.final, G)
-                assert got == reference_flower_like(state.final, G), (P, G)
-                petals += got.petal_count
-        assert petals > 0
-
-    def test_flower_equals_reference_on_examples(self):
-        C = CriticalPortrait(2, frozenset({Leaf(angle("1/14"), angle("4/7"))}))
-        rabbit = pullback(rabbit_triangle(), C, 2).final
-        triangle = Polygon(tuple(angle(t) for t in ("1/7", "2/7", "4/7")))
-        quintic = quintic_canonical(3).final
-        for L, G in ((rabbit, triangle), (quintic, Leaf(angle(0), angle("1/4")))):
-            assert flower_like(L, G) == reference_flower_like(L, G)
-            assert flower_like(L, G).petal_count == 2
-
-    def test_flower_equals_reference_on_face_centres(self):
-        # every face of the final stage whose vertices map into themselves
-        petals = 0
-        for state in (st for d in (3, 4, 5) for st in canonical_states(d)):
-            L = state.final
-            for b, _ in L._invariant_faces:
-                G = _face(L, b)
-                got = flower_like(L, G)
-                assert got == reference_flower_like(L, G), (state.fpp, G)
-                petals += got.petal_count
-        assert petals > 0
-
-    def test_face_centre_must_map_into_itself(self):
-        # 3 * 1/7 = 3/7 is no vertex of the face
-        G = Face((Leaf(angle("1/7"), angle("2/7")), Arc(angle("2/7"), angle("1/7"))))
-        L = canonical_states(3)[-1].final
-        for run in (flower_like, reference_flower_like):
-            with pytest.raises(ValueError, match="center vertex 1/7 maps outside the center"):
-                run(L, G)
-
-
-class TestNoLeafInDiagnostics:
-    """The diagnostics run on the integer grid: the Leafs they build do not grow with depth.
-
-    `flower_like` returns its petals as Faces, whose Leafs grow with depth;
-    only the Leafs beyond those are counted.
-    """
-
-    @staticmethod
-    def count_leaves(monkeypatch, run):
-        built = [0]
-        post_init = Leaf.__post_init__
-
-        def counting(self):
-            built[0] += 1
-            post_init(self)
-
-        with monkeypatch.context() as m:
-            m.setattr(Leaf, "__post_init__", counting)
-            run()
-        return built[0]
-
-    @staticmethod
-    def states():
-        P = FixedPointPortrait(3, ((0, 1),))
-        return [canonical_lamination(P, n) for n in (4, 6)]
-
-    def test_hyperbolicity(self, monkeypatch):
-        counts = []
-        for state in self.states():
-            run = lambda: is_hyperbolic_approx(state.final, state.portrait, state.depth)
-            counts.append(self.count_leaves(monkeypatch, run))
-        assert counts[1] <= counts[0], counts
-
-    def test_flower(self, monkeypatch):
-        counts = []
-        for state in self.states():
-            (hull,) = state.fpp.hull_leaves
-            out = []
-            built = self.count_leaves(monkeypatch, lambda: out.append(flower_like(state.final, hull)))
-            (flower,) = out
-            assert flower.petal_count == 2
-            counts.append(built - sum(len(f.leaves) for f in flower.attached))
-        assert counts[1] <= counts[0], counts

@@ -434,7 +434,7 @@ class TestFacesSweep:
     def test_equals_half_edge_oracle(self, L):
         assert faces(L) == half_edge_faces(L)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_equals_half_edge_oracle_on_canonical_stages(self, d):
         for state in canonical_states(d):
             for lam in state.stages:

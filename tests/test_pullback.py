@@ -41,9 +41,7 @@ from lamlab.pullback import (
     classify_sector,
     clp_checks,
     cp_pullback_equality,
-    flower_like,
     invariant_gap,
-    is_hyperbolic_approx,
     pullback,
 )
 from lamlab.rotation import enumerate_rotational_orbits, unicritical_anchor
@@ -945,31 +943,6 @@ class TestFullPreimage:
                 assert M.scaled == (D, tuple(sorted(moved))), (P, move, L.depth)
 
 
-class TestHyperbolicityCheck:
-    def test_canonical_states_pass(self):
-        st5 = quintic_canonical(2)
-        assert is_hyperbolic_approx(st5.final, st5.portrait, 2)
-        st3 = canonical_lamination(FixedPointPortrait(3, ((0, 1),)), 2)
-        assert is_hyperbolic_approx(st3.final, st3.portrait, 2)
-
-    def test_portrait_chord_as_leaf_fails(self):
-        L = lam(2, [(0, "1/2")])
-        assert not is_hyperbolic_approx(L, diameter_portrait(), 2)
-
-    def test_empty_lamination_passes(self):
-        assert is_hyperbolic_approx(lam(2, []), diameter_portrait(), 2)
-
-    def test_collapsing_boundary_leaf_fails(self):
-        # the chord 0-2/3 lies in the face of 0-1/3's far side, and 0-1/3 is
-        # critical: it collapses to 0 and never recurs
-        C = CriticalPortrait(3, frozenset({lf(0, "2/3"), lf("1/3", "2/3")}))
-        assert not is_hyperbolic_approx(lam(3, [(0, "1/3")]), C, 2)
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="degree mismatch"):
-            is_hyperbolic_approx(lam(3, []), diameter_portrait(), 1)
-
-
 class TestSectorClassification:
     def test_no_object_subtended(self):
         P = FixedPointPortrait(5, ((0, 1), (2, 3)))
@@ -1062,27 +1035,6 @@ class TestSectorClassification:
         C = P._first_choice().as_critical_portrait()
         with pytest.raises(InsufficientDepthError, match="found 0 rotational polygon faces"):
             classify_sector(L, C, S)
-
-
-class TestFlowerLike:
-    def test_quintic_leaf_center(self):
-        state = quintic_canonical(3)
-        flower = flower_like(state.final, lf(0, "1/4"))
-        assert flower.petal_count == 2
-        assert {v.value for v in flower.center_vertices} == {fr(0), fr(1, 4)}
-        assert sorted(len(f.vertices) for f in flower.attached) == [34, 128]
-
-    def test_rabbit_triangle_center(self):
-        C = CriticalPortrait(2, frozenset({lf("1/14", "4/7")}))
-        state = pullback(rabbit_triangle(), C, 2)
-        tri = Polygon((angle("1/7"), angle("2/7"), angle("4/7")))
-        flower = flower_like(state.final, tri)
-        assert flower.petal_count == 2
-        petal_sets = {frozenset(v.value for v in f.vertices) for f in flower.attached}
-        assert petal_sets == {
-            frozenset({fr(1, 14), fr(1, 7), fr(4, 7), fr(9, 14)}),
-            frozenset({fr(1, 7), fr(2, 7)}),
-        }
 
 
 class TestPreimageConsistency:

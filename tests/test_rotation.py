@@ -15,6 +15,7 @@ from lamlab import leaves
 from lamlab.leaves import (
     Lamination,
     Leaf,
+    NotRotational,
     Polygon,
     _closure,
     _cross,
@@ -28,7 +29,6 @@ from lamlab.rotation import (
     CoRootSet,
     MajorMinor,
     MajorTieError,
-    NotRotational,
     RotationalOrbit,
     _central_gap,
     _gon_fits,
@@ -673,6 +673,7 @@ class TestCorrespondence:
         assert pair.majors == (lf("1/3", "2/3"),)
         assert pair.coroots == ()
         assert pair.local_degree == 2
+        assert max_to_uni(basilica_state(), lf("1/3", "2/3")) == pair
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_grown_set_structure_on_anchored_orbits(self, d):

@@ -4,6 +4,9 @@ Each module's `__all__` is the only list of its public names, and the
 package exports their concatenation.  Every exported name is used in
 `src/lamlab` outside its own definition, or it is pinned in PYTHON_ONLY
 with the ROADMAP item that gives it a caller, and its docstring says so.
+The sources carry no debris: every imported name is read in its module,
+and every top-level private function or class is read outside its own
+definition, or pinned in UNREAD_PRIVATE with its ROADMAP item.
 """
 import ast
 import importlib
@@ -22,9 +25,7 @@ PYTHON_ONLY = {
     "clp_checks": 1,
     "cp_pullback_equality": 1,
     "find_coroots": 1,
-    "flower_like": 1,
     "invariant_gap": 1,
-    "is_hyperbolic_approx": 1,
     "major_minor": 1,
     "read_portrait": 1,
     "unicritical_anchor": 1,
@@ -39,7 +40,7 @@ def module(name):
 
 
 def reads():
-    """Every name read in the modules, as (top-level definition holding the read, name).
+    """Every name read in the modules, as (module, top-level definition holding the read, name).
 
     A read of a name that an enclosing function binds (a parameter or an
     assignment) is a local and is left out.  `__init__.py` reads only the
@@ -47,22 +48,22 @@ def reads():
     """
     out = []
 
-    def visit(node, owner, local):
+    def visit(node, stem, owner, local):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
             local = local | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
             stores = (n for n in ast.walk(node) if isinstance(n, ast.Name))
             local |= {n.id for n in stores if isinstance(n.ctx, ast.Store)}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
-            out.append((owner, node.id))
+            out.append((stem, owner, node.id))
         for child in ast.iter_child_nodes(node):
-            visit(child, owner, local)
+            visit(child, stem, owner, local)
 
     for stem, tree in SOURCES.items():
         if stem == "__init__":
             continue
         for stmt in tree.body:
             owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            visit(stmt, owner, frozenset())
+            visit(stmt, stem, owner, frozenset())
     return out
 
 
@@ -71,7 +72,7 @@ READS = reads()
 
 def uses(name, skip):
     """How often `name` is read outside the top-level definitions named in skip."""
-    return sum(1 for owner, n in READS if n == name and owner not in skip)
+    return sum(1 for _, owner, n in READS if n == name and owner not in skip)
 
 
 def test_package_exports_the_module_lists():
@@ -100,6 +101,37 @@ def test_python_only_names_are_pinned(name):
     assert name in lamlab.__all__
     assert not uses(name, set(PYTHON_ONLY))
     assert f"ROADMAP item {PYTHON_ONLY[name]}" in " ".join(getattr(lamlab, name).__doc__.split())
+
+
+@pytest.mark.parametrize("stem", sorted(set(SOURCES) - {"__init__"}))
+def test_imported_names_are_read(stem):
+    # an import nothing reads is debris of a deleted caller
+    read = {n for m, _, n in READS if m == stem}
+    imported = [
+        (a.asname or a.name).split(".")[0]
+        for node in SOURCES[stem].body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for a in node.names
+    ]
+    assert [n for n in imported if n not in read] == [], stem
+
+
+# Private top-level definitions nothing reads yet, each with the ROADMAP item
+# that gives it a caller: 4B wires the strict sibling check into check_invariance.
+UNREAD_PRIVATE = {"_strict_siblings": "4B"}
+
+
+def test_private_definitions_are_read():
+    # a private top-level function or class nothing reads is debris; a pin is
+    # stale once the library reads its name
+    private = [
+        stmt.name
+        for tree in SOURCES.values()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+    ]
+    assert sorted(n for n in private if not uses(n, {n})) == sorted(UNREAD_PRIVATE)
 
 
 # the modules that hold the grid primitives every layer shares
